@@ -12,7 +12,6 @@ pass/fail report.
 from .phase_space import (
     GridSpec,
     GridMeasure,
-    PhasePoint,
     SampledFunction,
     band_limited_approximant,
     cauchy_measure,
@@ -69,7 +68,7 @@ from .reports import ExperimentReport, load_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridSpec", "GridMeasure", "PhasePoint", "SampledFunction",
+    "GridSpec", "GridMeasure", "SampledFunction",
     "band_limited_approximant", "cauchy_measure", "conjugate_lattice",
     "convolve", "default_gaussian_grid", "default_lemma_grid",
     "gaussian_measure", "omega", "symplectic_ft", "symplectic_ft_at",

@@ -23,30 +23,23 @@ Truncation policy: quadrature nodes whose displacement c*zeta leaves the
 trustworthy window |z| <= sqrt(2N) are dropped, and the dropped measure
 mass must stay below a caller-visible tolerance (default 1e-6), keeping
 trace accounting honest.  Time steps large enough to violate that are
-split: see evolve_state.
+split: see _heat_substeps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .fock import (
-    DensityOperator,
-    FockOperator,
-    displacement_batch,
-    trace_norm,
-    weyl_operator,
-)
+from .fock import DensityOperator, FockOperator, _displacement_chunks, weyl_operator
 from .phase_space import (
     GridMeasure,
     GridSpec,
-    cauchy_measure,
     default_gaussian_grid,
     gaussian_measure,
+    measure_from_atoms,
     omega,
 )
 from .reports import ExperimentReport
@@ -63,7 +56,6 @@ __all__ = [
     "MeasureChannel",
     "HeatFlowParams",
     "heat_channel",
-    "cauchy_channel",
     "point_mass_channel",
     "apply_quadrature",
     "apply_spectral",
@@ -77,8 +69,6 @@ __all__ = [
 ]
 
 CONJUGATION_SCALE = 0.5
-
-_CHUNK_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -128,24 +118,11 @@ def heat_channel(t: float, n_levels: int, grid: GridSpec | None = None) -> Measu
     return MeasureChannel(gaussian_measure(t, grid), CONJUGATION_SCALE, n_levels)
 
 
-def cauchy_channel(
-    t: float, n_levels: int, grid: GridSpec, max_deficit: float = 1e-2
-) -> MeasureChannel:
-    """Quadrature channel of the product-Cauchy measure at time t.
-
-    Heavy tails make tight windows impossible; this exists for exploratory
-    use, while quantitative Cauchy checks run through the spectral path.
-    """
-    return MeasureChannel(cauchy_measure(t, grid, max_deficit), CONJUGATION_SCALE, n_levels)
-
-
 def point_mass_channel(zs, weights, grid: GridSpec, n_levels: int) -> MeasureChannel:
     """Channel of a finite atomic measure; atoms must sit on grid nodes."""
-    w = np.zeros((grid.points_per_axis, grid.points_per_axis), dtype=complex)
-    for z, c in zip(zs, weights):
-        i, j = grid.index_of(z)
-        w[i, j] += c
-    return MeasureChannel(GridMeasure(grid, w), CONJUGATION_SCALE, n_levels)
+    return MeasureChannel(
+        measure_from_atoms(grid, zip(zs, weights)), CONJUGATION_SCALE, n_levels
+    )
 
 
 _scale_verified = False
@@ -188,11 +165,9 @@ def _conjugation_sum(
 ) -> np.ndarray:
     """sum_p w_p W_{node_p} A W_{node_p}^dagger, chunked."""
     acc = np.zeros((n, n), dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // (n * n))
-    for lo in range(0, len(nodes), step):
-        w = displacement_batch(nodes[lo : lo + step], n)
+    for sl, w in _displacement_chunks(nodes, n):
         t = w @ a
-        t *= weights[lo : lo + step, None, None]
+        t *= weights[sl, None, None]
         acc += np.einsum("bij,bkj->ik", t, w.conj(), optimize=True)
     return acc
 
@@ -232,33 +207,6 @@ def apply_quadrature(
     _ensure_scale()
     nodes, weights = _masked_quadrature(ch, max_clipped)
     return FockOperator(_conjugation_sum(weights, nodes, a.matrix, a.dim))
-
-
-def apply_quadrature_monte_carlo(
-    ch: MeasureChannel,
-    a: FockOperator,
-    n_samples: int,
-    seed: int,
-    max_clipped: float = 1e-6,
-) -> FockOperator:
-    """Seeded Monte-Carlo variant for very large grids.
-
-    Samples cells proportionally to |weight|; reproducible but carries no
-    quantitative guarantees beyond the law of large numbers.
-    """
-    if a.dim != ch.truncation:
-        raise ValueError("operator dimension does not match the channel truncation")
-    nodes, weights = _masked_quadrature(ch, max_clipped)
-    p = np.abs(weights)
-    total = p.sum()
-    if total == 0:
-        return FockOperator(np.zeros((a.dim, a.dim), dtype=complex))
-    p = p / total
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(weights), size=n_samples, p=p)
-    # importance-sampling estimator: each draw contributes w_i / (n p_i)
-    est_w = weights[idx] / (n_samples * p[idx])
-    return FockOperator(_conjugation_sum(est_w, nodes[idx], a.matrix, a.dim))
 
 
 def _spectral_grid(source_dim: int) -> GridSpec:
@@ -307,30 +255,39 @@ def max_single_step(n_levels: int) -> float:
     return 0.98 * 8.0 * n_levels / (18.2 ** 2)
 
 
+def _heat_substeps(a: np.ndarray, t: float, grid: GridSpec | None = None) -> np.ndarray:
+    """The time-t heat channel applied to the matrix ``a`` by quadrature.
+
+    Times beyond the single-step window are split into equal substeps (the
+    measures convolve exactly, so this is the same channel).  A supplied
+    grid is honored only when no splitting is needed; substeps size their
+    own grids to the substep time.
+    """
+    if t == 0:
+        return a
+    n = a.shape[0]
+    n_steps = max(1, int(math.ceil(t / max_single_step(n))))
+    dt = t / n_steps
+    ch = heat_channel(dt, n, grid if n_steps == 1 else None)
+    for _ in range(n_steps):
+        a = apply_quadrature(ch, FockOperator(a)).matrix
+    return a
+
+
 def evolve_state(
     params: HeatFlowParams, rho: DensityOperator, grid: GridSpec | None = None
 ) -> DensityOperator:
     """Predual heat-flow action on a state.
 
     The Gaussian measure is symmetric, so the state side uses the same
-    conjugation average.  Times beyond the single-step window are split
-    into equal substeps (the measures convolve exactly, so this is the
-    same channel).  Output is renormalized for trace drift up to 1e-6 and
-    validated as a state; a PSD defect beyond 1e-8 means the truncation is
-    inadequate and raises.
+    conjugation average, split into substeps as ``_heat_substeps`` does.
+    Output is renormalized for trace drift up to 1e-6 and validated as a
+    state; a PSD defect beyond 1e-8 means the truncation is inadequate and
+    raises.
     """
     if params.t == 0:
         return rho
-    n = rho.dim
-    out = rho.matrix
-    limit = max_single_step(n)
-    n_steps = max(1, int(math.ceil(params.t / limit)))
-    dt = params.t / n_steps
-    # a caller-supplied grid is honored only when no splitting is needed;
-    # substeps size their own grids to dt
-    ch = heat_channel(dt, n, grid if n_steps == 1 else None)
-    for _ in range(n_steps):
-        out = apply_quadrature(ch, FockOperator(out)).matrix
+    out = _heat_substeps(rho.matrix, params.t, grid)
     tr = float(np.real(np.trace(out)))
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"trace drift {abs(tr - 1.0):.3e} exceeds 1e-6")
@@ -414,13 +371,10 @@ def choi_matrix(ch: MeasureChannel, n: int, max_clipped: float = 1e-6) -> np.nda
     if n > ch.truncation // 4:
         raise ValueError("Choi block exceeds a quarter of the truncation")
     nodes, weights = _masked_quadrature(ch, max_clipped)
-    dim = ch.truncation
     c = np.zeros((n * n, n * n), dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // (dim * dim))
-    for lo in range(0, len(nodes), step):
-        w = displacement_batch(nodes[lo : lo + step], dim)
+    for sl, w in _displacement_chunks(nodes, ch.truncation):
         v = w[:, :n, :n].transpose(0, 2, 1).reshape(len(w), n * n)
-        c += (weights[lo : lo + step, None] * v).T @ v.conj()
+        c += (weights[sl, None] * v).T @ v.conj()
     return c
 
 

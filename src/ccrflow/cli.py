@@ -19,6 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .channels import (
@@ -771,6 +772,7 @@ def _write_metadata(out_dir: Path, argv) -> None:
         "package_version": __version__,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_metadata.json").write_text(

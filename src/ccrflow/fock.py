@@ -16,13 +16,13 @@ package is made on a leading sub-block or on low number states only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
+
+from .phase_space import _coords
 
 __all__ = [
     "FockOperator",
@@ -37,16 +37,10 @@ __all__ = [
     "trace_norm",
     "number_state",
     "coherent_state",
-    "save_operator",
-    "load_operator",
 ]
 
-
-def _coords(z) -> tuple[float, float]:
-    if hasattr(z, "x") and hasattr(z, "y"):
-        return float(z.x), float(z.y)
-    x, y = z
-    return float(x), float(y)
+# keep per-chunk scratch for Weyl batches around 30 MB
+_CHUNK_ENTRIES = 2_000_000
 
 
 def alpha_of(z) -> complex:
@@ -229,6 +223,19 @@ def displacement_batch(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _displacement_chunks(zs: np.ndarray, n_levels: int):
+    """Stream Weyl unitaries for the rows of ``zs`` as ``(slice, W)`` pairs.
+
+    Each chunk holds at most ``_CHUNK_ENTRIES // N^2`` matrices (at least
+    one), so callers can contract a long node list against an operator
+    without materializing the whole (B, N, N) batch.
+    """
+    step = max(1, _CHUNK_ENTRIES // (n_levels * n_levels))
+    for lo in range(0, len(zs), step):
+        sl = slice(lo, min(lo + step, len(zs)))
+        yield sl, displacement_batch(zs[sl], n_levels)
+
+
 def _displacement_exponential(zs: np.ndarray, n_levels: int) -> np.ndarray:
     lam, vec = _position_eigensystem(n_levels)
     rho = np.hypot(zs[:, 0], zs[:, 1])
@@ -316,41 +323,3 @@ def coherent_state(alpha: complex, n_levels: int) -> DensityOperator:
         )
     vec /= math.sqrt(capture)
     return DensityOperator(FockOperator(np.outer(vec, vec.conj())))
-
-
-# ---------------------------------------------------------------------------
-# serialization: JSON sidecar + CSV entry dump, exact round trip
-
-
-def save_operator(a: FockOperator, path) -> None:
-    path = Path(path)
-    header = {"kind": "fock_operator", "dim": a.dim}
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(header, sort_keys=True, indent=2) + "\n"
-    )
-    rows, cols = np.indices((a.dim, a.dim))
-    table = np.column_stack(
-        [rows.ravel(), cols.ravel(), a.matrix.real.ravel(), a.matrix.imag.ravel()]
-    )
-    np.savetxt(
-        path,
-        table,
-        fmt=("%d", "%d", "%.17g", "%.17g"),
-        delimiter=",",
-        header="row,col,re,im",
-        comments="",
-    )
-
-
-def load_operator(path) -> FockOperator:
-    path = Path(path)
-    header = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    if header.get("kind") != "fock_operator":
-        raise ValueError(f"not an operator file: {path}")
-    dim = int(header["dim"])
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    m = np.zeros((dim, dim), dtype=complex)
-    r = table[:, 0].astype(int)
-    c = table[:, 1].astype(int)
-    m[r, c] = table[:, 2] + 1j * table[:, 3]
-    return FockOperator(m)

@@ -23,36 +23,27 @@ places nodes at -L + k*h for k = 0..M-1 with h = 2L/M, covering
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import signal
 
 __all__ = [
-    "PhasePoint",
     "GridSpec",
     "GridMeasure",
     "SampledFunction",
     "omega",
     "symplectic_ft",
     "convolve",
-    "total_variation",
     "gaussian_measure",
     "cauchy_measure",
     "plateau_bump",
     "band_limited_approximant",
-    "sqrt_density_ft_profile",
     "measure_from_atoms",
     "point_mass",
     "gaussian_density",
-    "save_measure",
-    "load_measure",
-    "save_function",
-    "load_function",
 ]
 
 #: Nyquist-style guard: a transform onto a dual grid of half-width R is
@@ -63,32 +54,7 @@ ALIAS_GUARD = math.pi / 2
 _GAUSSIAN_CAPTURE = 1e-9
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point z = (x, y) of the phase plane."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("phase point coordinates must be finite")
-
-    @property
-    def norm_sq(self) -> float:
-        return self.x * self.x + self.y * self.y
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-
 def _coords(z) -> tuple[float, float]:
-    if isinstance(z, PhasePoint):
-        return z.x, z.y
     x, y = z
     return float(x), float(y)
 
@@ -96,8 +62,8 @@ def _coords(z) -> tuple[float, float]:
 def omega(z1, z2) -> float:
     """Symplectic form omega(z1, z2) = (x2*y1 - x1*y2) / 2.
 
-    Accepts ``PhasePoint`` or any (x, y) pair.  Bilinear, antisymmetric,
-    and normalized so that omega((1, 0), (0, 1)) = -1/2.
+    Accepts any (x, y) pair.  Bilinear, antisymmetric, and normalized so
+    that omega((1, 0), (0, 1)) = -1/2.
     """
     x1, y1 = _coords(z1)
     x2, y2 = _coords(z2)
@@ -214,11 +180,6 @@ class SampledFunction:
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
-
-
-def total_variation(mu: GridMeasure) -> float:
-    """Total-variation norm: the sum of |weight| over all cells."""
-    return mu.total_variation()
 
 
 def measure_from_atoms(
@@ -531,26 +492,6 @@ def sqrt_density_ft(t: float, dual_points_r: np.ndarray) -> np.ndarray:
     return 8.0 * math.sqrt(math.pi * t) * np.exp(-2.0 * t * dual_points_r**2)
 
 
-def sqrt_density_ft_profile(t: float, dual: GridSpec) -> SampledFunction:
-    """Symplectic transform of f_t = sqrt(heat Gaussian density), computed by
-    honest grid quadrature (not from the closed form, which tests pin it to).
-
-    The square root halves the exponent rate, so f_t needs a grid roughly
-    sqrt(2) wider than the Gaussian itself; the internal grid is sized for
-    absolute accuracy around 1e-9 relative to the peak 8*sqrt(pi*t).
-    """
-    if not t > 0:
-        raise ValueError("profile requires t > 0")
-    radius = math.sqrt(32.0 * t * (math.log(1e12) + math.log(1 + 8 * math.sqrt(math.pi * t))))
-    h_max = min(ALIAS_GUARD / max(dual.half_width, 1e-9) * 0.75,
-                math.sqrt(16.0 * t) / 3.0)
-    m = int(math.ceil(2.0 * radius / h_max / 2.0) * 2)
-    grid = GridSpec(half_width=radius, points_per_axis=m)
-    x, y = grid.mesh()
-    f = np.sqrt(gaussian_density(t, x, y)) * grid.cell_area()
-    return symplectic_ft(GridMeasure(grid, f.astype(complex)), dual)
-
-
 def band_limited_approximant(
     t: float, delta: float, grid: GridSpec
 ) -> GridMeasure:
@@ -594,82 +535,3 @@ def default_lemma_grid(delta: float) -> GridSpec:
     half_width = max(200.0, 64.0 * math.pi / delta)
     m = int(math.ceil(half_width / 0.25 / 4.0) * 4)
     return GridSpec(half_width=half_width, points_per_axis=m)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: CSV tables with a JSON sidecar header
-# ---------------------------------------------------------------------------
-
-def _write_table_csv(path: Path, grid: GridSpec, table: np.ndarray) -> None:
-    x, y = grid.mesh()
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("x,y,re,im\n")
-        for xi, yi, v in zip(x.ravel(), y.ravel(), table.ravel()):
-            fh.write(f"{xi:.17g},{yi:.17g},{v.real:.17g},{v.imag:.17g}\n")
-
-
-def _read_table_csv(path: Path, grid: GridSpec) -> np.ndarray:
-    m = grid.points_per_axis
-    table = np.empty((m, m), dtype=complex)
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "x,y,re,im":
-            raise ValueError(f"unexpected CSV header {header!r}")
-        flat = table.ravel()
-        for k, line in enumerate(fh):
-            _, _, re, im = line.rstrip("\n").split(",")
-            flat[k] = complex(float(re), float(im))
-        if k != m * m - 1:
-            raise ValueError("CSV row count does not match the grid")
-    return table
-
-
-def _grid_header(grid: GridSpec, kind: str, extra: dict | None = None) -> dict:
-    header = {
-        "kind": kind,
-        "half_width": grid.half_width,
-        "points_per_axis": grid.points_per_axis,
-    }
-    if extra:
-        header.update(extra)
-    return header
-
-
-def _save_tagged(
-    base: str | Path, grid: GridSpec, table: np.ndarray, kind: str,
-    extra: dict | None = None,
-) -> None:
-    base = Path(base)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    with base.with_suffix(".json").open("w", encoding="utf-8") as fh:
-        json.dump(_grid_header(grid, kind, extra), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_table_csv(base.with_suffix(".csv"), grid, table)
-
-
-def _load_tagged(base: str | Path, kind: str) -> tuple[GridSpec, np.ndarray, dict]:
-    base = Path(base)
-    with base.with_suffix(".json").open("r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    if header.get("kind") != kind:
-        raise ValueError(f"expected a {kind} artifact, got {header.get('kind')!r}")
-    grid = GridSpec(header["half_width"], int(header["points_per_axis"]))
-    return grid, _read_table_csv(base.with_suffix(".csv"), grid), header
-
-
-def save_measure(mu: GridMeasure, base: str | Path) -> None:
-    _save_tagged(base, mu.grid, mu.weights, "grid_measure")
-
-
-def load_measure(base: str | Path) -> GridMeasure:
-    grid, table, _ = _load_tagged(base, "grid_measure")
-    return GridMeasure(grid, table)
-
-
-def save_function(fn: SampledFunction, base: str | Path, extra: dict | None = None) -> None:
-    _save_tagged(base, fn.grid, fn.values, "sampled_function", extra)
-
-
-def load_function(base: str | Path) -> SampledFunction:
-    grid, table, _ = _load_tagged(base, "sampled_function")
-    return SampledFunction(grid, table)

@@ -26,22 +26,13 @@ Three instruments:
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .channels import (
-    HeatFlowParams,
-    apply_spectral,
-    heat_channel,
-    apply_quadrature,
-    max_single_step,
-)
-from .fock import DensityOperator, FockOperator, trace_norm
+from .channels import HeatFlowParams, _heat_substeps, apply_spectral
+from .fock import DensityOperator, FockOperator, displacement_batch, trace_norm
 from .phase_space import (
     GridSpec,
     band_limited_approximant,
@@ -88,38 +79,6 @@ class DecayCurve:
         if any(d > d0 + 1e-6 for d in self.distances):
             raise ValueError("distance exceeds its initial value")
 
-    def save_csv(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "distance"])
-            for t, d in zip(self.times, self.distances):
-                writer.writerow([format(t, ".17g"), format(d, ".17g")])
-
-
-def _evolve_diff_quadrature(omega: np.ndarray, increments) -> list[np.ndarray]:
-    """Evolve a difference operator through successive heat increments.
-
-    Returns the operator after each increment.  Every increment is split
-    into substeps small enough that the Gaussian quadrature never clips.
-    """
-    n = omega.shape[0]
-    limit = max_single_step(n)
-    out = []
-    current = omega
-    for dt in increments:
-        if dt == 0:
-            out.append(current)
-            continue
-        n_sub = max(1, int(math.ceil(dt / limit)))
-        sub = dt / n_sub
-        ch = heat_channel(sub, n)
-        for _ in range(n_sub):
-            current = apply_quadrature(ch, FockOperator(current)).matrix
-        out.append(current)
-    return out
-
 
 def decay_curve(
     rho1: DensityOperator,
@@ -143,8 +102,10 @@ def decay_curve(
     omega = rho1.matrix - rho2.matrix
     if path == "quadrature":
         increments = [times[0]] + [b - a for a, b in zip(times, times[1:])]
-        snaps = _evolve_diff_quadrature(omega, increments)
-        dists = [trace_norm(s) for s in snaps]
+        dists = []
+        for dt in increments:
+            omega = _heat_substeps(omega, dt)
+            dists.append(trace_norm(omega))
     elif path == "spectral":
         op = FockOperator(omega)
         dists = []
@@ -198,8 +159,6 @@ def band_annihilated_distance(
             f"{k} constraints on an operator with {n * n} degrees of freedom; "
             "shrink epsilon or refine the truncation"
         )
-    from .fock import displacement_batch
-
     w = displacement_batch(pts, n)
     c = w.transpose(0, 2, 1).reshape(k, n * n)
     avec = a.matrix.ravel()
@@ -247,14 +206,6 @@ class BoundCertificate:
             "slack": self.slack,
             "details": self.details,
         }
-
-    def save(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
 
 
 def certified_bound(
@@ -308,8 +259,7 @@ def certified_bound(
     omega0_hat = char_values(omega0, pairing)
     inner = complex(np.sum(nu_hat * omega0_hat))
 
-    increments_omega = _evolve_diff_quadrature(omega.matrix, [t])
-    measured = trace_norm(increments_omega[-1])
+    measured = trace_norm(_heat_substeps(omega.matrix, t))
     return BoundCertificate(
         epsilon=float(epsilon),
         term1=float(term1),
@@ -351,8 +301,7 @@ def absorbing_state_probe(times, probes, n_directions: int = 32) -> ExperimentRe
             if t == 0:
                 vals = base
             else:
-                increments = _evolve_diff_quadrature(rho.matrix, [t])
-                evolved = FockOperator(increments[-1])
+                evolved = FockOperator(_heat_substeps(rho.matrix, t))
                 vals = np.abs(char_values(evolved, ring))
             expected = math.exp(-t) * base
             dev = float(np.abs(vals - expected).max())

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockOperator, displacement_batch, number_state, trace_norm
-from .phase_space import GridSpec, _load_tagged, _save_tagged
+from .fock import FockOperator, _displacement_chunks, number_state, trace_norm
+from .phase_space import GridSpec
 
 __all__ = [
     "CharFunction",
@@ -28,15 +28,10 @@ __all__ = [
     "char_values",
     "inverse_transform",
     "riemann_lebesgue_profile",
-    "save_char",
-    "load_char",
     "INVERSION_CONSTANT",
 ]
 
 INVERSION_CONSTANT = 1.0 / (2.0 * math.pi)
-
-# keep per-chunk scratch for Weyl batches around 30 MB
-_CHUNK_ENTRIES = 2_000_000
 
 
 def trust_radius(n_levels: int) -> float:
@@ -77,10 +72,8 @@ class CharFunction:
 def _trace_against_batch(a: np.ndarray, zs: np.ndarray, n: int) -> np.ndarray:
     """trace(A W_z) for each row z, chunked so the Weyl batch stays small."""
     out = np.empty(len(zs), dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // (n * n))
-    for lo in range(0, len(zs), step):
-        w = displacement_batch(zs[lo : lo + step], n)
-        out[lo : lo + step] = np.einsum("mn,bnm->b", a, w, optimize=True)
+    for sl, w in _displacement_chunks(zs, n):
+        out[sl] = np.einsum("mn,bnm->b", a, w, optimize=True)
     return out
 
 
@@ -149,10 +142,8 @@ def _raw_inverse(values: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     pts = np.column_stack([xs.ravel(), ys.ravel()])[keep]
     flat = np.asarray(values, dtype=complex).ravel()[keep]
     acc = np.zeros((n, n), dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // (n * n))
-    for lo in range(0, len(pts), step):
-        w = displacement_batch(pts[lo : lo + step], n)
-        acc += np.einsum("b,bnm->mn", flat[lo : lo + step], w.conj(), optimize=True)
+    for sl, w in _displacement_chunks(pts, n):
+        acc += np.einsum("b,bnm->mn", flat[sl], w.conj(), optimize=True)
     return acc * grid.cell_area()
 
 
@@ -244,13 +235,3 @@ def riemann_lebesgue_profile(
         vals = char_values(a, r * dirs)
         out.append(float(np.abs(vals).max()))
     return out
-
-
-def save_char(f: CharFunction, base) -> None:
-    _save_tagged(base, f.grid, f.values, "char_function",
-                 extra={"source_dim": f.source_dim})
-
-
-def load_char(base) -> CharFunction:
-    grid, table, header = _load_tagged(base, "char_function")
-    return CharFunction(grid, table, int(header["source_dim"]))

@@ -31,7 +31,6 @@ from ccrflow import (
 )
 from ccrflow.channels import (
     CONJUGATION_SCALE,
-    apply_quadrature_monte_carlo,
     cauchy_multiplier,
     heat_multiplier,
 )
@@ -202,21 +201,6 @@ def test_cb_distance_bound_holds_and_vanishes_at_equality():
     assert rep.passed and rep.measured <= 1.0 + 1e-6
     same = cb_distance_bound(mu, mu, probes, n, allow_clipping=True)
     assert same.measured == 0.0
-
-
-def test_monte_carlo_quadrature_is_seeded_and_consistent():
-    n = 16
-    ch = point_mass_channel(
-        [(0.5, 0.0), (-0.5, 0.0)], [0.5, 0.5], ATOM_GRID, n
-    )
-    a = FockOperator(weyl_operator((0.4, 0.3), n).matrix)
-    exact = apply_quadrature(ch, a).matrix
-    est1 = apply_quadrature_monte_carlo(ch, a, 4000, seed=5).matrix
-    est2 = apply_quadrature_monte_carlo(ch, a, 4000, seed=5).matrix
-    est3 = apply_quadrature_monte_carlo(ch, a, 4000, seed=6).matrix
-    assert np.array_equal(est1, est2)
-    assert not np.array_equal(est1, est3)
-    assert float(np.linalg.norm(est1 - exact, 2)) < 0.05
 
 
 def test_max_single_step_grows_with_truncation():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ccrflow import fock
 from ccrflow.fock import (
     DensityOperator,
     FockOperator,
@@ -63,6 +64,28 @@ def test_displacement_is_unitary():
     eye = np.eye(n)
     prods = np.einsum("bji,bjk->bik", w.conj(), w)
     assert float(np.abs(prods - eye).max()) < 1e-12
+
+
+CHUNK_N = 6
+CHUNK_STEP = 4
+
+
+@pytest.mark.parametrize("b", [0, 1, CHUNK_STEP - 1, CHUNK_STEP, CHUNK_STEP + 1,
+                               2 * CHUNK_STEP + 3])
+def test_displacement_chunks_cover_the_batch_in_order(monkeypatch, b):
+    # shrink the budget so a handful of 6x6 matrices spans several chunks;
+    # the remainder checks that the step is a floor division
+    monkeypatch.setattr(fock, "_CHUNK_ENTRIES", CHUNK_STEP * CHUNK_N**2 + 7)
+    zs = np.random.default_rng(b).normal(size=(b, 2))
+    chunks = list(fock._displacement_chunks(zs, CHUNK_N))
+    covered = [i for sl, _ in chunks for i in range(b)[sl]]
+    assert covered == list(range(b))
+    assert all(len(w) <= fock._CHUNK_ENTRIES // CHUNK_N**2 for _, w in chunks)
+    if b:
+        stacked = np.concatenate([w for _, w in chunks])
+        assert np.array_equal(stacked, displacement_batch(zs, CHUNK_N))
+    else:
+        assert chunks == []
 
 
 def test_closed_form_agrees_with_exponential():
