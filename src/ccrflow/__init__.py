@@ -3,7 +3,11 @@
 The package models a quantum dynamical semigroup whose action damps
 displacement operators pointwise, through two independent numerical
 paths: measure-weighted conjugation averages (quadrature) and
-transform-side multiplication (spectral).  Experiments cover the algebra
+transform-side multiplication (spectral).  A third engine exponentiates
+the flow's truncated generator, one tridiagonal eigensystem per matrix
+offset; it evolves the purity instruments (decay curves, the
+certificate's measured distance, the absorbing-state probe), and the
+quadrature path is its independent oracle.  Experiments cover the algebra
 of displacements, channel positivity and composition laws, band-limited
 measure surgery, and the decay of state distinguishability, each with a
 pass/fail report.

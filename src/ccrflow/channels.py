@@ -19,19 +19,27 @@ spectral action multiplies the operator transform by e^{-t|z|^2}.  Both
 computational paths (direct quadrature, transform multiplication) live
 here, and their agreement is one of the package's core checks.
 
+A third engine exponentiates the flow's generator,
+L(A) = -([Q,[Q,A]] + [P,[P,A]]), in its truncated GKSL form (see
+_heat_generator).  It is exact at every time without substeps and serves
+the purity instruments; quadrature stays the independent oracle and the
+only path for general measures.
+
 Truncation policy: quadrature nodes whose displacement c*zeta leaves the
 trustworthy window |z| <= sqrt(2N) are dropped, and the dropped measure
 mass must stay below a caller-visible tolerance (default 1e-6), keeping
 trace accounting honest.  Time steps large enough to violate that are
-split: see _heat_substeps.
+split into substeps: see evolve_state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .fock import DensityOperator, FockOperator, _displacement_chunks, weyl_operator
 from .phase_space import (
@@ -255,39 +263,27 @@ def max_single_step(n_levels: int) -> float:
     return 0.98 * 8.0 * n_levels / (18.2 ** 2)
 
 
-def _heat_substeps(a: np.ndarray, t: float, grid: GridSpec | None = None) -> np.ndarray:
-    """The time-t heat channel applied to the matrix ``a`` by quadrature.
-
-    Times beyond the single-step window are split into equal substeps (the
-    measures convolve exactly, so this is the same channel).  A supplied
-    grid is honored only when no splitting is needed; substeps size their
-    own grids to the substep time.
-    """
-    if t == 0:
-        return a
-    n = a.shape[0]
-    n_steps = max(1, int(math.ceil(t / max_single_step(n))))
-    dt = t / n_steps
-    ch = heat_channel(dt, n, grid if n_steps == 1 else None)
-    for _ in range(n_steps):
-        a = apply_quadrature(ch, FockOperator(a)).matrix
-    return a
-
-
 def evolve_state(
     params: HeatFlowParams, rho: DensityOperator, grid: GridSpec | None = None
 ) -> DensityOperator:
-    """Predual heat-flow action on a state.
+    """Predual heat-flow action on a state, by quadrature.
 
     The Gaussian measure is symmetric, so the state side uses the same
-    conjugation average, split into substeps as ``_heat_substeps`` does.
-    Output is renormalized for trace drift up to 1e-6 and validated as a
-    state; a PSD defect beyond 1e-8 means the truncation is inadequate and
-    raises.
+    conjugation average.  Times beyond the single-step window are split
+    into equal substeps (the measures convolve exactly, so this is the same
+    channel); a supplied grid is honored only when no splitting is needed,
+    since substeps size their own grids to the substep time.  Output is
+    renormalized for trace drift up to 1e-6 and validated as a state; a PSD
+    defect beyond 1e-8 means the truncation is inadequate and raises.
     """
     if params.t == 0:
         return rho
-    out = _heat_substeps(rho.matrix, params.t, grid)
+    n = rho.dim
+    n_steps = max(1, int(math.ceil(params.t / max_single_step(n))))
+    ch = heat_channel(params.t / n_steps, n, grid if n_steps == 1 else None)
+    out = rho.matrix
+    for _ in range(n_steps):
+        out = apply_quadrature(ch, FockOperator(out)).matrix
     tr = float(np.real(np.trace(out)))
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"trace drift {abs(tr - 1.0):.3e} exceeds 1e-6")
@@ -304,6 +300,51 @@ def evolve_state(
         dim = out.shape[0]
         out = (out + (-lo) * np.eye(dim)) / (1.0 - lo * dim)
     return DensityOperator(FockOperator(out))
+
+
+@lru_cache(maxsize=16)
+def _generator_eigensystems(n_levels: int) -> tuple:
+    """Eigensystems of the truncated generator, one per offset d = 0..N-1.
+
+    L_N(A) = 2(a A a† + a† A a) - {a a† + a† a, A} maps each offset m-n=d
+    to itself; on the entries (m, m+d) (and equally on (m+d, m)) it is the
+    real symmetric tridiagonal matrix with diagonal -(D_m + D_{m+d}) and
+    off-diagonal 2 sqrt((m+1)(m+1+d)), where D = a a† + a† a =
+    diag(1, 3, ..., 2N-3, N-1) for the truncated a.  That last entry makes
+    L_N trace-preserving and unital, as the quadrature channels are.
+    """
+    dd = np.arange(1, 2 * n_levels, 2, dtype=float)
+    dd[-1] = n_levels - 1
+    systems = []
+    for d in range(n_levels):
+        m = np.arange(n_levels - d)
+        lam, vec = eigh_tridiagonal(
+            -(dd[m] + dd[m + d]), 2.0 * np.sqrt(m[1:] * (m[1:] + d))
+        )
+        lam.setflags(write=False)
+        vec.setflags(write=False)
+        systems.append((lam, vec))
+    return tuple(systems)
+
+
+def _heat_generator(a: np.ndarray, t: float) -> np.ndarray:
+    """e^{t L_N}(a): the heat flow at time t through its truncated generator.
+
+    Each offset evolves independently as v (e^{t lambda} * (v^T x)), so
+    every time is exact in one step.  e^{t L_N} is a trace-preserving,
+    completely positive semigroup on the N-level space.
+    """
+    if t == 0:
+        return np.array(a, dtype=complex)
+    n = a.shape[0]
+    out = np.empty((n, n), dtype=complex)
+    for d, (lam, vec) in enumerate(_generator_eigensystems(n)):
+        m = np.arange(n - d)
+        cols = np.stack([a[m, m + d], a[m + d, m]], axis=1)
+        evolved = vec @ (np.exp(t * lam)[:, None] * (vec.T @ cols))
+        out[m, m + d] = evolved[:, 0]
+        out[m + d, m] = evolved[:, 1]
+    return out
 
 
 def generator_check(z, n_levels: int, t_values) -> ExperimentReport:

@@ -601,7 +601,7 @@ def check_purity_decay(cfg: RunConfig) -> ExperimentReport:
     """Distinguishability of the first two basis states dies under the flow."""
     n = cfg.truncation
     curve = decay_curve(number_state(0, n), number_state(1, n), cfg.times,
-                        path="quadrature", labels=("number0", "number1"))
+                        path="generator", labels=("number0", "number1"))
     d = curve.distances
     start_err = abs(d[0] - 2.0) if curve.times[0] == 0 else 0.0
     decreasing = all(b < a for a, b in zip(d, d[1:]))
@@ -622,7 +622,7 @@ def check_purity_decay(cfg: RunConfig) -> ExperimentReport:
 def check_purity_certificate(cfg: RunConfig) -> ExperimentReport:
     """Three-term certificate at the final time; pairing must vanish."""
     n = cfg.truncation
-    t = cfg.times[-1] if cfg.times else 16.0
+    t = cfg.times[-1]
     delta = cfg.deltas[0]
     epsilon = cfg.epsilons[0]
     cert = certified_bound(number_state(0, n), number_state(1, n), t, epsilon, delta)
@@ -641,8 +641,7 @@ def check_purity_certificate(cfg: RunConfig) -> ExperimentReport:
 def check_absorbing_probe(cfg: RunConfig) -> ExperimentReport:
     n = cfg.truncation
     probes = [_build_probe(spec, n) for spec in cfg.probes]
-    times = [t for t in (0.0, 1.0, 2.0)]
-    return absorbing_state_probe(times, probes)
+    return absorbing_state_probe((0.0, 1.0, 2.0), probes)
 
 
 def check_beurling_monotonicity(cfg: RunConfig) -> ExperimentReport:

@@ -36,11 +36,18 @@ __all__ = [
     "SampledFunction",
     "omega",
     "symplectic_ft",
+    "symplectic_ft_at",
+    "inverse_symplectic_lattice",
+    "conjugate_lattice",
     "convolve",
     "gaussian_measure",
+    "default_gaussian_grid",
     "cauchy_measure",
+    "plateau_profile",
     "plateau_bump",
+    "sqrt_density_ft",
     "band_limited_approximant",
+    "default_lemma_grid",
     "measure_from_atoms",
     "point_mass",
     "gaussian_density",

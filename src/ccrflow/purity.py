@@ -3,10 +3,10 @@
 Three instruments:
 
 * decay_curve - trace-norm distance between two evolved states over a time
-  grid.  The quadrature path evolves the difference operator through the
-  composed per-step channels, so non-increase is structural (each step is
-  an average of unitary conjugations with subunit total weight), not a
-  numerical accident.
+  grid.  The generator path evolves the difference operator by e^{tL_N},
+  the exponential of the flow's truncated generator; that is a
+  trace-preserving completely positive semigroup, hence a trace-norm
+  contraction, so non-increase is structural, not a numerical accident.
 
 * band_annihilated_distance - how far (in trace norm) an operator sits
   from the set of operators whose transform vanishes on a small disk.
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import HeatFlowParams, _heat_substeps, apply_spectral
+from .channels import HeatFlowParams, _heat_generator, apply_spectral
 from .fock import DensityOperator, FockOperator, displacement_batch, trace_norm
 from .phase_space import (
     GridSpec,
@@ -42,8 +42,7 @@ from .phase_space import (
     symplectic_ft_at,
 )
 from .reports import ExperimentReport
-from .weyl_transform import char_values, trust_radius
-from . import weyl_transform
+from .weyl_transform import char_values, reliable_levels, trust_radius
 
 __all__ = [
     "DecayCurve",
@@ -84,15 +83,16 @@ def decay_curve(
     rho1: DensityOperator,
     rho2: DensityOperator,
     times=DEFAULT_TIME_GRID,
-    path: str = "quadrature",
+    path: str = "generator",
     labels: tuple = ("rho1", "rho2"),
 ) -> DecayCurve:
     """Trace-norm distance of the evolved pair at each time.
 
     The channel is linear, so the difference evolves as a single operator.
-    ``quadrature`` composes per-step channels sequentially (structurally
-    non-increasing); ``spectral`` reconstructs independently per time on
-    the reliable leading block.
+    ``generator`` evolves it to each time by e^{tL_N}, a trace-preserving
+    completely positive semigroup, so the distance cannot increase;
+    ``spectral`` reconstructs independently per time on the reliable
+    leading block.
     """
     if rho1.dim != rho2.dim:
         raise ValueError("states must share a truncation")
@@ -100,20 +100,14 @@ def decay_curve(
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be strictly increasing")
     omega = rho1.matrix - rho2.matrix
-    if path == "quadrature":
-        increments = [times[0]] + [b - a for a, b in zip(times, times[1:])]
-        dists = []
-        for dt in increments:
-            omega = _heat_substeps(omega, dt)
-            dists.append(trace_norm(omega))
+    if path == "generator":
+        dists = [trace_norm(_heat_generator(omega, t)) for t in times]
     elif path == "spectral":
         op = FockOperator(omega)
         dists = []
         for t in times:
             if t == 0:
-                k = weyl_transform.reliable_levels(
-                    GridSpec(trust_radius(op.dim), 2), op.dim
-                )
+                k = reliable_levels(GridSpec(trust_radius(op.dim), 2), op.dim)
                 dists.append(trace_norm(op.leading_block(k)))
             else:
                 dists.append(trace_norm(apply_spectral(HeatFlowParams(t), op)))
@@ -259,7 +253,7 @@ def certified_bound(
     omega0_hat = char_values(omega0, pairing)
     inner = complex(np.sum(nu_hat * omega0_hat))
 
-    measured = trace_norm(_heat_substeps(omega.matrix, t))
+    measured = trace_norm(_heat_generator(omega.matrix, t))
     return BoundCertificate(
         epsilon=float(epsilon),
         term1=float(term1),
@@ -301,7 +295,7 @@ def absorbing_state_probe(times, probes, n_directions: int = 32) -> ExperimentRe
             if t == 0:
                 vals = base
             else:
-                evolved = FockOperator(_heat_substeps(rho.matrix, t))
+                evolved = FockOperator(_heat_generator(rho.matrix, t))
                 vals = np.abs(char_values(evolved, ring))
             expected = math.exp(-t) * base
             dev = float(np.abs(vals - expected).max())

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccrflow import (
     DensityOperator,
@@ -31,9 +33,11 @@ from ccrflow import (
 )
 from ccrflow.channels import (
     CONJUGATION_SCALE,
+    _heat_generator,
     cauchy_multiplier,
     heat_multiplier,
 )
+from ccrflow.cli import _random_low_block_state
 
 RNG = np.random.default_rng(31415)
 
@@ -209,3 +213,80 @@ def test_max_single_step_grows_with_truncation():
     # capture radius at the step, after half-scaling, fits the trust window
     for n, t in zip((10, 20, 40, 80), steps):
         assert 0.5 * 18.2 * math.sqrt(t) <= math.sqrt(2 * n) + 1e-12
+
+
+def test_generator_matches_quadrature_and_spectral_paths():
+    # three independent engines of one flow: the generator exponential, the
+    # quadrature conjugation average and the transform multiplier
+    n = 30
+    probe = FockOperator(number_state(0, n).matrix)
+    k = apply_spectral(HeatFlowParams(0.25), probe).dim
+    rng = np.random.default_rng(2718)
+    states = [_random_low_block_state(rng, k, n) for _ in range(3)]
+    for rho in states:
+        for t in (0.25, 1.0):
+            gen = _heat_generator(rho.matrix, t)
+            quad = evolve_state(HeatFlowParams(t), rho).matrix
+            assert trace_norm(gen[:10, :10] - quad[:10, :10]) <= 1e-8
+            spec = apply_spectral(HeatFlowParams(t), FockOperator(rho.matrix))
+            assert trace_norm(gen[:k, :k] - spec.matrix) <= 1e-6
+
+
+def test_generator_tracks_quadrature_on_the_basis_pair():
+    n, t = 32, 4.0
+    omega = number_state(0, n).matrix - number_state(1, n).matrix
+    n_steps = int(math.ceil(t / max_single_step(n)))
+    ch = heat_channel(t / n_steps, n)
+    quad = omega
+    for _ in range(n_steps):
+        quad = apply_quadrature(ch, FockOperator(quad)).matrix
+    gap = trace_norm(_heat_generator(omega, t)) - trace_norm(quad)
+    assert abs(gap) <= 1e-5
+
+
+def _unit_hermitian(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = g + g.conj().T
+    return h / trace_norm(h)
+
+
+TIMES = st.floats(0.0, 4.0)
+GENERATOR_CASES = dict(n=st.integers(4, 24), seed=st.integers(0, 2**32 - 1), t=TIMES)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**GENERATOR_CASES, s=TIMES)
+def test_generator_semigroup_law(n, seed, s, t):
+    a = _unit_hermitian(n, seed)
+    twice = _heat_generator(_heat_generator(a, s), t)
+    assert float(np.abs(twice - _heat_generator(a, s + t)).max()) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(**GENERATOR_CASES)
+def test_generator_preserves_trace_identity_and_hermiticity(n, seed, t):
+    a = _unit_hermitian(n, seed)
+    out = _heat_generator(a, t)
+    assert abs(np.trace(out) - np.trace(a)) <= 1e-11
+    assert float(np.abs(out - out.conj().T).max()) <= 1e-15
+    eye = _heat_generator(np.eye(n, dtype=complex), t)
+    assert float(np.abs(eye - np.eye(n)).max()) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(**GENERATOR_CASES)
+def test_generator_contracts_the_trace_norm(n, seed, t):
+    a = _unit_hermitian(n, seed)
+    assert trace_norm(_heat_generator(a, t)) <= 1.0 + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(**GENERATOR_CASES, theta=st.floats(-math.pi, math.pi))
+def test_generator_is_rotation_covariant(n, seed, t, theta):
+    # R = diag(e^{i theta n}) conjugation multiplies entry (m, k) by
+    # e^{i theta (m - k)}
+    a = _unit_hermitian(n, seed)
+    phase = np.exp(1j * theta * np.subtract.outer(np.arange(n), np.arange(n)))
+    gap = phase * _heat_generator(a, t) - _heat_generator(phase * a, t)
+    assert float(np.abs(gap).max()) <= 1e-12
