@@ -16,7 +16,6 @@ pass/fail report.
 from .phase_space import (
     GridSpec,
     GridMeasure,
-    SampledFunction,
     band_limited_approximant,
     cauchy_measure,
     conjugate_lattice,
@@ -25,7 +24,6 @@ from .phase_space import (
     default_lemma_grid,
     gaussian_measure,
     omega,
-    symplectic_ft,
     symplectic_ft_at,
 )
 from .fock import (
@@ -72,10 +70,10 @@ from .reports import ExperimentReport, load_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridSpec", "GridMeasure", "SampledFunction",
+    "GridSpec", "GridMeasure",
     "band_limited_approximant", "cauchy_measure", "conjugate_lattice",
     "convolve", "default_gaussian_grid", "default_lemma_grid",
-    "gaussian_measure", "omega", "symplectic_ft", "symplectic_ft_at",
+    "gaussian_measure", "omega", "symplectic_ft_at",
     "DensityOperator", "FockOperator", "coherent_state",
     "displacement_batch", "number_state", "trace_norm", "weyl_operator",
     "CharFunction", "char_function", "char_values", "inverse_transform",

@@ -81,15 +81,13 @@ CONJUGATION_SCALE = 0.5
 
 @dataclass(frozen=True)
 class MeasureChannel:
-    """A measure, the conjugation scale, and the truncation it acts on."""
+    """A measure and the truncation it acts on; every channel conjugates
+    at the scale CONJUGATION_SCALE."""
 
     mu: GridMeasure
-    conjugation_scale: float
     truncation: int
 
     def __post_init__(self) -> None:
-        if not self.conjugation_scale > 0:
-            raise ValueError("conjugation scale must be positive")
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")
         if not math.isfinite(self.mu.total_variation()):
@@ -123,14 +121,12 @@ def heat_channel(t: float, n_levels: int, grid: GridSpec | None = None) -> Measu
         raise ValueError("heat channel needs t > 0; t = 0 is the identity")
     if grid is None:
         grid = default_gaussian_grid(t)
-    return MeasureChannel(gaussian_measure(t, grid), CONJUGATION_SCALE, n_levels)
+    return MeasureChannel(gaussian_measure(t, grid), n_levels)
 
 
 def point_mass_channel(zs, weights, grid: GridSpec, n_levels: int) -> MeasureChannel:
     """Channel of a finite atomic measure; atoms must sit on grid nodes."""
-    return MeasureChannel(
-        measure_from_atoms(grid, zip(zs, weights)), CONJUGATION_SCALE, n_levels
-    )
+    return MeasureChannel(measure_from_atoms(grid, zip(zs, weights)), n_levels)
 
 
 _scale_verified = False
@@ -189,7 +185,7 @@ def _masked_quadrature(
     channel that silently forgets weight is not the channel it claims.
     """
     xs, ys = ch.mu.grid.mesh()
-    pts = np.column_stack([xs.ravel(), ys.ravel()]) * ch.conjugation_scale
+    pts = np.column_stack([xs.ravel(), ys.ravel()]) * CONJUGATION_SCALE
     w = ch.mu.weights.ravel()
     live = w != 0
     pts, w = pts[live], w[live]
@@ -210,8 +206,6 @@ def apply_quadrature(
     """Deterministic cell-sum application of the measure channel."""
     if a.dim != ch.truncation:
         raise ValueError("operator dimension does not match the channel truncation")
-    if ch.conjugation_scale != CONJUGATION_SCALE:
-        raise ValueError("channel carries an uncalibrated conjugation scale")
     _ensure_scale()
     nodes, weights = _masked_quadrature(ch, max_clipped)
     return FockOperator(_conjugation_sum(weights, nodes, a.matrix, a.dim))
@@ -263,24 +257,22 @@ def max_single_step(n_levels: int) -> float:
     return 0.98 * 8.0 * n_levels / (18.2 ** 2)
 
 
-def evolve_state(
-    params: HeatFlowParams, rho: DensityOperator, grid: GridSpec | None = None
-) -> DensityOperator:
+def evolve_state(params: HeatFlowParams, rho: DensityOperator) -> DensityOperator:
     """Predual heat-flow action on a state, by quadrature.
 
     The Gaussian measure is symmetric, so the state side uses the same
     conjugation average.  Times beyond the single-step window are split
     into equal substeps (the measures convolve exactly, so this is the same
-    channel); a supplied grid is honored only when no splitting is needed,
-    since substeps size their own grids to the substep time.  Output is
-    renormalized for trace drift up to 1e-6 and validated as a state; a PSD
-    defect beyond 1e-8 means the truncation is inadequate and raises.
+    channel), each on the default Gaussian grid of the substep time.
+    Output is renormalized for trace drift up to 1e-6 and validated as a
+    state; a PSD defect beyond 1e-8 means the truncation is inadequate and
+    raises.
     """
     if params.t == 0:
         return rho
     n = rho.dim
     n_steps = max(1, int(math.ceil(params.t / max_single_step(n))))
-    ch = heat_channel(params.t / n_steps, n, grid if n_steps == 1 else None)
+    ch = heat_channel(params.t / n_steps, n)
     out = rho.matrix
     for _ in range(n_steps):
         out = apply_quadrature(ch, FockOperator(out)).matrix
@@ -402,16 +394,17 @@ def generator_check(z, n_levels: int, t_values) -> ExperimentReport:
     )
 
 
-def choi_matrix(ch: MeasureChannel, n: int, max_clipped: float = 1e-6) -> np.ndarray:
+def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:
     """Choi matrix of the channel compressed to the leading n-block.
 
     Built as sum_p w_p v_p v_p^dagger with v_p the vectorized n-block of
     the displacement unitary; positive semidefinite exactly when the
-    weights can be taken nonnegative.
+    weights can be taken nonnegative.  Like apply_quadrature, it rejects a
+    measure that clips more than 1e-6 of its mass.
     """
     if n > ch.truncation // 4:
         raise ValueError("Choi block exceeds a quarter of the truncation")
-    nodes, weights = _masked_quadrature(ch, max_clipped)
+    nodes, weights = _masked_quadrature(ch, 1e-6)
     c = np.zeros((n * n, n * n), dtype=complex)
     for sl, w in _displacement_chunks(nodes, ch.truncation):
         v = w[:, :n, :n].transpose(0, 2, 1).reshape(len(w), n * n)
@@ -434,7 +427,7 @@ def cb_distance_bound(
     """
     diff = mu - nu  # raises unless the grids agree
     tv = diff.total_variation()
-    ch = MeasureChannel(diff, CONJUGATION_SCALE, n_levels)
+    ch = MeasureChannel(diff, n_levels)
     clip_tol = math.inf if allow_clipping else 1e-6
     ratios = []
     for a in probes:

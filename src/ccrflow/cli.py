@@ -60,7 +60,7 @@ from .purity import (
     decay_curve,
     DEFAULT_TIME_GRID,
 )
-from .reports import ExperimentReport
+from .reports import ExperimentReport, _json_fallback
 from .weyl_transform import reliable_levels, riemann_lebesgue_profile
 
 SUBCOMMANDS = ("weyl-check", "heatflow", "choi", "lemma37", "purity", "beurling")
@@ -162,6 +162,8 @@ _COMMON = dict(
     seed=2026,
     grid=None,
 )
+_CONFIG_KEYS = ("truncation", "times", "delta", "epsilons", "probes", "out",
+                "seed", "grid")
 
 
 def _parse_float_list(text: str, what: str) -> tuple:
@@ -183,6 +185,7 @@ def _parse_grid_arg(text: str) -> tuple:
 
 
 def _apply_section(merged: dict, section) -> None:
+    """Parse the known keys of one config section (or of the flags)."""
     if "truncation" in section:
         try:
             merged["truncation"] = int(section["truncation"])
@@ -190,8 +193,6 @@ def _apply_section(merged: dict, section) -> None:
             raise ConfigError(f"bad truncation {section['truncation']!r}") from None
     if "times" in section:
         merged["times"] = _parse_float_list(section["times"], "times")
-    if "deltas" in section:
-        merged["deltas"] = _parse_float_list(section["deltas"], "deltas")
     if "delta" in section:
         merged["deltas"] = _parse_float_list(section["delta"], "delta")
     if "epsilons" in section:
@@ -211,6 +212,25 @@ def _apply_section(merged: dict, section) -> None:
         merged["grid"] = _parse_grid_arg(section["grid"])
 
 
+def _check_config_file(parser: configparser.ConfigParser) -> None:
+    """Reject sections and keys that no run reads, instead of ignoring them."""
+    names = parser.sections()
+    if parser.defaults():
+        names.insert(0, parser.default_section)
+    for name in names:
+        if name != "common" and name not in SUBCOMMANDS:
+            raise ConfigError(
+                f"unknown config section [{name}]; expected [common] or one of "
+                + ", ".join(f"[{s}]" for s in SUBCOMMANDS)
+            )
+        unknown = sorted(set(parser[name]) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(
+                f"unknown config key {unknown[0]!r} in [{name}]; expected one of "
+                + ", ".join(_CONFIG_KEYS)
+            )
+
+
 def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file ([common] before [subcommand]), then flags."""
     merged = dict(_COMMON)
@@ -224,19 +244,13 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
             parser.read_string(path.read_text(encoding="utf-8"))
         except configparser.Error as exc:
             raise ConfigError(f"could not parse config file: {exc}") from None
+        _check_config_file(parser)
         for name in ("common", subcommand):
             if parser.has_section(name):
                 _apply_section(merged, parser[name])
-    if args.truncation is not None:
-        merged["truncation"] = args.truncation
-    if args.times is not None:
-        merged["times"] = _parse_float_list(args.times, "times")
-    if args.delta is not None:
-        merged["deltas"] = _parse_float_list(args.delta, "delta")
-    if args.out is not None:
-        merged["out_dir"] = Path(args.out)
-    if args.grid is not None:
-        merged["grid"] = _parse_grid_arg(args.grid)
+    flags = {"truncation": args.truncation, "times": args.times,
+             "delta": args.delta, "out": args.out, "grid": args.grid}
+    _apply_section(merged, {k: v for k, v in flags.items() if v is not None})
     return RunConfig(**merged)
 
 
@@ -502,10 +516,11 @@ def check_choi_witness(cfg: RunConfig) -> ExperimentReport:
     )
 
 
-def _offband_sample(delta: float, rng: np.random.Generator, count: int = 400) -> np.ndarray:
-    """Off-lattice points with delta <= |z| <= 3*delta, plus ring points."""
-    r = delta * (1.0 + 2.0 * rng.uniform(0.0, 1.0, count))
-    th = rng.uniform(0.0, 2.0 * math.pi, count)
+def _offband_sample(delta: float, rng: np.random.Generator) -> np.ndarray:
+    """400 off-lattice points with delta <= |z| <= 3*delta, plus 64 on the
+    delta ring."""
+    r = delta * (1.0 + 2.0 * rng.uniform(0.0, 1.0, 400))
+    th = rng.uniform(0.0, 2.0 * math.pi, 400)
     pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
     ring_th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     ring = delta * 1.0000001 * np.column_stack([np.cos(ring_th), np.sin(ring_th)])
@@ -601,7 +616,7 @@ def check_purity_decay(cfg: RunConfig) -> ExperimentReport:
     """Distinguishability of the first two basis states dies under the flow."""
     n = cfg.truncation
     curve = decay_curve(number_state(0, n), number_state(1, n), cfg.times,
-                        path="generator", labels=("number0", "number1"))
+                        path="generator")
     d = curve.distances
     start_err = abs(d[0] - 2.0) if curve.times[0] == 0 else 0.0
     decreasing = all(b < a for a, b in zip(d, d[1:]))
@@ -750,18 +765,10 @@ def _write_summary(out_dir: Path, reports) -> dict:
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2, default=_json_default) + "\n",
+        json.dumps(summary, sort_keys=True, indent=2, default=_json_fallback) + "\n",
         encoding="utf-8",
     )
     return summary
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def _write_metadata(out_dir: Path, argv) -> None:
@@ -831,7 +838,7 @@ def main(argv=None) -> int:
     summary = _write_summary(out_dir, all_reports)
     _write_metadata(out_dir, argv)
     if args.json_summary:
-        print(json.dumps(summary, sort_keys=True, default=_json_default))
+        print(json.dumps(summary, sort_keys=True, default=_json_fallback))
     return 0 if all(rep.passed for rep in all_reports) else 1
 
 

@@ -12,9 +12,9 @@ symplectic Fourier transform
 turns convolution into pointwise multiplication and sends the Gaussian
 family onto the heat multipliers exp(-t*|zeta|^2).  Everything here is
 discretized on uniform square grids: a measure is a table of complex
-cell weights, a function a table of complex samples, and the transform
-a plain (factorized) sum over cells, so no FFT periodicity artifacts
-enter unless a routine explicitly opts in.
+cell weights, and its transform is a plain (factorized) sum over cells
+at the requested dual points, so no FFT periodicity artifacts enter
+unless a routine explicitly opts in.
 
 Grid convention: a ``GridSpec`` with half-width L and M points per axis
 places nodes at -L + k*h for k = 0..M-1 with h = 2L/M, covering
@@ -33,9 +33,7 @@ from scipy import signal
 __all__ = [
     "GridSpec",
     "GridMeasure",
-    "SampledFunction",
     "omega",
-    "symplectic_ft",
     "symplectic_ft_at",
     "inverse_symplectic_lattice",
     "conjugate_lattice",
@@ -44,18 +42,16 @@ __all__ = [
     "default_gaussian_grid",
     "cauchy_measure",
     "plateau_profile",
-    "plateau_bump",
     "sqrt_density_ft",
     "band_limited_approximant",
     "default_lemma_grid",
     "measure_from_atoms",
-    "point_mass",
     "gaussian_density",
 ]
 
-#: Nyquist-style guard: a transform onto a dual grid of half-width R is
-#: only allowed when h * R <= ALIAS_GUARD, which keeps the sampled phase
-#: exp(i*omega(zeta, z)) well below the lattice Nyquist rate.
+#: Nyquist-style guard that sizes Gaussian grids: default_gaussian_grid
+#: keeps h * 4 at 3/4 of it, so the sampled phase exp(i*omega(zeta, z))
+#: stays well below the lattice Nyquist rate for |zeta| <= 4.
 ALIAS_GUARD = math.pi / 2
 
 _GAUSSIAN_CAPTURE = 1e-9
@@ -107,28 +103,20 @@ class GridSpec:
     def cell_area(self) -> float:
         return self.h * self.h
 
-    def index_of(self, z, tol: float = 1e-9) -> tuple[int, int]:
-        """Indices of the node at z; z must sit on a node within tol."""
+    def index_of(self, z) -> tuple[int, int]:
+        """Indices of the node at z; z must sit on a node within 1e-9 cells."""
         x, y = _coords(z)
         ix = (x + self.half_width) / self.h
         iy = (y + self.half_width) / self.h
         i, j = round(ix), round(iy)
-        if abs(ix - i) > tol or abs(iy - j) > tol:
+        if abs(ix - i) > 1e-9 or abs(iy - j) > 1e-9:
             raise ValueError(f"point ({x}, {y}) is not a grid node")
         if not (0 <= i < self.points_per_axis and 0 <= j < self.points_per_axis):
             raise ValueError(f"point ({x}, {y}) lies outside the grid")
         return i, j
 
-    def compatible_with(self, other: "GridSpec", tol: float = 1e-12) -> bool:
-        return abs(self.h - other.h) <= tol * max(self.h, other.h)
-
-
-def _check_table(grid: GridSpec, table: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(table, dtype=complex)
-    m = grid.points_per_axis
-    if arr.shape != (m, m):
-        raise ValueError(f"{what} must have shape ({m}, {m}), got {arr.shape}")
-    return arr
+    def compatible_with(self, other: "GridSpec") -> bool:
+        return abs(self.h - other.h) <= 1e-12 * max(self.h, other.h)
 
 
 @dataclass
@@ -140,21 +128,18 @@ class GridMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        self.weights = _check_table(self.grid, self.weights, "weights")
+        self.weights = np.asarray(self.weights, dtype=complex)
+        m = self.grid.points_per_axis
+        if self.weights.shape != (m, m):
+            raise ValueError(
+                f"weights must have shape ({m}, {m}), got {self.weights.shape}"
+            )
 
     def total_variation(self) -> float:
         return float(np.abs(self.weights).sum())
 
     def total_mass(self) -> complex:
         return complex(self.weights.sum())
-
-    def is_probability(self, tol: float = 1e-9) -> bool:
-        w = self.weights
-        return bool(
-            np.all(w.imag == 0.0)
-            and np.all(w.real >= -tol)
-            and abs(w.real.sum() - 1.0) <= tol
-        )
 
     def _binop(self, other: "GridMeasure", sign: float) -> "GridMeasure":
         if self.grid != other.grid:
@@ -171,24 +156,6 @@ class GridMeasure:
         return GridMeasure(self.grid, c * self.weights)
 
 
-@dataclass
-class SampledFunction:
-    """Complex function sampled on grid nodes: values[i, j] = f(x_i, y_j)."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = _check_table(self.grid, self.values, "values")
-
-    def at(self, z) -> complex:
-        i, j = self.grid.index_of(z)
-        return complex(self.values[i, j])
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
-
 def measure_from_atoms(
     grid: GridSpec, atoms: Iterable[tuple[object, complex]]
 ) -> GridMeasure:
@@ -200,46 +167,9 @@ def measure_from_atoms(
     return GridMeasure(grid, w)
 
 
-def point_mass(grid: GridSpec, z=(0.0, 0.0), weight: complex = 1.0) -> GridMeasure:
-    return measure_from_atoms(grid, [(z, weight)])
-
-
 # ---------------------------------------------------------------------------
 # Symplectic Fourier transform
 # ---------------------------------------------------------------------------
-
-def _check_alias_guard(src: GridSpec, dual: GridSpec) -> None:
-    if src.h * dual.half_width > ALIAS_GUARD * (1 + 1e-12):
-        raise ValueError(
-            "dual grid would alias the measure: need h * dual_half_width "
-            f"<= pi/2, got {src.h * dual.half_width:.6g}"
-        )
-
-
-def symplectic_ft(mu: GridMeasure, dual: GridSpec) -> SampledFunction:
-    """Symplectic Fourier transform of a grid measure.
-
-    Returns zeta -> sum over cells of exp(i*omega(zeta, z)) * weight(z),
-    sampled on the dual grid.  The phase factorizes over axes,
-
-        exp(i*omega(zeta, z)) = exp(i*x*b/2) * exp(-i*a*y/2),
-        zeta = (a, b), z = (x, y),
-
-    so the double sum is evaluated as two dense matrix products, exactly
-    (no periodization, no interpolation).  Rejects dual grids wide enough
-    to push the sampled phase past the Nyquist guard.
-    """
-    _check_alias_guard(mu.grid, dual)
-    src_ax = mu.grid.axis()
-    dual_ax = dual.axis()
-    # T1[x, a] = sum_y exp(-i*a*y/2) * w[x, y]
-    e_ay = np.exp(-0.5j * np.outer(src_ax, dual_ax))  # [y, a]
-    t1 = mu.weights @ e_ay
-    # F[a, b] = sum_x exp(i*x*b/2) * T1[x, a]
-    e_xb = np.exp(0.5j * np.outer(src_ax, dual_ax))  # [x, b]
-    values = t1.T @ e_xb
-    return SampledFunction(dual, values)
-
 
 def symplectic_ft_at(mu: GridMeasure, points: np.ndarray) -> np.ndarray:
     """Transform of ``mu`` at arbitrary dual points, shape (P, 2) -> (P,)."""
@@ -304,21 +234,16 @@ def conjugate_lattice(grid: GridSpec) -> GridSpec:
 # Convolution
 # ---------------------------------------------------------------------------
 
-def convolve(
-    mu: GridMeasure, nu: GridMeasure, out: GridSpec | None = None
-) -> GridMeasure:
+def convolve(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     """Convolution of two grid measures by exact cell-index summation.
 
     Node sums land on nodes again because both grids share the spacing h,
     so the full linear convolution of the weight tables is exact at grid
-    scale; there is no circular wraparound.  By default the result lives
-    on the enlarged grid of half-width L1 + L2.  If ``out`` is given the
-    result is cropped onto it, and any weight that would fall outside is
-    a support-overflow error rather than a silent loss.
+    scale; there is no circular wraparound.  The result lives on the
+    enlarged grid of half-width L1 + L2, so no weight is lost.
     """
     if not mu.grid.compatible_with(nu.grid):
         raise ValueError("convolution requires equal grid spacings")
-    h = mu.grid.h
     m1, m2 = mu.grid.points_per_axis, nu.grid.points_per_axis
     full = signal.convolve(mu.weights, nu.weights, mode="full", method="auto")
     # index k <-> coordinate -(L1+L2) + k*h, k = 0..m1+m2-2; pad to even M.
@@ -327,29 +252,7 @@ def convolve(
                    points_per_axis=m_out)
     weights = np.zeros((m_out, m_out), dtype=complex)
     weights[: m1 + m2 - 1, : m1 + m2 - 1] = full
-    result = GridMeasure(big, weights)
-    if out is None:
-        return result
-    if not out.compatible_with(mu.grid):
-        raise ValueError("output grid spacing differs from operand spacing")
-    cropped = np.zeros((out.points_per_axis, out.points_per_axis), dtype=complex)
-    offset = (big.half_width - out.half_width) / h
-    shift = round(offset)
-    if abs(offset - shift) > 1e-9:
-        raise ValueError("output grid nodes do not align with the convolution grid")
-    lo, hi = shift, shift + out.points_per_axis
-    if lo < 0:
-        raise ValueError("output grid is larger than the convolution support")
-    tol = 1e-15 * max(result.total_variation(), 1.0)
-    outside = result.total_variation() - float(
-        np.abs(weights[lo:hi, lo:hi]).sum()
-    )
-    if outside > tol:
-        raise ValueError(
-            f"convolution support overflows the output grid by mass {outside:.3g}"
-        )
-    cropped[:, :] = weights[lo:hi, lo:hi]
-    return GridMeasure(out, cropped)
+    return GridMeasure(big, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -367,36 +270,30 @@ def gaussian_density(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.exp(-(x * x + y * y) / (16.0 * t)) / (16.0 * math.pi * t)
 
 
-def gaussian_measure(
-    t: float, grid: GridSpec, capture_tol: float = _GAUSSIAN_CAPTURE
-) -> GridMeasure:
+def gaussian_measure(t: float, grid: GridSpec) -> GridMeasure:
     """Midpoint-sampled heat Gaussian, renormalized to unit mass.
 
-    Rejects grids that truncate more than ``capture_tol`` of the mass
-    (radial tail exp(-L^2/(16t)) plus quadrature defect).
+    Rejects grids that truncate more than 1e-9 of the mass (radial tail
+    exp(-L^2/(16t)) plus quadrature defect).
     """
     if not t > 0:
         raise ValueError("gaussian measure requires t > 0")
     x, y = grid.mesh()
     w = gaussian_density(t, x, y) * grid.cell_area()
     captured = float(w.sum())
-    if captured < 1.0 - capture_tol:
+    if captured < 1.0 - _GAUSSIAN_CAPTURE:
         raise ValueError(
-            f"grid captures mass {captured:.12f} < 1 - {capture_tol:g}; widen it"
+            f"grid captures mass {captured:.12f} < 1 - {_GAUSSIAN_CAPTURE:g}; widen it"
         )
     return GridMeasure(grid, (w / captured).astype(complex))
 
 
-def default_gaussian_grid(
-    t: float,
-    dual_extent: float = 4.0,
-    capture_tol: float = _GAUSSIAN_CAPTURE,
-) -> GridSpec:
+def default_gaussian_grid(t: float) -> GridSpec:
     """A grid wide enough to capture the time-t Gaussian and fine enough to
-    transform onto duals of half-width ``dual_extent``."""
-    radius = math.sqrt(16.0 * t * math.log(1.0 / capture_tol)) * 1.02
+    transform onto duals of half-width 4."""
+    radius = math.sqrt(16.0 * t * math.log(1.0 / _GAUSSIAN_CAPTURE)) * 1.02
     sigma = math.sqrt(8.0 * t)
-    h_max = min(ALIAS_GUARD / dual_extent * 0.75, sigma / 3.0)
+    h_max = min(ALIAS_GUARD / 4.0 * 0.75, sigma / 3.0)
     m = int(math.ceil(2.0 * radius / h_max / 2.0) * 2)
     return GridSpec(half_width=radius, points_per_axis=m)
 
@@ -430,7 +327,7 @@ def cauchy_measure(
 
 
 # ---------------------------------------------------------------------------
-# Plateau bump and the band-limited approximant
+# Plateau profile and the band-limited approximant
 # ---------------------------------------------------------------------------
 
 def _bump_profile(s: np.ndarray) -> np.ndarray:
@@ -442,22 +339,22 @@ def _bump_profile(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def plateau_profile(delta: float, n_quad: int = 512) -> Callable[[np.ndarray], np.ndarray]:
+def plateau_profile(delta: float) -> Callable[[np.ndarray], np.ndarray]:
     """Radial profile G with G = 1 on r <= delta/4 and G = 0 on r >= delta/2.
 
     G is the disk indicator of radius 3*delta/8 convolved with a radial
     bump mollifier of radius delta/16.  For a probe at distance r, the
     mollifier ring of radius s contributes the fraction of its circumference
     lying inside the disk, which is an explicit arccos, so the convolution
-    collapses to a single radial quadrature.  The plateau conditions hold
-    exactly (with margin delta/16 on each side) because the mollifier mass
-    is normalized by the same quadrature rule.
+    collapses to a single 512-node radial quadrature.  The plateau
+    conditions hold exactly (with margin delta/16 on each side) because
+    the mollifier mass is normalized by the same quadrature rule.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     disk_r = 3.0 * delta / 8.0
     moll_r = delta / 16.0
-    s = (np.arange(n_quad) + 0.5) * (moll_r / n_quad)
+    s = (np.arange(512) + 0.5) * (moll_r / 512)
     ring = _bump_profile(s / moll_r) * 2.0 * math.pi * s
     norm = ring.sum()
 
@@ -478,21 +375,6 @@ def plateau_profile(delta: float, n_quad: int = 512) -> Callable[[np.ndarray], n
     return profile
 
 
-def plateau_bump(delta: float, dual: GridSpec) -> SampledFunction:
-    """Smooth radial bump g_hat with g_hat = 1 on |zeta| <= delta/4,
-    g_hat = 0 on |zeta| >= delta/2, and 0 <= g_hat <= 1 throughout.
-
-    Requires dual resolution finer than delta/16, the mollifier radius.
-    """
-    if dual.h >= delta / 16.0 * (1 + 1e-12):
-        raise ValueError("dual grid must resolve delta/16")
-    profile = plateau_profile(delta)
-    x, y = dual.mesh()
-    r = np.hypot(x, y)
-    values = profile(r.ravel()).reshape(r.shape)
-    return SampledFunction(dual, values.astype(complex))
-
-
 def sqrt_density_ft(t: float, dual_points_r: np.ndarray) -> np.ndarray:
     """Closed form for the transform of sqrt(gaussian density):
     8*sqrt(pi*t) * exp(-2*t*r^2)."""
@@ -505,7 +387,7 @@ def band_limited_approximant(
     """Probability measure close to the time-t Gaussian whose transform is
     supported in the disk |zeta| <= delta.
 
-    Construction: q_hat = (plateau bump) * (transform of f_t) on the
+    Construction: q_hat = (plateau profile) * (transform of f_t) on the
     conjugate lattice of ``grid``; q = inverse transform of q_hat; the
     measure has cell weights h^2*|q|^2, rescaled to unit mass.  Since
     q_hat vanishes outside |zeta| <= 7*delta/16, the measure's transform
@@ -527,10 +409,10 @@ def band_limited_approximant(
             "grid too small: conjugate lattice spacing "
             f"{eta:.4g} must resolve delta/16 = {delta / 16.0:.4g}"
         )
-    ghat = plateau_bump(delta, lattice)
     zx, zy = lattice.mesh()
     r = np.hypot(zx, zy)
-    qhat = ghat.values * sqrt_density_ft(t, r)
+    ghat = plateau_profile(delta)(r.ravel()).reshape(r.shape)
+    qhat = ghat * sqrt_density_ft(t, r)
     q = inverse_symplectic_lattice(qhat, grid)
     w = np.abs(q) ** 2 * grid.cell_area()
     return GridMeasure(grid, (w / w.sum()).astype(complex))

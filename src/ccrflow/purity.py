@@ -63,7 +63,6 @@ class DecayCurve:
 
     times: tuple
     distances: tuple
-    labels: tuple = ("rho1", "rho2")
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.distances):
@@ -84,7 +83,6 @@ def decay_curve(
     rho2: DensityOperator,
     times=DEFAULT_TIME_GRID,
     path: str = "generator",
-    labels: tuple = ("rho1", "rho2"),
 ) -> DecayCurve:
     """Trace-norm distance of the evolved pair at each time.
 
@@ -113,7 +111,7 @@ def decay_curve(
                 dists.append(trace_norm(apply_spectral(HeatFlowParams(t), op)))
     else:
         raise ValueError(f"unknown path {path!r}")
-    return DecayCurve(tuple(times), tuple(float(d) for d in dists), tuple(labels))
+    return DecayCurve(tuple(times), tuple(float(d) for d in dists))
 
 
 def band_annihilated_distance(
@@ -208,30 +206,27 @@ def certified_bound(
     t: float,
     epsilon: float,
     delta: float,
-    constraint_grid: GridSpec | None = None,
-    lemma_grid: GridSpec | None = None,
 ) -> BoundCertificate:
     """Build and verify the three-term certificate at time t.
 
     epsilon is the budget for the first term: if the band-annihilated
     projection cannot get that close, the pair (epsilon, delta) is
-    infeasible and reported as such rather than silently loosened.
+    infeasible and reported as such rather than silently loosened.  The
+    constraints sit on a delta/4 grid over the delta-disk; the measures
+    live on default_lemma_grid(delta).
     """
     if rho1.dim != rho2.dim:
         raise ValueError("states must share a truncation")
     n = rho1.dim
     omega = FockOperator(rho1.matrix - rho2.matrix)
-    if constraint_grid is None:
-        m = max(2, int(math.ceil(2.0 * delta / (delta / 4.0) / 2.0)) * 2)
-        constraint_grid = GridSpec(half_width=delta, points_per_axis=m)
-    term1, omega0 = band_annihilated_distance(omega, delta, constraint_grid)
+    m = max(2, int(math.ceil(2.0 * delta / (delta / 4.0) / 2.0)) * 2)
+    term1, omega0 = band_annihilated_distance(omega, delta, GridSpec(delta, m))
     if term1 > epsilon:
         raise ValueError(
             f"infeasible (epsilon, delta): best band-annihilated distance "
             f"{term1:.6g} exceeds the budget {epsilon:.6g}"
         )
-    if lemma_grid is None:
-        lemma_grid = default_lemma_grid(delta)
+    lemma_grid = default_lemma_grid(delta)
     nu = band_limited_approximant(t, delta, lemma_grid)
     mu = gaussian_measure(t, lemma_grid)
     tv_gap = (mu - nu).total_variation()
@@ -272,18 +267,18 @@ def certified_bound(
     )
 
 
-def absorbing_state_probe(times, probes, n_directions: int = 32) -> ExperimentReport:
+def absorbing_state_probe(times, probes) -> ExperimentReport:
     """No state survives the flow unchanged: ring transforms decay as e^{-t}.
 
     For each probe state and each time, the transform maximum on the unit
-    ring must equal e^{-t} times its initial value (tolerance 1e-3), and
-    no probe may show a time-independent transform.
+    ring (32 directions) must equal e^{-t} times its initial value
+    (tolerance 1e-3), and no probe may show a time-independent transform.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("negative time")
     probes = list(probes)
-    angles = np.linspace(0.0, 2.0 * math.pi, n_directions, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
     ring = np.column_stack([np.cos(angles), np.sin(angles)])
     worst = 0.0
     curve = []
@@ -316,7 +311,7 @@ def absorbing_state_probe(times, probes, n_directions: int = 32) -> ExperimentRe
     return ExperimentReport(
         check="absorbing_state_probe",
         params={"times": times, "n_probes": len(probes),
-                "n_directions": n_directions},
+                "n_directions": len(ring)},
         measured=worst,
         bound=1e-3,
         passed=bool(worst <= 1e-3 and not stale),

@@ -61,13 +61,6 @@ class CharFunction:
         if self.source_dim < 1:
             raise ValueError("source dimension must be positive")
 
-    def at(self, z) -> complex:
-        i, j = self.grid.index_of(z)
-        return complex(self.values[i, j])
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
 
 def _trace_against_batch(a: np.ndarray, zs: np.ndarray, n: int) -> np.ndarray:
     """trace(A W_z) for each row z, chunked so the Weyl batch stays small."""
@@ -217,10 +210,8 @@ def inverse_transform(f: CharFunction, n_levels: int) -> FockOperator:
     return FockOperator(c * raw[:n_levels, :n_levels])
 
 
-def riemann_lebesgue_profile(
-    a: FockOperator, radii, n_directions: int = 64
-) -> list[float]:
-    """Ring maxima of |transform| at the given radii.
+def riemann_lebesgue_profile(a: FockOperator, radii) -> list[float]:
+    """Ring maxima of |transform| at the given radii, over 64 directions.
 
     For fixed finite-rank operators the profile decays to zero; the decay
     rate is not asserted, only observed.
@@ -228,7 +219,7 @@ def riemann_lebesgue_profile(
     radii = [float(r) for r in radii]
     if not radii:
         return []
-    angles = np.linspace(0.0, 2.0 * math.pi, n_directions, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     out = []
     for r in radii:

@@ -32,7 +32,6 @@ from ccrflow import (
     weyl_operator,
 )
 from ccrflow.channels import (
-    CONJUGATION_SCALE,
     _heat_generator,
     cauchy_multiplier,
     heat_multiplier,
@@ -91,19 +90,14 @@ def test_params_and_channel_validation():
     with pytest.raises(ValueError, match="t > 0"):
         heat_channel(0.0, 10)
     mu = gaussian_measure(0.25, default_gaussian_grid(0.25))
-    with pytest.raises(ValueError, match="scale"):
-        MeasureChannel(mu, -0.5, 10)
     with pytest.raises(ValueError, match="truncation"):
-        MeasureChannel(mu, CONJUGATION_SCALE, 0)
+        MeasureChannel(mu, 0)
 
 
 def test_apply_quadrature_guards():
     ch = heat_channel(0.25, 20)
     with pytest.raises(ValueError, match="dimension"):
         apply_quadrature(ch, FockOperator(np.eye(12, dtype=complex)))
-    odd = MeasureChannel(ch.mu, 0.7, 20)
-    with pytest.raises(ValueError, match="uncalibrated"):
-        apply_quadrature(odd, FockOperator(np.eye(20, dtype=complex)))
 
 
 def test_clipped_mass_rejection():

@@ -176,3 +176,35 @@ def test_json_summary_flag(tmp_path, capsys):
     assert [c["name"] for c in payload["checks"]] == [
         "choi_positivity", "choi_witness",
     ]
+
+
+@pytest.mark.parametrize("text", [
+    "[common]\ntruncaton = 3\n",        # misspelled key
+    "[common]\ndeltas = 0.5\n",          # retired alias of delta
+    "[purity]\nepsilon = 1.0\n",         # bad key in another subcommand's section
+    "[lemma-37]\ntimes = 1\n",           # misspelled section
+    "[all]\nseed = 3\n",                 # 'all' has no section of its own
+    "[DEFAULT]\nseed = 3\n",
+])
+def test_config_rejects_unknown_sections_and_keys(tmp_path, capsys, text):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text)
+    with pytest.raises(ConfigError, match="unknown config"):
+        resolve_config("choi", make_args(config=str(cfg_file)))
+    code = main(["choi", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "unknown config" in capsys.readouterr().err
+
+
+def test_config_accepts_every_documented_key(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "[common]\n"
+        "truncation = 20\ntimes = 0.5\ndelta = 0.5, 2\nepsilons = 1\n"
+        "probes = vacuum\nout = elsewhere\nseed = 3\ngrid = 2, 8\n"
+        "[purity]\ntimes = 1, 2\n"
+    )
+    cfg = resolve_config("choi", make_args(config=str(cfg_file)))
+    assert (cfg.truncation, cfg.times, cfg.deltas) == (20, (0.5,), (0.5, 2.0))
+    assert (cfg.epsilons, cfg.probes, cfg.seed) == ((1.0,), ("vacuum",), 3)
+    assert (cfg.out_dir, cfg.grid) == (Path("elsewhere"), (2.0, 8))
