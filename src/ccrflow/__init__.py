@@ -56,10 +56,10 @@ from .channels import (
     heat_channel,
     max_single_step,
     point_mass_channel,
+    spectral_levels,
 )
 from .purity import (
     BoundCertificate,
-    DecayCurve,
     absorbing_state_probe,
     band_annihilated_distance,
     certified_bound,
@@ -81,8 +81,8 @@ __all__ = [
     "HeatFlowParams", "MeasureChannel", "apply_quadrature",
     "apply_spectral", "cb_distance_bound", "choi_matrix", "evolve_state",
     "generator_check", "heat_channel", "max_single_step",
-    "point_mass_channel",
-    "BoundCertificate", "DecayCurve", "absorbing_state_probe",
+    "point_mass_channel", "spectral_levels",
+    "BoundCertificate", "absorbing_state_probe",
     "band_annihilated_distance", "certified_bound", "decay_curve",
     "ExperimentReport", "load_report",
     "__version__",

@@ -31,6 +31,7 @@ from .channels import (
     generator_check,
     heat_channel,
     point_mass_channel,
+    spectral_levels,
 )
 from .fock import (
     DensityOperator,
@@ -76,12 +77,11 @@ class RunConfig:
 
     truncation: int
     times: tuple
-    deltas: tuple
+    delta: float
     epsilons: tuple
     probes: tuple
     out_dir: Path
     seed: int
-    grid: tuple | None = None  # (half_width, points_per_axis) override
 
     def __post_init__(self) -> None:
         if not isinstance(self.truncation, int) or not 2 <= self.truncation <= 256:
@@ -92,8 +92,8 @@ class RunConfig:
             raise ConfigError("times must be finite and nonnegative")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ConfigError("times must be strictly increasing")
-        if len(self.deltas) == 0 or any(not (0 < d < 100) for d in self.deltas):
-            raise ConfigError("deltas must be positive")
+        if not 0 < self.delta < 100:
+            raise ConfigError(f"delta must lie in (0, 100), got {self.delta!r}")
         if len(self.epsilons) == 0 or any(not (e > 0) for e in self.epsilons):
             raise ConfigError("epsilons must be positive")
         if len(self.probes) == 0:
@@ -102,17 +102,6 @@ class RunConfig:
             _parse_probe_spec(spec)  # raises ConfigError on nonsense
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.grid is not None:
-            half_width, m = self.grid
-            if not (half_width > 0 and math.isfinite(half_width)):
-                raise ConfigError("grid half-width must be positive")
-            if not (isinstance(m, int) and m >= 2 and m % 2 == 0):
-                raise ConfigError("grid point count must be an even integer >= 2")
-
-    def grid_spec(self) -> GridSpec | None:
-        if self.grid is None:
-            return None
-        return GridSpec(half_width=self.grid[0], points_per_axis=self.grid[1])
 
 
 def _parse_probe_spec(spec: str):
@@ -155,15 +144,13 @@ _DEFAULTS = {
     "beurling": dict(truncation=12, times=(0.25,)),
 }
 _COMMON = dict(
-    deltas=(1.0,),
+    delta=1.0,
     epsilons=(1.0, 0.5, 0.25),
     probes=("vacuum", "one", "coherent:0.8"),
     out_dir=Path("ccrflow-out"),
     seed=2026,
-    grid=None,
 )
-_CONFIG_KEYS = ("truncation", "times", "delta", "epsilons", "probes", "out",
-                "seed", "grid")
+_CONFIG_KEYS = ("truncation", "times", "delta", "epsilons", "probes", "out", "seed")
 
 
 def _parse_float_list(text: str, what: str) -> tuple:
@@ -172,16 +159,6 @@ def _parse_float_list(text: str, what: str) -> tuple:
         return tuple(float(p) for p in items)
     except ValueError:
         raise ConfigError(f"could not parse {what} list from {text!r}") from None
-
-
-def _parse_grid_arg(text: str) -> tuple:
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    if len(parts) != 2:
-        raise ConfigError(f"grid must be 'L,M', got {text!r}")
-    try:
-        return (float(parts[0]), int(parts[1]))
-    except ValueError:
-        raise ConfigError(f"grid must be 'L,M' with numeric entries, got {text!r}") from None
 
 
 def _apply_section(merged: dict, section) -> None:
@@ -194,7 +171,12 @@ def _apply_section(merged: dict, section) -> None:
     if "times" in section:
         merged["times"] = _parse_float_list(section["times"], "times")
     if "delta" in section:
-        merged["deltas"] = _parse_float_list(section["delta"], "delta")
+        try:
+            merged["delta"] = float(section["delta"])
+        except ValueError:
+            raise ConfigError(
+                f"bad delta {section['delta']!r}: expected one band radius"
+            ) from None
     if "epsilons" in section:
         merged["epsilons"] = _parse_float_list(section["epsilons"], "epsilons")
     if "probes" in section:
@@ -208,8 +190,6 @@ def _apply_section(merged: dict, section) -> None:
             merged["seed"] = int(section["seed"])
         except ValueError:
             raise ConfigError(f"bad seed {section['seed']!r}") from None
-    if "grid" in section:
-        merged["grid"] = _parse_grid_arg(section["grid"])
 
 
 def _check_config_file(parser: configparser.ConfigParser) -> None:
@@ -249,7 +229,7 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
             if parser.has_section(name):
                 _apply_section(merged, parser[name])
     flags = {"truncation": args.truncation, "times": args.times,
-             "delta": args.delta, "out": args.out, "grid": args.grid}
+             "delta": args.delta, "out": args.out}
     _apply_section(merged, {k: v for k, v in flags.items() if v is not None})
     return RunConfig(**merged)
 
@@ -314,7 +294,7 @@ def check_eigen_relation(cfg: RunConfig) -> ExperimentReport:
     """Quadrature channel damps each displacement by its Gaussian factor."""
     n = cfg.truncation
     t = cfg.times[0]
-    ch = heat_channel(t, n, cfg.grid_spec())
+    ch = heat_channel(t, n)
     k = reliable_levels(ch.mu.grid, n)
     rng = np.random.default_rng(cfg.seed + 1)
     zs = np.vstack([[[1.0, 0.0], [0.0, 1.0], [0.6, -0.5]], _disk_points(rng, 7)])
@@ -352,15 +332,14 @@ def check_path_agreement(cfg: RunConfig) -> ExperimentReport:
     """Quadrature and spectral evolutions agree on the reconstructable block."""
     n = cfg.truncation
     rng = np.random.default_rng(cfg.seed + 2)
-    probe = apply_spectral(HeatFlowParams(cfg.times[0]), FockOperator(number_state(0, n).matrix))
-    k = probe.dim
+    k = spectral_levels(n)
     states = [_random_low_block_state(rng, k, n) for _ in range(10)]
     worst = 0.0
     curve = []
     for i, rho in enumerate(states):
         for t in cfg.times:
             quad = evolve_state(HeatFlowParams(t), rho).matrix[:k, :k]
-            spec = apply_spectral(HeatFlowParams(t), FockOperator(rho.matrix), out_levels=k)
+            spec = apply_spectral(HeatFlowParams(t), FockOperator(rho.matrix))
             gap = trace_norm(quad - spec.matrix)
             worst = max(worst, gap)
             curve.append({"state": i, "t": t, "trace_norm_gap": float(gap)})
@@ -385,7 +364,7 @@ def check_conservation(cfg: RunConfig) -> ExperimentReport:
     worst = 0.0
     curve = []
     for t in cfg.times:
-        ch = heat_channel(t, n, cfg.grid_spec())
+        ch = heat_channel(t, n)
         out_state = apply_quadrature(ch, FockOperator(rho.matrix))
         trace_drift = abs(complex(out_state.trace()) - 1.0)
         out_eye = apply_quadrature(ch, eye)
@@ -429,9 +408,8 @@ def check_semigroup_composition(cfg: RunConfig) -> ExperimentReport:
     for label, rho in [("vacuum", number_state(0, n)), ("coherent", coherent_state(0.8, n))]:
         op = FockOperator(rho.matrix)
         joined = apply_spectral(HeatFlowParams(s + t), op)
-        k = joined.dim
-        first = apply_spectral(HeatFlowParams(s), op, out_levels=k)
-        second = apply_spectral(HeatFlowParams(t), first.embedded(n), out_levels=k)
+        first = apply_spectral(HeatFlowParams(s), op)
+        second = apply_spectral(HeatFlowParams(t), first.embedded(n))
         gap = trace_norm(joined - second)
         worst = max(worst, gap)
         curve.append({"state": label, "s": s, "t": t, "trace_norm_gap": float(gap)})
@@ -451,19 +429,21 @@ def check_generator_scaling(cfg: RunConfig) -> ExperimentReport:
     base = (0.1, 0.05, 0.025, 0.0125)
     zs = [(1.0, 0.0), (0.6, 0.8), (1.2, 0.5)]
     # the first-order defect is ~ t |z|^4 / 2, so shrink times accordingly
-    reports = [
+    fits = [
         generator_check(z, n, tuple(t / (z[0] ** 2 + z[1] ** 2) ** 2 for t in base))
         for z in zs
     ]
-    rel_devs = [abs(r.measured - r.bound) / abs(r.bound) for r in reports]
-    primary = reports[0]
-    primary_err = abs(primary.measured - (-1.0))
+    coeffs = [c for c, _ in fits]
+    residuals = [r for _, r in fits]
+    targets = [-(x * x + y * y) for x, y in zs]
+    rel_devs = [abs(c - g) / abs(g) for c, g in zip(coeffs, targets)]
+    primary_err = abs(coeffs[0] - (-1.0))
     curve = []
-    for z, r, dev in zip(zs, reports, rel_devs):
-        curve.append({"zx": z[0], "zy": z[1], "coefficient": r.measured,
-                      "target": r.bound, "rel_dev": float(dev)})
+    for z, c, g, dev in zip(zs, coeffs, targets, rel_devs):
+        curve.append({"zx": z[0], "zy": z[1], "coefficient": c,
+                      "target": g, "rel_dev": float(dev)})
     passed = bool(primary_err <= 1e-2 and max(rel_devs) <= 2e-2
-                  and all(r.passed for r in reports))
+                  and all(r <= 1e-2 for r in residuals))
     return ExperimentReport(
         check="generator_scaling",
         params={"truncation": n, "base_t_values": list(base),
@@ -471,9 +451,9 @@ def check_generator_scaling(cfg: RunConfig) -> ExperimentReport:
         measured=float(max(rel_devs)),
         bound=2e-2,
         passed=passed,
-        details={"coefficient_at_unit_z": primary.measured,
+        details={"coefficient_at_unit_z": coeffs[0],
                  "unit_z_abs_error": float(primary_err),
-                 "fd_residuals": [r.details["fd_residual_rel"] for r in reports]},
+                 "fd_residuals": residuals},
         curve=curve,
     )
 
@@ -482,7 +462,7 @@ def check_choi_positivity(cfg: RunConfig) -> ExperimentReport:
     """Choi block of the Gaussian channel is positive semidefinite."""
     n = cfg.truncation
     t = cfg.times[0]
-    ch = heat_channel(t, n, cfg.grid_spec())
+    ch = heat_channel(t, n)
     block = min(4, n // 4)
     c = choi_matrix(ch, block)
     eigs = np.linalg.eigvalsh(c)
@@ -529,8 +509,11 @@ def _offband_sample(delta: float, rng: np.random.Generator) -> np.ndarray:
 
 def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
     """The surrogate measure's transform is dead outside the delta disk."""
-    delta = cfg.deltas[0]
+    delta = cfg.delta
     grid = default_lemma_grid(delta)
+    lx, ly = conjugate_lattice(grid).mesh()
+    lat_pts = np.column_stack([lx.ravel(), ly.ravel()])
+    lat_keep = lat_pts[np.hypot(lat_pts[:, 0], lat_pts[:, 1]) >= delta]
     rng = np.random.default_rng(cfg.seed + 4)
     worst = 0.0
     curve = []
@@ -538,11 +521,6 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
         nu = band_limited_approximant(t, delta, grid)
         pts = _offband_sample(delta, rng)
         sup = float(np.abs(symplectic_ft_at(nu, pts)).max())
-        lattice = conjugate_lattice(grid)
-        lx, ly = lattice.mesh()
-        lat_pts = np.column_stack([lx.ravel(), ly.ravel()])
-        keep = np.hypot(lat_pts[:, 0], lat_pts[:, 1]) >= delta
-        lat_keep = lat_pts[keep]
         take = rng.choice(len(lat_keep), size=min(2000, len(lat_keep)), replace=False)
         lat_sup = float(np.abs(symplectic_ft_at(nu, lat_keep[take])).max())
         sup = max(sup, lat_sup)
@@ -562,7 +540,7 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
 
 def check_lemma_tv_sweep(cfg: RunConfig) -> ExperimentReport:
     """Distance from the Gaussian decays along the time sweep."""
-    delta = cfg.deltas[0]
+    delta = cfg.delta
     grid = default_lemma_grid(delta)
     tvs = []
     for t in cfg.times:
@@ -615,22 +593,21 @@ def check_lemma_ft_formula(cfg: RunConfig) -> ExperimentReport:
 def check_purity_decay(cfg: RunConfig) -> ExperimentReport:
     """Distinguishability of the first two basis states dies under the flow."""
     n = cfg.truncation
-    curve = decay_curve(number_state(0, n), number_state(1, n), cfg.times,
-                        path="generator")
-    d = curve.distances
-    start_err = abs(d[0] - 2.0) if curve.times[0] == 0 else 0.0
+    d = decay_curve(number_state(0, n), number_state(1, n), cfg.times,
+                    path="generator")
+    start_err = abs(d[0] - 2.0) if cfg.times[0] == 0 else 0.0
     decreasing = all(b < a for a, b in zip(d, d[1:]))
-    inside = [dist for tt, dist in zip(curve.times, d) if tt <= 10.0]
+    inside = [dist for tt, dist in zip(cfg.times, d) if tt <= 10.0]
     final = inside[-1] if inside else d[-1]
     return ExperimentReport(
         check="purity_decay",
-        params={"truncation": n, "times": list(curve.times)},
+        params={"truncation": n, "times": list(cfg.times)},
         measured=float(final),
         bound=0.2,
         passed=bool(start_err <= 1e-8 and decreasing and final < 0.2),
         details={"initial_distance_error": float(start_err),
                  "strictly_decreasing": decreasing},
-        curve=[{"t": tt, "distance": dist} for tt, dist in zip(curve.times, d)],
+        curve=[{"t": tt, "distance": dist} for tt, dist in zip(cfg.times, d)],
     )
 
 
@@ -638,7 +615,7 @@ def check_purity_certificate(cfg: RunConfig) -> ExperimentReport:
     """Three-term certificate at the final time; pairing must vanish."""
     n = cfg.truncation
     t = cfg.times[-1]
-    delta = cfg.deltas[0]
+    delta = cfg.delta
     epsilon = cfg.epsilons[0]
     cert = certified_bound(number_state(0, n), number_state(1, n), t, epsilon, delta)
     inner = cert.details["pairing_inner_product"]
@@ -800,12 +777,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="artifact directory (default ccrflow-out)")
         p.add_argument("--truncation", metavar="N", type=int, default=None,
                        help="number of retained oscillator levels")
-        p.add_argument("--grid", metavar="L,M", default=None,
-                       help="override quadrature grid: half-width L, M points per axis")
         p.add_argument("--times", metavar="a,b,c", default=None,
                        help="comma-separated time grid")
         p.add_argument("--delta", metavar="d", default=None,
-                       help="band radius (comma-separated list accepted)")
+                       help="band radius of the approximant and the certificate")
         p.add_argument("--json-summary", action="store_true",
                        help="print the summary JSON to stdout")
     return parser
@@ -828,7 +803,8 @@ def main(argv=None) -> int:
             reports = run_subcommand(name, configs[name])
         except ValueError as exc:
             # module preconditions double as config validation for the
-            # parameters only the numerics can judge (grids, budgets)
+            # parameters only the numerics can judge (truncation windows,
+            # budgets)
             print(f"ccrflow: {name}: {exc}", file=sys.stderr)
             return 2
         _write_artifacts(out_dir, name, reports)

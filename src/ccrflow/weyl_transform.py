@@ -5,8 +5,9 @@ The transform of a trace-class operator is the phase-space function
 displacement amplitude stays inside the retained levels, i.e. for
 |z| <= sqrt(2N); beyond that the entries of W_z are truncation artifacts.
 Inversion is a quadrature of ``F(z) W_z^dagger`` against the phase-space
-area element with the Plancherel constant 1/(2*pi), which is confirmed by
-a calibration fit before first use rather than taken on faith.
+area element with the Plancherel constant 1/(2*pi).  The constant is not
+taken on faith: before a grid inverts anything, the same constant must
+reconstruct the vacuum from its own transform on that grid.
 """
 
 from __future__ import annotations
@@ -140,32 +141,11 @@ def _raw_inverse(values: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     return acc * grid.cell_area()
 
 
-@lru_cache(maxsize=1)
-def _calibrated_constant() -> float:
-    """Fit the inversion constant on a small vacuum round trip.
-
-    Least-squares fit of c in c * quadrature = |0><0| under the
-    Hilbert-Schmidt inner product on the reliable leading block; must land
-    on 1/(2*pi) to 0.1% or the convention wiring is broken and inversion
-    refuses to run.
-    """
-    n = 20
-    grid = GridSpec(half_width=6.0, points_per_axis=64)
-    k = reliable_levels(grid, n)
-    p0 = number_state(0, n).matrix[:k, :k]
-    f = char_function(FockOperator(number_state(0, n).matrix), grid)
-    raw = _raw_inverse(f.values, grid, n)[:k, :k]
-    c = float(np.real(np.vdot(raw, p0)) / np.real(np.vdot(raw, raw)))
-    if abs(c * 2.0 * math.pi - 1.0) > 1e-3:
-        raise RuntimeError(
-            f"inversion constant calibration failed: fitted {c:.8f}, "
-            f"expected {INVERSION_CONSTANT:.8f}"
-        )
-    return INVERSION_CONSTANT
-
-
 @lru_cache(maxsize=32)
 def _probe_round_trip_error(grid: GridSpec, source_dim: int) -> float:
+    """Trace-norm error of the vacuum rebuilt on ``grid`` with
+    INVERSION_CONSTANT: a wrong constant fails here as surely as a grid
+    too coarse or too narrow for the reconstruction."""
     k = reliable_levels(grid, source_dim)
     p0 = number_state(0, source_dim).matrix
     f = char_function(FockOperator(p0), grid)
@@ -181,7 +161,8 @@ def inverse_transform(f: CharFunction, n_levels: int) -> FockOperator:
     requested block.  Three gates guard the output: the grid must resolve
     the Weyl-kernel oscillation (h * sqrt(2N) <= pi/2), the window must be
     wide enough to carry ``n_levels`` (see reliable_levels), and a cached
-    vacuum round-trip probe on the same grid must reconstruct to 1e-3.
+    vacuum round trip on the same grid, with the same constant, must
+    reconstruct to 1e-3.
     """
     if n_levels < 1:
         raise ValueError("need at least one level")
@@ -199,7 +180,6 @@ def inverse_transform(f: CharFunction, n_levels: int) -> FockOperator:
             f"window of radius {min(f.grid.half_width, limit):.2f} supports "
             f"only {k} levels; asked for {n_levels}"
         )
-    c = _calibrated_constant()
     probe = _probe_round_trip_error(f.grid, f.source_dim)
     if probe > 1e-3:
         raise ValueError(
@@ -207,7 +187,7 @@ def inverse_transform(f: CharFunction, n_levels: int) -> FockOperator:
             "refine the spacing or extend the window"
         )
     raw = _raw_inverse(f.values, f.grid, f.source_dim)
-    return FockOperator(c * raw[:n_levels, :n_levels])
+    return FockOperator(INVERSION_CONSTANT * raw[:n_levels, :n_levels])
 
 
 def riemann_lebesgue_profile(a: FockOperator, radii) -> list[float]:

@@ -120,8 +120,6 @@ def test_spectral_rejects_unknown_kind_and_extra_levels():
     a = FockOperator(number_state(0, 20).matrix)
     with pytest.raises(ValueError, match="kind"):
         apply_spectral(HeatFlowParams(0.1), a, kind="levy")
-    with pytest.raises(ValueError, match="supports"):
-        apply_spectral(HeatFlowParams(0.1), a, out_levels=19)
 
 
 def test_evolve_state_basics():
@@ -147,14 +145,15 @@ def test_evolve_state_semigroup_within_quadrature_error():
 
 def test_generator_coefficient_unit_displacement():
     # times small enough that the first-order defect ~ t/2 clears the gate
-    rep = generator_check((1.0, 0.0), 30, (0.0125, 0.025, 0.05, 0.1))
-    assert rep.passed
-    assert abs(rep.measured - (-1.0)) < 1e-2
+    coeff, fd_residual = generator_check((1.0, 0.0), 30, (0.0125, 0.025, 0.05, 0.1))
+    assert fd_residual <= 1e-2
+    assert abs(coeff - (-1.0)) < 1e-2
 
 
 def test_generator_check_edge_cases():
-    rep = generator_check((0.0, 0.0), 16, (0.05, 0.1))
-    assert rep.passed and rep.measured == 0.0
+    # W_0 is the identity, which the unital channel leaves alone
+    coeff, fd_residual = generator_check((0.0, 0.0), 16, (0.05, 0.1))
+    assert abs(coeff) <= 1e-12 and fd_residual <= 1e-2
     with pytest.raises(ValueError, match="two time"):
         generator_check((1.0, 0.0), 16, (0.05,))
 
@@ -178,6 +177,24 @@ def test_choi_signed_witness_is_negative():
     )
     c = choi_matrix(ch, 4)
     assert float(np.linalg.eigvalsh(c).min()) < -0.01
+
+
+def test_wrong_conjugation_scale_fails_every_guarded_call(monkeypatch):
+    # the oracle caches only a pass, so a failure raises on each later call,
+    # from the Choi path as well as from quadrature
+    from ccrflow import channels
+
+    ch = heat_channel(0.5, 24)
+    channels._ensure_scale.cache_clear()
+    monkeypatch.setattr(channels, "CONJUGATION_SCALE", 2.0 ** -0.5)
+    try:
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="conjugation-scale"):
+                apply_quadrature(ch, FockOperator(np.eye(24, dtype=complex)))
+            with pytest.raises(RuntimeError, match="conjugation-scale"):
+                choi_matrix(ch, 4)
+    finally:
+        channels._ensure_scale.cache_clear()
 
 
 def test_choi_block_size_guard():

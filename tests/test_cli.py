@@ -12,7 +12,6 @@ from ccrflow.cli import (
     _COMMON,
     _DEFAULTS,
     _parse_float_list,
-    _parse_grid_arg,
     _parse_probe_spec,
     main,
     resolve_config,
@@ -20,7 +19,7 @@ from ccrflow.cli import (
 
 
 def make_args(**overrides) -> argparse.Namespace:
-    base = dict(config=None, out=None, truncation=None, grid=None,
+    base = dict(config=None, out=None, truncation=None,
                 times=None, delta=None, json_summary=False)
     base.update(overrides)
     return argparse.Namespace(**base)
@@ -30,11 +29,6 @@ def test_parse_helpers():
     assert _parse_float_list("1, 2.5,  4", "times") == (1.0, 2.5, 4.0)
     with pytest.raises(ConfigError):
         _parse_float_list("1, nope", "times")
-    assert _parse_grid_arg("6.5, 64") == (6.5, 64)
-    with pytest.raises(ConfigError):
-        _parse_grid_arg("6.5")
-    with pytest.raises(ConfigError):
-        _parse_grid_arg("a,b")
 
 
 def test_probe_specs():
@@ -57,14 +51,13 @@ def test_run_config_validation():
         dict(times=()),
         dict(times=(0.5, 0.25)),
         dict(times=(-1.0,)),
-        dict(deltas=()),
-        dict(deltas=(-2.0,)),
+        dict(delta=0.0),
+        dict(delta=-2.0),
+        dict(delta=100.0),
         dict(epsilons=(0.0,)),
         dict(probes=()),
         dict(probes=("nonsense:?",)),
         dict(seed=-1),
-        dict(grid=(0.0, 8)),
-        dict(grid=(2.0, 7)),
     ):
         with pytest.raises(ConfigError):
             RunConfig(**{**good, **patch})
@@ -200,11 +193,23 @@ def test_config_accepts_every_documented_key(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
         "[common]\n"
-        "truncation = 20\ntimes = 0.5\ndelta = 0.5, 2\nepsilons = 1\n"
-        "probes = vacuum\nout = elsewhere\nseed = 3\ngrid = 2, 8\n"
+        "truncation = 20\ntimes = 0.5\ndelta = 0.5\nepsilons = 1\n"
+        "probes = vacuum\nout = elsewhere\nseed = 3\n"
         "[purity]\ntimes = 1, 2\n"
     )
     cfg = resolve_config("choi", make_args(config=str(cfg_file)))
-    assert (cfg.truncation, cfg.times, cfg.deltas) == (20, (0.5,), (0.5, 2.0))
+    assert (cfg.truncation, cfg.times, cfg.delta) == (20, (0.5,), 0.5)
     assert (cfg.epsilons, cfg.probes, cfg.seed) == ((1.0,), ("vacuum",), 3)
-    assert (cfg.out_dir, cfg.grid) == (Path("elsewhere"), (2.0, 8))
+    assert cfg.out_dir == Path("elsewhere")
+
+
+def test_delta_takes_one_band_radius(tmp_path, capsys):
+    # every check reads one radius, so a list is refused, not truncated
+    code = main(["choi", "--out", str(tmp_path / "o"), "--delta", "0.5,2"])
+    assert code == 2
+    assert "bad delta" in capsys.readouterr().err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[common]\ndelta = 0.5, 2\n")
+    code = main(["choi", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "bad delta" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,35 @@ def test_every_export_has_a_src_caller():
     assert uncalled == []
     # and the exemptions stay exact: one that gains a caller leaves the list
     assert not _src_references() & set(UNCALLED_BY_DESIGN)
+
+
+def _is_public_function_of(module, name: str) -> bool:
+    fn = getattr(module, name, None)
+    return (not name.startswith("_") and inspect.isfunction(fn)
+            and fn.__module__ == module.__name__)
+
+
+def test_benchmark_spans_name_public_functions():
+    # the benchmark's tracer opens a span per public layer function and per
+    # cli check_*; renaming one loses its per-layer metric while every other
+    # test stays green
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    cli = importlib.import_module("ccrflow.cli")
+    checked, broken = 0, []
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")
+        if parts[:2] == ["cli", "check"]:
+            ok = _is_public_function_of(cli, f"check_{parts[2]}")
+        elif len(parts) == 3 and f"ccrflow.{parts[0]}" in LAYERS:
+            module = importlib.import_module(f"ccrflow.{parts[0]}")
+            if parts[:2] == ["reports", "save"]:  # the tracer wraps this method
+                ok = inspect.isfunction(module.ExperimentReport.save)
+            else:
+                ok = _is_public_function_of(module, parts[1])
+        else:
+            continue  # run-wide figures such as trace.overhead_share
+        checked += 1
+        if not ok:
+            broken.append(metric["name"])
+    assert checked > 0
+    assert broken == []

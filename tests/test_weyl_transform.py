@@ -20,6 +20,7 @@ from ccrflow import (
     trace_norm,
     trust_radius,
 )
+from ccrflow import weyl_transform
 from ccrflow.weyl_transform import INVERSION_CONSTANT
 
 RNG = np.random.default_rng(20260814)
@@ -114,6 +115,21 @@ def test_reliable_levels_formula():
 
 def test_inversion_constant_value():
     assert abs(INVERSION_CONSTANT * 2.0 * math.pi - 1.0) < 1e-15
+
+
+def test_round_trip_probe_refuses_a_wrong_inversion_constant(monkeypatch):
+    # the per-grid vacuum probe is the one check of the constant
+    n = 20
+    grid = GridSpec(half_width=6.0, points_per_axis=64)
+    f = char_function(FockOperator(number_state(1, n).matrix), grid)
+    weyl_transform._probe_round_trip_error.cache_clear()
+    monkeypatch.setattr(weyl_transform, "INVERSION_CONSTANT",
+                        INVERSION_CONSTANT * (1.0 + 1e-2))
+    try:
+        with pytest.raises(ValueError, match="round-trip probe"):
+            inverse_transform(f, 1)
+    finally:
+        weyl_transform._probe_round_trip_error.cache_clear()
 
 
 def test_inverse_transform_round_trip_states():
