@@ -19,6 +19,12 @@ spectral action multiplies the operator transform by e^{-t|z|^2}.  Both
 computational paths (direct quadrature, transform multiplication) live
 here, and their agreement is one of the package's core checks.
 
+No quadrature builds a displacement matrix.  Writing each node through the
+eigensystem (lam, V) of Q (see weyl_transform), the cell sum factors
+through one per-channel kernel K[s, k, l] (see _build_kernel): quadrature
+and Choi blocks read it, and equal channels share one cached build, so a
+further operand costs O(N^4) instead of one N x N conjugation per node.
+
 A third engine exponentiates the flow's generator,
 L(A) = -([Q,[Q,A]] + [P,[P,A]]), in its truncated GKSL form (see
 _heat_generator).  It is exact at every time without substeps and serves
@@ -35,13 +41,23 @@ split into substeps: see evolve_state.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .fock import DensityOperator, FockOperator, _displacement_chunks, weyl_operator
+from .fock import (
+    DensityOperator,
+    FockOperator,
+    _node_slices,
+    _offset_entries,
+    _phase_table,
+    _polar,
+    _position_eigensystem,
+    weyl_operator,
+)
 from .phase_space import (
     GridMeasure,
     GridSpec,
@@ -129,18 +145,6 @@ def point_mass_channel(zs, weights, grid: GridSpec, n_levels: int) -> MeasureCha
     return MeasureChannel(measure_from_atoms(grid, zip(zs, weights)), n_levels)
 
 
-def _conjugation_sum(
-    weights: np.ndarray, nodes: np.ndarray, a: np.ndarray, n: int
-) -> np.ndarray:
-    """sum_p w_p W_{node_p} A W_{node_p}^dagger, chunked."""
-    acc = np.zeros((n, n), dtype=complex)
-    for sl, w in _displacement_chunks(nodes, n):
-        t = w @ a
-        t *= weights[sl, None, None]
-        acc += np.einsum("bij,bkj->ik", t, w.conj(), optimize=True)
-    return acc
-
-
 def _masked_quadrature(
     ch: MeasureChannel, max_clipped: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -165,6 +169,71 @@ def _masked_quadrature(
     return pts[keep], w[keep]
 
 
+# kernels stay cached while together they hold at most 16 MB; the newest
+# always stays
+_KERNEL_CACHE_BYTES = 16 << 20
+_kernels: OrderedDict = OrderedDict()
+
+
+def _build_kernel(nodes: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """K[s + 2N - 2, k, l] = sum_p w_p e^{i th_p s} e^{i rho_p (lam_k - lam_l)}
+    for the offsets |s| <= 2N - 2, with node p at rho_p(cos th_p, sin th_p)
+    and (lam, V) the eigensystem of Q.
+
+    K is everything the channel knows about its nodes.  It holds
+    (4N - 3) N^2 complex entries: 1.7 MB at N = 30, 4 MB at N = 40 and
+    1 GB at N = 256.
+    """
+    lam, _ = _position_eigensystem(n)
+    rho, theta = _polar(nodes)
+    kernel = np.zeros((4 * n - 3, n * n), dtype=complex)
+    for sl in _node_slices(len(nodes), n * n):
+        e = np.exp(1j * rho[sl, None] * lam)
+        pairs = (e[:, :, None] * e.conj()[:, None, :]).reshape(-1, n * n)
+        phases = weights[sl, None] * _phase_table(theta[sl], 2 * n - 2)
+        kernel += phases.T @ pairs
+    kernel = kernel.reshape(4 * n - 3, n, n)
+    kernel.setflags(write=False)
+    return kernel
+
+
+def _channel_kernel(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
+    """The kernel of the channel's masked quadrature, built once per content
+    (truncation, nodes and weights), so equal channels share one build."""
+    nodes, weights = _masked_quadrature(ch, max_clipped)
+    key = (ch.truncation, nodes.tobytes(), weights.tobytes())
+    kernel = _kernels.pop(key, None)
+    if kernel is None:
+        kernel = _build_kernel(nodes, weights, ch.truncation)
+    _kernels[key] = kernel
+    while len(_kernels) > 1 and (
+        sum(k.nbytes for k in _kernels.values()) > _KERNEL_CACHE_BYTES
+    ):
+        _kernels.popitem(last=False)
+    return kernel
+
+
+def _apply_kernel(kernel: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_p w_p W_p A W_p^dagger from the channel kernel, in O(N^4).
+
+    With A_d the offset-d part of A (entries A[i, i+d]) and M_d = V^T A_d V,
+    the output's offset-e part is the offset-e part of V Y_e V^T, where
+    Y_e = sum_d M_d * K[d - e] elementwise.
+    """
+    n = a.shape[0]
+    _, vec = _position_eigensystem(n)
+    m = np.empty((2 * n - 1, n, n), dtype=complex)
+    for d in range(1 - n, n):
+        i, j = _offset_entries(d, n)
+        m[d + n - 1] = (vec[i].T * a[i, j]) @ vec[j]
+    out = np.empty((n, n), dtype=complex)
+    for e in range(1 - n, n):
+        y = np.einsum("dkl,dkl->kl", m, kernel[n - 1 - e: 3 * n - 2 - e])
+        i, j = _offset_entries(e, n)
+        out[i, j] = np.einsum("rl,rl->r", vec[i] @ y, vec[j])
+    return out
+
+
 @lru_cache(maxsize=1)
 def _ensure_scale() -> None:
     """Verify the conjugation scale on a symmetric two-atom measure.
@@ -172,19 +241,20 @@ def _ensure_scale() -> None:
     mu = (delta_a + delta_{-a})/2 must act on W_z as multiplication by
     cos(omega(z, a)).  A wrong scale magnitude shows up as a wrong
     multiplier frequency; 2^{-1/2}, for instance, fails by ~40%.  The
-    oracle sums the conjugations directly, below the guards that call it,
-    so it never re-enters itself.  The cache keeps only a pass: a raise is
-    not cached, so after a failure every guarded call raises again.
+    oracle sums the conjugations through the channel kernel, below the
+    guards that call it, so it never re-enters itself.  The cache keeps
+    only a pass: a raise is not cached, so after a failure every guarded
+    call raises again.
     """
     n = 24
     a = (0.5, 1.0)
     ch = point_mass_channel([a, (-a[0], -a[1])], [0.5, 0.5], GridSpec(2.0, 8), n)
-    nodes, weights = _masked_quadrature(ch, 1e-6)
+    kernel = _channel_kernel(ch, 1e-6)
     k = n // 2
     worst = 0.0
     for z in [(0.8, -0.3), (1.0, 0.0), (0.4, 0.9)]:
         w = weyl_operator(z, n).matrix
-        out = _conjugation_sum(weights, nodes, w, n)
+        out = _apply_kernel(kernel, w)
         want = math.cos(omega(z, a)) * w
         worst = max(worst, float(np.abs(out[:k, :k] - want[:k, :k]).max()))
     if worst > 1e-8:
@@ -196,12 +266,12 @@ def _ensure_scale() -> None:
 def apply_quadrature(
     ch: MeasureChannel, a: FockOperator, max_clipped: float = 1e-6
 ) -> FockOperator:
-    """Deterministic cell-sum application of the measure channel."""
+    """Deterministic cell-sum application of the measure channel, through
+    the channel's cached kernel (see _build_kernel)."""
     if a.dim != ch.truncation:
         raise ValueError("operator dimension does not match the channel truncation")
     _ensure_scale()
-    nodes, weights = _masked_quadrature(ch, max_clipped)
-    return FockOperator(_conjugation_sum(weights, nodes, a.matrix, a.dim))
+    return FockOperator(_apply_kernel(_channel_kernel(ch, max_clipped), a.matrix))
 
 
 def _spectral_grid(source_dim: int) -> GridSpec:
@@ -362,19 +432,26 @@ def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:
     """Choi matrix of the channel compressed to the leading n-block.
 
     Built as sum_p w_p v_p v_p^dagger with v_p the vectorized n-block of
-    the displacement unitary; positive semidefinite exactly when the
-    weights can be taken nonnegative.  Like apply_quadrature, it relies on
-    the conjugation-scale oracle and rejects a measure that clips more than
-    1e-6 of its mass.
+    the displacement unitary, read off the channel kernel: with
+    U[(i, j), k] = V_ik V_jk, entry (r, r') is
+    sum_{k,l} U[r, k] U[r', l] K[(i_r - j_r) - (i_r' - j_r'), k, l].
+    Positive semidefinite exactly when the weights can be taken
+    nonnegative.  Like apply_quadrature, it relies on the conjugation-scale
+    oracle and rejects a measure that clips more than 1e-6 of its mass.
     """
     if n > ch.truncation // 4:
         raise ValueError("Choi block exceeds a quarter of the truncation")
     _ensure_scale()
-    nodes, weights = _masked_quadrature(ch, 1e-6)
-    c = np.zeros((n * n, n * n), dtype=complex)
-    for sl, w in _displacement_chunks(nodes, ch.truncation):
-        v = w[:, :n, :n].transpose(0, 2, 1).reshape(len(w), n * n)
-        c += (weights[sl, None] * v).T @ v.conj()
+    kernel = _channel_kernel(ch, 1e-6)
+    big = ch.truncation
+    _, vec = _position_eigensystem(big)
+    j, i = np.divmod(np.arange(n * n), n)  # column-major: r = j n + i
+    u = vec[i] * vec[j]
+    offset = i - j
+    c = np.empty((n * n, n * n), dtype=complex)
+    for r in range(n * n):
+        s = offset[r] - offset + 2 * big - 2
+        c[r] = np.einsum("qkl,k,ql->q", kernel[s], u[r], u)
     return c
 
 

@@ -39,8 +39,8 @@ __all__ = [
     "coherent_state",
 ]
 
-# keep per-chunk scratch for Weyl batches around 30 MB
-_CHUNK_ENTRIES = 2_000_000
+# node tables (nodes x width) are built in chunks of about 2^19 entries (8 MB)
+_TABLE_ENTRIES = 1 << 19
 
 
 def alpha_of(z) -> complex:
@@ -223,23 +223,40 @@ def displacement_batch(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _displacement_chunks(zs: np.ndarray, n_levels: int):
-    """Stream Weyl unitaries for the rows of ``zs`` as ``(slice, W)`` pairs.
+# Sums over W_z = Phi_th V e^{i rho Lam} V^T Phi_th^* that never build W_z
+# (the transform, the quadrature kernel) share these: polar node
+# coordinates, offset phase tables, the entries of one matrix offset and
+# node chunks that keep every (nodes x width) table small.
 
-    Each chunk holds at most ``_CHUNK_ENTRIES // N^2`` matrices (at least
-    one), so callers can contract a long node list against an operator
-    without materializing the whole (B, N, N) batch.
-    """
-    step = max(1, _CHUNK_ENTRIES // (n_levels * n_levels))
-    for lo in range(0, len(zs), step):
-        sl = slice(lo, min(lo + step, len(zs)))
-        yield sl, displacement_batch(zs[sl], n_levels)
+
+def _node_slices(count: int, width: int):
+    """Slices of a node axis, each short enough that a (nodes, width)
+    complex table stays within _TABLE_ENTRIES entries (one node at least)."""
+    step = max(1, _TABLE_ENTRIES // width)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _polar(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.hypot(zs[:, 0], zs[:, 1]), np.arctan2(zs[:, 1], zs[:, 0])
+
+
+def _phase_table(theta: np.ndarray, top: int) -> np.ndarray:
+    """e^{i theta_p s} for s = -top..top, shape (len(theta), 2 top + 1).
+    The negative offsets are the conjugates of the positive ones, so half
+    the exponentials are computed."""
+    half = np.exp(1j * theta[:, None] * np.arange(top + 1))
+    return np.concatenate([half[:, :0:-1].conj(), half], axis=1)
+
+
+def _offset_entries(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries (i, i + d) of an N x N matrix."""
+    r = np.arange(n - abs(d))
+    return (r, r + d) if d >= 0 else (r - d, r)
 
 
 def _displacement_exponential(zs: np.ndarray, n_levels: int) -> np.ndarray:
     lam, vec = _position_eigensystem(n_levels)
-    rho = np.hypot(zs[:, 0], zs[:, 1])
-    theta = np.arctan2(zs[:, 1], zs[:, 0])
+    rho, theta = _polar(zs)
     expo = np.exp(1j * rho[:, None] * lam[None, :])        # (B, N)
     core = (vec[None, :, :] * expo[:, None, :]) @ vec.T    # (B, N, N)
     phase = np.exp(1j * theta[:, None] * np.arange(n_levels)[None, :])

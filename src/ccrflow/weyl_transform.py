@@ -8,6 +8,17 @@ Inversion is a quadrature of ``F(z) W_z^dagger`` against the phase-space
 area element with the Plancherel constant 1/(2*pi).  The constant is not
 taken on faith: before a grid inverts anything, the same constant must
 reconstruct the vacuum from its own transform on that grid.
+
+Neither direction builds a displacement matrix.  With z = rho(cos th, sin th)
+and (lam, V) the eigensystem of Q (see fock.displacement_batch),
+
+    W_z[i, j] = e^{i th (i - j)} sum_k V_ik V_jk e^{i rho lam_k},
+
+so both sums separate into an offset d = i - j and an eigen-index k: the
+forward transform contracts O(N^3) operand coefficients c[d, k] against a
+(points x (2N-1)) phase table, and the inverse accumulates the mirror table
+G[s, k] before spreading it back over the offsets.  A point costs O(N^2)
+instead of the O(N^3) of a Weyl matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +29,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockOperator, _displacement_chunks, number_state, trace_norm
+from .fock import (
+    FockOperator,
+    _node_slices,
+    _offset_entries,
+    _phase_table,
+    _polar,
+    _position_eigensystem,
+    number_state,
+    trace_norm,
+)
 from .phase_space import GridSpec
 
 __all__ = [
@@ -63,11 +83,23 @@ class CharFunction:
             raise ValueError("source dimension must be positive")
 
 
-def _trace_against_batch(a: np.ndarray, zs: np.ndarray, n: int) -> np.ndarray:
-    """trace(A W_z) for each row z, chunked so the Weyl batch stays small."""
+def _transform_values(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """trace(A W_z) for each row z, through the eigensystem of Q:
+
+        trace(A W_z) = sum_k e^{i rho lam_k} sum_d e^{i th d} c[d, k],
+        c[d, k] = sum_{i - j = d} A_ji V_ik V_jk .
+    """
+    n = a.shape[0]
+    lam, vec = _position_eigensystem(n)
+    c = np.empty((2 * n - 1, n), dtype=complex)
+    for d in range(1 - n, n):
+        j, i = _offset_entries(d, n)
+        c[d + n - 1] = a[j, i] @ (vec[i] * vec[j])
+    rho, theta = _polar(zs)
     out = np.empty(len(zs), dtype=complex)
-    for sl, w in _displacement_chunks(zs, n):
-        out[sl] = np.einsum("mn,bnm->b", a, w, optimize=True)
+    for sl in _node_slices(len(zs), 2 * n - 1):
+        t = _phase_table(theta[sl], n - 1) @ c
+        out[sl] = np.einsum("pk,pk->p", np.exp(1j * rho[sl, None] * lam), t)
     return out
 
 
@@ -83,7 +115,7 @@ def char_values(a: FockOperator, points: np.ndarray) -> np.ndarray:
             f"point radius {radius:.3f} exceeds the trustworthy window "
             f"{limit:.3f} for dimension {a.dim}"
         )
-    return _trace_against_batch(a.matrix, pts, a.dim)
+    return _transform_values(a.matrix, pts)
 
 
 def char_function(a: FockOperator, grid: GridSpec) -> CharFunction:
@@ -102,7 +134,7 @@ def char_function(a: FockOperator, grid: GridSpec) -> CharFunction:
         )
     xs, ys = grid.mesh()
     pts = np.column_stack([xs.ravel(), ys.ravel()])
-    vals = _trace_against_batch(a.matrix, pts, a.dim)
+    vals = _transform_values(a.matrix, pts)
     m = grid.points_per_axis
     return CharFunction(grid, vals.reshape(m, m), a.dim)
 
@@ -135,9 +167,18 @@ def _raw_inverse(values: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     ) + 1e-12
     pts = np.column_stack([xs.ravel(), ys.ravel()])[keep]
     flat = np.asarray(values, dtype=complex).ravel()[keep]
-    acc = np.zeros((n, n), dtype=complex)
-    for sl, w in _displacement_chunks(pts, n):
-        acc += np.einsum("b,bnm->mn", flat[sl], w.conj(), optimize=True)
+    # G[s, k] = sum_p F_p e^{-i th_p s} e^{-i rho_p lam_k}; then
+    # out[i, j] = sum_k V_ik V_jk G[j - i, k]
+    lam, vec = _position_eigensystem(n)
+    rho, theta = _polar(pts)
+    g = np.zeros((2 * n - 1, n), dtype=complex)
+    for sl in _node_slices(len(pts), 2 * n - 1):
+        weighted = flat[sl, None] * np.exp(-1j * rho[sl, None] * lam)
+        g += _phase_table(-theta[sl], n - 1).T @ weighted
+    acc = np.empty((n, n), dtype=complex)
+    for s in range(1 - n, n):
+        i, j = _offset_entries(s, n)
+        acc[i, j] = (vec[i] * vec[j]) @ g[s + n - 1]
     return acc * grid.cell_area()
 
 

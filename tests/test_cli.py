@@ -2,10 +2,12 @@
 
 import argparse
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from ccrflow import channels, cli
 from ccrflow.cli import (
     ConfigError,
     RunConfig,
@@ -13,6 +15,8 @@ from ccrflow.cli import (
     _DEFAULTS,
     _parse_float_list,
     _parse_probe_spec,
+    check_generator_scaling,
+    check_purity_certificate,
     main,
     resolve_config,
 )
@@ -55,6 +59,10 @@ def test_run_config_validation():
         dict(delta=-2.0),
         dict(delta=100.0),
         dict(epsilons=(0.0,)),
+        dict(budget=0.0),
+        dict(budget=-1.5),
+        dict(budget=math.inf),
+        dict(budget=math.nan),
         dict(probes=()),
         dict(probes=("nonsense:?",)),
         dict(seed=-1),
@@ -193,13 +201,14 @@ def test_config_accepts_every_documented_key(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
         "[common]\n"
-        "truncation = 20\ntimes = 0.5\ndelta = 0.5\nepsilons = 1\n"
+        "truncation = 20\ntimes = 0.5\ndelta = 0.5\nepsilons = 1\nbudget = 2\n"
         "probes = vacuum\nout = elsewhere\nseed = 3\n"
         "[purity]\ntimes = 1, 2\n"
     )
     cfg = resolve_config("choi", make_args(config=str(cfg_file)))
     assert (cfg.truncation, cfg.times, cfg.delta) == (20, (0.5,), 0.5)
     assert (cfg.epsilons, cfg.probes, cfg.seed) == ((1.0,), ("vacuum",), 3)
+    assert cfg.budget == 2.0
     assert cfg.out_dir == Path("elsewhere")
 
 
@@ -213,3 +222,43 @@ def test_delta_takes_one_band_radius(tmp_path, capsys):
     code = main(["choi", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "bad delta" in capsys.readouterr().err
+
+
+def test_certificate_budget_has_its_own_key(tmp_path, monkeypatch):
+    # the disk radii of beurling no longer leak into purity's budget
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def record(rho1, rho2, t, epsilon, delta):
+        seen.append(epsilon)
+        raise Stop
+
+    monkeypatch.setattr(cli, "certified_bound", record)
+    cfg_file = tmp_path / "run.cfg"
+    for text in ("[common]\nepsilons = 0.3\n",
+                 "[common]\nepsilons = 0.3\n[purity]\nbudget = 2.5\n"):
+        cfg_file.write_text(text)
+        cfg = resolve_config("purity", make_args(config=str(cfg_file)))
+        with pytest.raises(Stop):
+            check_purity_certificate(cfg)
+    assert seen == [1.5, 2.5]
+    cfg_file.write_text("[purity]\nbudget = 1, 2\n")
+    with pytest.raises(ConfigError, match="bad budget"):
+        resolve_config("purity", make_args(config=str(cfg_file)))
+
+
+def test_generator_scaling_records_the_times_it_ran(monkeypatch):
+    ran = []
+    original = channels.heat_channel
+
+    def record(t, n_levels):
+        ran.append(t)
+        return original(t, n_levels)
+
+    monkeypatch.setattr(channels, "heat_channel", record)
+    rep = check_generator_scaling(resolve_config("heatflow", make_args(truncation=12)))
+    base = rep.params["base_t_values"]
+    listed = [b / (x * x + y * y) ** 2 for x, y in rep.params["z_values"] for b in base]
+    assert sorted(ran) == sorted(listed)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ccrflow import fock
+from ccrflow import char_values, fock
 from ccrflow.fock import (
     DensityOperator,
     FockOperator,
@@ -66,26 +66,28 @@ def test_displacement_is_unitary():
     assert float(np.abs(prods - eye).max()) < 1e-12
 
 
-CHUNK_N = 6
-CHUNK_STEP = 4
+SLICE_WIDTH = 6
+SLICE_STEP = 4
 
 
-@pytest.mark.parametrize("b", [0, 1, CHUNK_STEP - 1, CHUNK_STEP, CHUNK_STEP + 1,
-                               2 * CHUNK_STEP + 3])
-def test_displacement_chunks_cover_the_batch_in_order(monkeypatch, b):
-    # shrink the budget so a handful of 6x6 matrices spans several chunks;
+@pytest.mark.parametrize("b", [0, 1, SLICE_STEP - 1, SLICE_STEP, SLICE_STEP + 1,
+                               2 * SLICE_STEP + 3])
+def test_node_slices_cover_the_axis_in_order(monkeypatch, b):
+    # shrink the table budget so a handful of nodes spans several slices;
     # the remainder checks that the step is a floor division
-    monkeypatch.setattr(fock, "_CHUNK_ENTRIES", CHUNK_STEP * CHUNK_N**2 + 7)
-    zs = np.random.default_rng(b).normal(size=(b, 2))
-    chunks = list(fock._displacement_chunks(zs, CHUNK_N))
-    covered = [i for sl, _ in chunks for i in range(b)[sl]]
-    assert covered == list(range(b))
-    assert all(len(w) <= fock._CHUNK_ENTRIES // CHUNK_N**2 for _, w in chunks)
-    if b:
-        stacked = np.concatenate([w for _, w in chunks])
-        assert np.array_equal(stacked, displacement_batch(zs, CHUNK_N))
-    else:
-        assert chunks == []
+    monkeypatch.setattr(fock, "_TABLE_ENTRIES", SLICE_STEP * SLICE_WIDTH + 5)
+    slices = fock._node_slices(b, SLICE_WIDTH)
+    assert [i for sl in slices for i in range(b)[sl]] == list(range(b))
+    assert all(len(range(b)[sl]) <= SLICE_STEP for sl in slices)
+    # a transform cut into one-node slices still matches the trace against
+    # each displacement (up to the rounding of differently shaped products)
+    monkeypatch.setattr(fock, "_TABLE_ENTRIES", 2 * SLICE_WIDTH - 1)
+    rng = np.random.default_rng(b)
+    shape = (SLICE_WIDTH, SLICE_WIDTH)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    zs = rng.normal(size=(b, 2))
+    want = np.einsum("mn,bnm->b", a, displacement_batch(zs, SLICE_WIDTH))
+    np.testing.assert_allclose(char_values(FockOperator(a), zs), want, atol=1e-13)
 
 
 def test_closed_form_agrees_with_exponential():

@@ -1,0 +1,168 @@
+"""The eigensystem kernels against their cell-by-cell definitions.
+
+Quadrature, Choi blocks and both transform directions are computed through
+the eigensystem of Q without building a displacement matrix.  The
+references here do build them, with the public displacement_batch, and sum
+the definitions directly.
+"""
+
+import math
+from collections import OrderedDict
+
+import numpy as np
+import pytest
+
+from ccrflow import (
+    FockOperator,
+    GridMeasure,
+    GridSpec,
+    HeatFlowParams,
+    MeasureChannel,
+    apply_quadrature,
+    apply_spectral,
+    char_function,
+    char_values,
+    choi_matrix,
+    default_gaussian_grid,
+    displacement_batch,
+    gaussian_measure,
+    heat_channel,
+    point_mass_channel,
+    trust_radius,
+    weyl_operator,
+)
+from ccrflow import channels, cli, fock, purity, weyl_transform
+
+RNG = np.random.default_rng(271828)
+
+ATOM_GRID = GridSpec(half_width=2.0, points_per_axis=8)
+MEASURES = ("heat", "signed_atoms", "asymmetric_complex")
+
+
+def random_matrix(n: int) -> np.ndarray:
+    return RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
+
+
+def make_channel(kind: str, n: int) -> MeasureChannel:
+    if kind == "heat":
+        return heat_channel(0.1, n)
+    if kind == "signed_atoms":
+        return point_mass_channel([(0.5, 1.0), (-0.5, -1.0)], [0.5, -0.5],
+                                  ATOM_GRID, n)
+    # every measure in the package is symmetric under z -> -z; this one is
+    # not, so a sign slip in the offset arithmetic cannot hide
+    rng = np.random.default_rng(5)
+    weights = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    return MeasureChannel(GridMeasure(GridSpec(1.5, 6), weights), n)
+
+
+def window_batches(ch: MeasureChannel, size: int = 256):
+    """(weights, Weyl unitaries) of the conjugation nodes inside the trust
+    window, a few hundred nodes at a time."""
+    xs, ys = ch.mu.grid.mesh()
+    nodes = np.column_stack([xs.ravel(), ys.ravel()]) * channels.CONJUGATION_SCALE
+    weights = ch.mu.weights.ravel()
+    keep = np.hypot(nodes[:, 0], nodes[:, 1]) <= trust_radius(ch.truncation) + 1e-12
+    nodes, weights = nodes[keep], weights[keep]
+    for lo in range(0, len(nodes), size):
+        yield weights[lo:lo + size], displacement_batch(nodes[lo:lo + size], ch.truncation)
+
+
+def assert_close(got: np.ndarray, want: np.ndarray, rel: float = 1e-12) -> None:
+    assert float(np.abs(got - want).max()) <= rel * float(np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [8, 24, 40])
+@pytest.mark.parametrize("kind", MEASURES)
+def test_quadrature_matches_the_conjugation_sum(kind, n):
+    ch = make_channel(kind, n)
+    a = random_matrix(n)
+    want = np.zeros((n, n), dtype=complex)
+    for w, d in window_batches(ch):
+        want += np.einsum("b,bij,jk,blk->il", w, d, a, d.conj(), optimize=True)
+    assert_close(apply_quadrature(ch, FockOperator(a)).matrix, want)
+
+
+@pytest.mark.parametrize("n", [8, 24, 40])
+@pytest.mark.parametrize("kind", MEASURES)
+def test_choi_matches_the_vectorized_sum(kind, n):
+    ch = make_channel(kind, n)
+    block = min(4, n // 4)
+    want = np.zeros((block * block, block * block), dtype=complex)
+    for w, d in window_batches(ch):
+        v = d[:, :block, :block].transpose(0, 2, 1).reshape(len(d), -1)
+        want += (w[:, None] * v).T @ v.conj()
+    assert_close(choi_matrix(ch, block), want)
+
+
+@pytest.mark.parametrize("n", [8, 24, 40])
+def test_transform_matches_the_trace_against_each_displacement(n):
+    a = random_matrix(n)
+    pts = RNG.uniform(-1.0, 1.0, size=(200, 2)) * trust_radius(n) / math.sqrt(2.0)
+    want = np.einsum("mn,bnm->b", a, displacement_batch(pts, n))
+    assert_close(char_values(FockOperator(a), pts), want)
+
+
+@pytest.mark.parametrize("n", [8, 24, 40])
+def test_raw_inverse_matches_the_adjoint_displacement_sum(n):
+    grid = GridSpec(half_width=0.9 * trust_radius(n), points_per_axis=24)
+    values = random_matrix(24)
+    xs, ys = grid.mesh()
+    pts = np.column_stack([xs.ravel(), ys.ravel()])
+    keep = np.hypot(pts[:, 0], pts[:, 1]) <= grid.half_width + 1e-12
+    want = np.einsum("b,bnm->mn", values.ravel()[keep],
+                     displacement_batch(pts[keep], n).conj()) * grid.cell_area()
+    assert_close(weyl_transform._raw_inverse(values, grid, n), want)
+
+
+def test_zero_measure_gives_exactly_zero():
+    mu = gaussian_measure(0.25, default_gaussian_grid(0.25))
+    ch = MeasureChannel(mu - mu, 24)
+    out = apply_quadrature(ch, FockOperator(random_matrix(24)), max_clipped=math.inf)
+    assert not np.any(out.matrix)
+
+
+def test_kernel_paths_build_no_displacement_matrix(monkeypatch):
+    channels._ensure_scale()  # the scale oracle builds its own three probes
+    n = 24
+    ch = heat_channel(0.25, n)
+    a = FockOperator(random_matrix(n))
+    built = []
+    original = fock.displacement_batch
+
+    def counting(zs, n_levels, method="exponential"):
+        out = original(zs, n_levels, method)
+        built.append(len(out))
+        return out
+
+    for module in (fock, channels, weyl_transform, purity, cli):
+        if hasattr(module, "displacement_batch"):
+            monkeypatch.setattr(module, "displacement_batch", counting)
+    apply_quadrature(ch, a)
+    apply_spectral(HeatFlowParams(0.25), a)
+    choi_matrix(ch, 4)
+    char_function(a, GridSpec(half_width=4.0, points_per_axis=32))
+    assert built == []
+    weyl_operator((0.1, 0.2), n)  # the counter does see a Weyl operator
+    assert built == [1]
+
+
+def test_equal_channels_share_one_kernel_build(monkeypatch):
+    channels._ensure_scale()
+    monkeypatch.setattr(channels, "_kernels", OrderedDict())
+    builds = []
+    original = channels._build_kernel
+
+    def counting(nodes, weights, n):
+        builds.append(n)
+        return original(nodes, weights, n)
+
+    monkeypatch.setattr(channels, "_build_kernel", counting)
+    n = 12
+    a = FockOperator(random_matrix(n))
+    first = apply_quadrature(heat_channel(0.2, n), a)
+    second = apply_quadrature(heat_channel(0.2, n), a)
+    assert builds == [n]
+    assert np.array_equal(first.matrix, second.matrix)
+    apply_quadrature(heat_channel(0.3, n), a)
+    assert builds == [n, n]
