@@ -54,11 +54,13 @@ from .phase_space import (
     gaussian_measure,
     sqrt_density_ft,
     symplectic_ft_at,
+    symplectic_ft_lattice,
 )
 from .purity import (
     absorbing_state_probe,
     band_annihilated_distance,
     certified_bound,
+    constraint_grid,
     decay_curve,
     DEFAULT_TIME_GRID,
 )
@@ -155,8 +157,6 @@ _COMMON = dict(
     out_dir=Path("ccrflow-out"),
     seed=2026,
 )
-_CONFIG_KEYS = ("truncation", "times", "delta", "epsilons", "budget", "probes",
-                "out", "seed")
 
 
 def _parse_float_list(text: str, what: str) -> tuple:
@@ -167,59 +167,56 @@ def _parse_float_list(text: str, what: str) -> tuple:
         raise ConfigError(f"could not parse {what} list from {text!r}") from None
 
 
-def _apply_section(merged: dict, section) -> None:
-    """Parse the known keys of one config section (or of the flags)."""
-    if "truncation" in section:
+def _scalar(kind, key: str, hint: str = ""):
+    def parse(text):
         try:
-            merged["truncation"] = int(section["truncation"])
+            return kind(text)
         except ValueError:
-            raise ConfigError(f"bad truncation {section['truncation']!r}") from None
-    if "times" in section:
-        merged["times"] = _parse_float_list(section["times"], "times")
-    if "delta" in section:
-        try:
-            merged["delta"] = float(section["delta"])
-        except ValueError:
-            raise ConfigError(
-                f"bad delta {section['delta']!r}: expected one band radius"
-            ) from None
-    if "epsilons" in section:
-        merged["epsilons"] = _parse_float_list(section["epsilons"], "epsilons")
-    if "budget" in section:
-        try:
-            merged["budget"] = float(section["budget"])
-        except ValueError:
-            raise ConfigError(f"bad budget {section['budget']!r}") from None
-    if "probes" in section:
-        merged["probes"] = tuple(
-            p.strip() for p in section["probes"].split(",") if p.strip()
-        )
-    if "out" in section:
-        merged["out_dir"] = Path(section["out"])
-    if "seed" in section:
-        try:
-            merged["seed"] = int(section["seed"])
-        except ValueError:
-            raise ConfigError(f"bad seed {section['seed']!r}") from None
+            raise ConfigError(f"bad {key} {text!r}{hint}") from None
+    return parse
 
 
-def _check_config_file(parser: configparser.ConfigParser) -> None:
-    """Reject sections and keys that no run reads, instead of ignoring them."""
-    names = parser.sections()
-    if parser.defaults():
-        names.insert(0, parser.default_section)
-    for name in names:
-        if name != "common" and name not in SUBCOMMANDS:
-            raise ConfigError(
-                f"unknown config section [{name}]; expected [common] or one of "
-                + ", ".join(f"[{s}]" for s in SUBCOMMANDS)
-            )
-        unknown = sorted(set(parser[name]) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ConfigError(
-                f"unknown config key {unknown[0]!r} in [{name}]; expected one of "
-                + ", ".join(_CONFIG_KEYS)
-            )
+# Each setting once: key -> (RunConfig field, text parser, the subcommands
+# whose checks read it).  `out` is read by no check: it is run-wide, set in
+# [common] or by --out.
+_SETTINGS = {
+    "truncation": ("truncation", _scalar(int, "truncation"),
+                   ("weyl-check", "heatflow", "choi", "purity", "beurling")),
+    "times": ("times", lambda text: _parse_float_list(text, "times"),
+              ("heatflow", "choi", "lemma37", "purity")),
+    "delta": ("delta", _scalar(float, "delta", ": expected one band radius"),
+              ("lemma37", "purity")),
+    "epsilons": ("epsilons", lambda text: _parse_float_list(text, "epsilons"),
+                 ("beurling",)),
+    "budget": ("budget", _scalar(float, "budget"), ("purity",)),
+    "probes": ("probes", lambda text: tuple(p.strip() for p in text.split(",") if p.strip()),
+               ("purity",)),
+    "out": ("out_dir", Path, ()),
+    "seed": ("seed", _scalar(int, "seed"), ("weyl-check", "heatflow", "lemma37", "beurling")),
+}
+_CONFIG_KEYS = tuple(_SETTINGS)
+
+
+def _apply_section(merged: dict, section, where: str, reader: str | None) -> None:
+    """Parse the keys one config section (or the flags) sets into ``merged``.
+
+    Each key must be read by a check of ``reader``, the subcommand the
+    section speaks to; [common] and the flags of `ccrflow all` pass None.
+    A value is parsed before its readers are checked, so a malformed value
+    is reported as malformed wherever it sits.
+    """
+    unknown = sorted(set(section) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} {where}; "
+                          "expected one of " + ", ".join(_CONFIG_KEYS))
+    for key, (field, parse, readers) in _SETTINGS.items():
+        if key not in section:
+            continue
+        merged[field] = parse(section[key])
+        if reader is not None and reader not in readers:
+            hint = (f"the checks of {', '.join(readers)} read it" if readers
+                    else "it is run-wide: set it in [common] or with --out")
+            raise ConfigError(f"{key!r} {where} is read by no {reader} check; {hint}")
 
 
 def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
@@ -235,13 +232,22 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
             parser.read_string(path.read_text(encoding="utf-8"))
         except configparser.Error as exc:
             raise ConfigError(f"could not parse config file: {exc}") from None
-        _check_config_file(parser)
-        for name in ("common", subcommand):
-            if parser.has_section(name):
-                _apply_section(merged, parser[name])
-    flags = {"truncation": args.truncation, "times": args.times,
-             "delta": args.delta, "out": args.out}
-    _apply_section(merged, {k: v for k, v in flags.items() if v is not None})
+        names = [parser.default_section] * bool(parser.defaults()) + parser.sections()
+        for name in sorted(names, key=lambda name: name != "common"):
+            if name != "common" and name not in SUBCOMMANDS:
+                raise ConfigError(
+                    f"unknown config section [{name}]; expected [common] or one of "
+                    + ", ".join(f"[{s}]" for s in SUBCOMMANDS)
+                )
+            _apply_section(merged if name in ("common", subcommand) else {},
+                           parser[name], f"in [{name}]",
+                           None if name == "common" else name)
+    flags = {"truncation": args.truncation, "times": args.times, "delta": args.delta}
+    reader = None if getattr(args, "subcommand", None) == "all" else subcommand
+    _apply_section(merged, {k: v for k, v in flags.items() if v is not None},
+                   "on the command line", reader)
+    if args.out is not None:
+        _apply_section(merged, {"out": args.out}, "on the command line", None)
     return RunConfig(**merged)
 
 
@@ -528,22 +534,18 @@ def _offband_sample(delta: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
-    """The surrogate measure's transform is dead outside the delta disk."""
+    """The surrogate's transform is dead off the delta disk, at every lattice node."""
     delta = cfg.delta
     grid = default_lemma_grid(delta)
     lx, ly = conjugate_lattice(grid).mesh()
-    lat_pts = np.column_stack([lx.ravel(), ly.ravel()])
-    lat_keep = lat_pts[np.hypot(lat_pts[:, 0], lat_pts[:, 1]) >= delta]
+    off_band = np.hypot(lx, ly) >= delta
     rng = np.random.default_rng(cfg.seed + 4)
     worst = 0.0
     curve = []
     for t in cfg.times:
         nu = band_limited_approximant(t, delta, grid)
-        pts = _offband_sample(delta, rng)
-        sup = float(np.abs(symplectic_ft_at(nu, pts)).max())
-        take = rng.choice(len(lat_keep), size=min(2000, len(lat_keep)), replace=False)
-        lat_sup = float(np.abs(symplectic_ft_at(nu, lat_keep[take])).max())
-        sup = max(sup, lat_sup)
+        sup = max(float(np.abs(symplectic_ft_at(nu, _offband_sample(delta, rng))).max()),
+                  float(np.abs(symplectic_ft_lattice(nu)[off_band]).max()))
         worst = max(worst, sup)
         curve.append({"t": t, "offband_sup": sup})
     return ExperimentReport(
@@ -638,14 +640,12 @@ def check_purity_certificate(cfg: RunConfig) -> ExperimentReport:
     delta = cfg.delta
     epsilon = cfg.budget
     cert = certified_bound(number_state(0, n), number_state(1, n), t, epsilon, delta)
-    inner = cert.details["pairing_inner_product"]
     return ExperimentReport(
         check="purity_certificate",
         params={"truncation": n, "t": t, "delta": delta, "epsilon": epsilon},
         measured=cert.measured,
-        bound=cert.term1 + cert.term2 + cert.term3 + 1e-6,
-        passed=bool(cert.measured <= cert.bound + 1e-6 and inner <= 1e-8
-                    and cert.slack > 0),
+        bound=cert.bound,
+        passed=bool(cert.slack > 0 and cert.details["pairing_inner_product"] <= 1e-8),
         details=cert.to_dict(),
     )
 
@@ -672,7 +672,7 @@ def check_beurling_monotonicity(cfg: RunConfig) -> ExperimentReport:
     eps_sorted = tuple(sorted(cfg.epsilons, reverse=True))
     rows = []
     for eps in eps_sorted:
-        d, b = band_annihilated_distance(a, eps, GridSpec(eps, 8), rcond=1e-6)
+        d, b = band_annihilated_distance(a, eps, constraint_grid(eps), rcond=1e-6)
         hs = float(np.linalg.norm(a.matrix - b.matrix))
         rows.append({"epsilon": eps, "trace_norm_distance": float(d),
                      "hs_distance": hs})
@@ -702,7 +702,7 @@ def check_beurling_trace_bound(cfg: RunConfig) -> ExperimentReport:
     a = FockOperator(m)
     rows = []
     for eps in sorted(cfg.epsilons, reverse=True):
-        d, _ = band_annihilated_distance(a, eps, GridSpec(eps, 8), rcond=1e-6)
+        d, _ = band_annihilated_distance(a, eps, constraint_grid(eps), rcond=1e-6)
         rows.append({"epsilon": eps, "trace_norm_distance": float(d)})
     least = min(r["trace_norm_distance"] for r in rows)
     return ExperimentReport(

@@ -74,9 +74,6 @@ class FockOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -141,10 +138,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.op.dim
-
-    def purity(self) -> float:
-        m = self.matrix
-        return float(np.real(np.trace(m @ m)))
 
 
 # ---------------------------------------------------------------------------

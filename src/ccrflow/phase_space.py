@@ -35,6 +35,7 @@ __all__ = [
     "GridMeasure",
     "omega",
     "symplectic_ft_at",
+    "symplectic_ft_lattice",
     "inverse_symplectic_lattice",
     "conjugate_lattice",
     "convolve",
@@ -138,9 +139,6 @@ class GridMeasure:
     def total_variation(self) -> float:
         return float(np.abs(self.weights).sum())
 
-    def total_mass(self) -> complex:
-        return complex(self.weights.sum())
-
     def _binop(self, other: "GridMeasure", sign: float) -> "GridMeasure":
         if self.grid != other.grid:
             raise ValueError("measures live on different grids")
@@ -151,9 +149,6 @@ class GridMeasure:
 
     def __sub__(self, other: "GridMeasure") -> "GridMeasure":
         return self._binop(other, -1.0)
-
-    def scaled(self, c: complex) -> "GridMeasure":
-        return GridMeasure(self.grid, c * self.weights)
 
 
 def measure_from_atoms(
@@ -221,6 +216,19 @@ def inverse_symplectic_lattice(
     out = _centered_dft(t, axis=0, sign=+1)  # contracts bx -> index ay
     # after the two passes axes are (ax from old axis 1, ay from old axis 0)
     return out.T * (eta * eta / (16.0 * math.pi**2))
+
+
+def symplectic_ft_lattice(mu: GridMeasure) -> np.ndarray:
+    """Transform of ``mu`` on every node of its conjugate lattice, (M, M).
+
+    The forward partner of inverse_symplectic_lattice: the same two
+    centered DFTs with the signs swapped, and no scale (a plain cell sum).
+    Entry [bx, by] sits at the node (bx, by) of conjugate_lattice(mu.grid).
+    """
+    # F[bx, by] = sum_{ax, ay} w[ax, ay] e^{+i x(ax) zeta_y(by)/2} e^{-i zeta_x(bx) y(ay)/2}
+    t = _centered_dft(mu.weights, axis=0, sign=+1)  # contracts ax -> index by
+    out = _centered_dft(t, axis=1, sign=-1)  # contracts ay -> index bx
+    return out.T
 
 
 def conjugate_lattice(grid: GridSpec) -> GridSpec:

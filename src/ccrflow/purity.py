@@ -49,6 +49,7 @@ __all__ = [
     "decay_curve",
     "DEFAULT_TIME_GRID",
     "band_annihilated_distance",
+    "constraint_grid",
     "certified_bound",
     "absorbing_state_probe",
 ]
@@ -141,6 +142,13 @@ def band_annihilated_distance(
     return trace_norm(a - b), b
 
 
+def constraint_grid(epsilon: float) -> GridSpec:
+    """The coarsest constraint sample band_annihilated_distance accepts on
+    the epsilon-disk: 8 nodes per axis over [-epsilon, epsilon), spacing
+    epsilon/4."""
+    return GridSpec(epsilon, 8)
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     """Three-term bound on the evolved distance, with its own receipts.
@@ -196,8 +204,7 @@ def certified_bound(
         raise ValueError("states must share a truncation")
     n = rho1.dim
     omega = FockOperator(rho1.matrix - rho2.matrix)
-    m = max(2, int(math.ceil(2.0 * delta / (delta / 4.0) / 2.0)) * 2)
-    term1, omega0 = band_annihilated_distance(omega, delta, GridSpec(delta, m))
+    term1, omega0 = band_annihilated_distance(omega, delta, constraint_grid(delta))
     if term1 > epsilon:
         raise ValueError(
             f"infeasible (epsilon, delta): best band-annihilated distance "

@@ -301,3 +301,31 @@ def test_generator_is_rotation_covariant(n, seed, t, theta):
     phase = np.exp(1j * theta * np.subtract.outer(np.arange(n), np.arange(n)))
     gap = phase * _heat_generator(a, t) - _heat_generator(phase * a, t)
     assert float(np.abs(gap).max()) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 12), t=st.floats(0.01, 3.0))
+def test_generator_is_completely_positive(n, t):
+    # the Choi matrix sum_ij |i><j| (x) e^{tL}(|i><j|) is positive semidefinite
+    choi = np.zeros((n, n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[i, j] = 1.0
+            choi[i, :, j, :] = _heat_generator(unit, t)
+    assert float(np.linalg.eigvalsh(choi.reshape(n * n, n * n)).min()) >= -1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.floats(0.0, 0.45),
+       theta=st.floats(-math.pi, math.pi), t=st.floats(0.0, 0.5))
+def test_generator_is_weyl_covariant_on_leading_blocks(seed, r, theta, t):
+    # e^{tL} commutes with conjugation by W_z; truncation spoils this only
+    # near the edge, so a low-level operand is compared on the 8-block
+    n = 40
+    a = np.zeros((n, n), dtype=complex)
+    a[:4, :4] = _unit_hermitian(4, seed)
+    w = weyl_operator((r * math.cos(theta), r * math.sin(theta)), n).matrix
+    before = w @ _heat_generator(a, t) @ w.conj().T
+    after = _heat_generator(w @ a @ w.conj().T, t)
+    assert float(np.abs(before - after)[:8, :8].max()) <= 1e-12

@@ -1,8 +1,11 @@
 """Command-line behavior: config resolution, artifacts, exit statuses."""
 
 import argparse
+import ast
+import inspect
 import json
 import math
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -262,3 +265,108 @@ def test_generator_scaling_records_the_times_it_ran(monkeypatch):
     base = rep.params["base_t_values"]
     listed = [b / (x * x + y * y) ** 2 for x, y in rep.params["z_values"] for b in base]
     assert sorted(ran) == sorted(listed)
+
+
+# What each subcommand's checks read of the run configuration.
+READS = {
+    "weyl-check": {"truncation", "seed"},
+    "heatflow": {"truncation", "times", "seed"},
+    "choi": {"truncation", "times"},
+    "lemma37": {"times", "delta", "seed"},
+    "purity": {"truncation", "times", "delta", "budget", "probes"},
+    "beurling": {"truncation", "epsilons", "seed"},
+}
+VALUES = {"truncation": "20", "times": "0.5", "delta": "0.5", "epsilons": "1",
+          "budget": "2", "probes": "vacuum", "out": "elsewhere", "seed": "3"}
+PARSED = {"truncation": 20, "times": (0.5,), "delta": 0.5, "epsilons": (1.0,),
+          "budget": 2.0, "probes": ("vacuum",), "seed": 3}
+UNREAD = [(sub, key) for sub in READS for key in VALUES if key not in READS[sub]]
+
+
+def _cfg_reads(check) -> set:
+    nodes = list(ast.walk(ast.parse(textwrap.dedent(inspect.getsource(check)))))
+    reads = [n.attr for n in nodes if isinstance(n, ast.Attribute)
+             and isinstance(n.value, ast.Name) and n.value.id == "cfg"]
+    # cfg is only ever read field by field, never handed on whole
+    assert len(reads) == sum(isinstance(n, ast.Name) and n.id == "cfg" for n in nodes)
+    return set(reads)
+
+
+def test_settings_table_names_exactly_the_readers_of_each_key():
+    # a check that starts reading a setting fails here until the table says so
+    key_of = {field: key for key, (field, _, _) in cli._SETTINGS.items()}
+    assert len(UNREAD) == 30  # 24 unread pairs, and `out` in all six sections
+    assert cli._CONFIG_KEYS == tuple(VALUES)
+    for sub, checks in cli._RUNNERS.items():
+        fields = set().union(*(_cfg_reads(check) for check in checks))
+        assert {key_of[f] for f in fields} == READS[sub], sub
+        listed = {k for k, (_, _, readers) in cli._SETTINGS.items() if sub in readers}
+        assert listed == READS[sub], sub
+
+
+def test_subcommand_sections_set_what_their_checks_read(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    for sub, keys in READS.items():
+        cfg_file.write_text(f"[{sub}]\n" + "".join(f"{k} = {VALUES[k]}\n" for k in keys))
+        cfg = resolve_config(sub, make_args(config=str(cfg_file)))
+        assert {k: getattr(cfg, k) for k in keys} == {k: PARSED[k] for k in keys}
+
+
+@pytest.mark.parametrize("sub,key", UNREAD)
+def test_subcommand_section_rejects_unread_keys(tmp_path, sub, key):
+    # 24 unread pairs plus `out`, which is run-wide; the whole file is
+    # checked, whichever subcommand runs
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"[{sub}]\n{key} = {VALUES[key]}\n")
+    for runs in (sub, "heatflow" if sub != "heatflow" else "choi"):
+        with pytest.raises(ConfigError, match=f"'{key}' in \\[{sub}\\] is read by no"):
+            resolve_config(runs, make_args(config=str(cfg_file)))
+
+
+def test_out_in_a_subcommand_section_is_not_dropped(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"[choi]\nout = {tmp_path / 'b_dir'}\n")
+    code = main(["all", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "'out' in [choi]" in capsys.readouterr().err
+    assert not (tmp_path / "b_dir").exists()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sub,key", [
+    (sub, key) for sub, key in UNREAD if key in ("truncation", "times", "delta")
+])
+def test_single_subcommand_rejects_unread_flags(tmp_path, capsys, sub, key):
+    code = main([sub, "--out", str(tmp_path), f"--{key}", VALUES[key]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' on the command line is read by no {sub} check" in err
+    readers = ", ".join(s for s in READS if key in READS[s])
+    assert f"the checks of {readers} read it" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_all_and_common_reach_every_subcommand(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[common]\n" + "".join(f"{k} = {v}\n" for k, v in VALUES.items()))
+    for sub in READS:
+        cfg = resolve_config(sub, make_args(
+            subcommand="all", config=str(cfg_file), truncation=24, times="1,2",
+            delta="2", out=str(tmp_path / "o")))
+        assert (cfg.truncation, cfg.times, cfg.delta) == (24, (1.0, 2.0), 2.0)
+        assert (cfg.epsilons, cfg.budget, cfg.seed) == ((1.0,), 2.0, 3)
+        assert cfg.out_dir == tmp_path / "o"
+
+
+def test_certificate_report_records_the_bound_its_verdict_uses(monkeypatch):
+    made = []
+    original = cli.certified_bound
+
+    def record(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "certified_bound", record)
+    rep = check_purity_certificate(resolve_config("purity", make_args(times="0,1")))
+    assert rep.bound == made[0].bound == rep.details["bound"]
+    assert rep.passed == (made[0].slack > 0)
