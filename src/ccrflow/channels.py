@@ -19,11 +19,11 @@ spectral action multiplies the operator transform by e^{-t|z|^2}.  Both
 computational paths (direct quadrature, transform multiplication) live
 here, and their agreement is one of the package's core checks.
 
-No quadrature builds a displacement matrix.  Writing each node through the
-eigensystem (lam, V) of Q (see weyl_transform), the cell sum factors
-through one per-channel kernel K[s, k, l] (see _build_kernel): quadrature
-and Choi blocks read it, and equal channels share one cached build, so a
-further operand costs O(N^4) instead of one N x N conjugation per node.
+No quadrature builds a displacement matrix.  Through the eigensystem
+(lam, V) of Q (see weyl_transform), the cell sum factors, class by class of
+symmetric nodes, into one per-channel kernel K[s, k, l] (see _build_kernel):
+quadrature and Choi blocks read it, and equal channels share one cached
+build, so a further operand costs O(N^4), not one conjugation per node.
 
 A third engine exponentiates the flow's generator,
 L(A) = -([Q,[Q,A]] + [P,[P,A]]), in its truncated GKSL form (see
@@ -51,10 +51,10 @@ from scipy.linalg import eigh_tridiagonal
 from .fock import (
     DensityOperator,
     FockOperator,
+    _class_sums,
+    _lattice_classes,
     _node_slices,
     _offset_entries,
-    _phase_table,
-    _polar,
     _position_eigensystem,
     weyl_operator,
 )
@@ -145,10 +145,9 @@ def point_mass_channel(zs, weights, grid: GridSpec, n_levels: int) -> MeasureCha
     return MeasureChannel(measure_from_atoms(grid, zip(zs, weights)), n_levels)
 
 
-def _masked_quadrature(
-    ch: MeasureChannel, max_clipped: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement nodes and weights inside the trustworthy window.
+def _masked_quadrature(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
+    """The measure's weights over its grid, zero where the displacement node
+    leaves the trustworthy window.
 
     Rejects the measure when the clipped mass exceeds the tolerance: a
     channel that silently forgets weight is not the channel it claims.
@@ -156,8 +155,6 @@ def _masked_quadrature(
     xs, ys = ch.mu.grid.mesh()
     pts = np.column_stack([xs.ravel(), ys.ravel()]) * CONJUGATION_SCALE
     w = ch.mu.weights.ravel()
-    live = w != 0
-    pts, w = pts[live], w[live]
     keep = np.hypot(pts[:, 0], pts[:, 1]) <= trust_radius(ch.truncation) + 1e-12
     clipped = float(np.abs(w[~keep]).sum())
     if clipped > max_clipped:
@@ -166,7 +163,7 @@ def _masked_quadrature(
             f"{clipped:.3e} exceeds tolerance {max_clipped:.1e} "
             f"(truncation {ch.truncation})"
         )
-    return pts[keep], w[keep]
+    return np.where(keep, w, 0.0)
 
 
 # kernels stay cached while together they hold at most 16 MB; the newest
@@ -175,23 +172,23 @@ _KERNEL_CACHE_BYTES = 16 << 20
 _kernels: OrderedDict = OrderedDict()
 
 
-def _build_kernel(nodes: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+def _build_kernel(weights: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     """K[s + 2N - 2, k, l] = sum_p w_p e^{i th_p s} e^{i rho_p (lam_k - lam_l)}
-    for the offsets |s| <= 2N - 2, with node p at rho_p(cos th_p, sin th_p)
-    and (lam, V) the eigensystem of Q.
+    for |s| <= 2N - 2, with rho_p(cos th_p, sin th_p) = CONJUGATION_SCALE z_p
+    for grid node z_p and (lam, V) the eigensystem of Q, summed over the
+    node classes of fock._lattice_classes: one (4N - 3) x N^2 product each.
 
     K is everything the channel knows about its nodes.  It holds
     (4N - 3) N^2 complex entries: 1.7 MB at N = 30, 4 MB at N = 40 and
     1 GB at N = 256.
     """
-    lam, _ = _position_eigensystem(n)
-    rho, theta = _polar(nodes)
+    phase, expo, cls, flip, quarter = _lattice_classes(
+        grid.points_per_axis, CONJUGATION_SCALE * grid.h, n, 2 * n - 2)
+    sums = _class_sums(weights, cls, flip, quarter, phase)
     kernel = np.zeros((4 * n - 3, n * n), dtype=complex)
-    for sl in _node_slices(len(nodes), n * n):
-        e = np.exp(1j * rho[sl, None] * lam)
-        pairs = (e[:, :, None] * e.conj()[:, None, :]).reshape(-1, n * n)
-        phases = weights[sl, None] * _phase_table(theta[sl], 2 * n - 2)
-        kernel += phases.T @ pairs
+    for sl in _node_slices(len(expo), n * n):
+        pairs = (expo[sl, :, None] * expo[sl, None, :].conj()).reshape(-1, n * n)
+        kernel += sums[sl].T @ pairs
     kernel = kernel.reshape(4 * n - 3, n, n)
     kernel.setflags(write=False)
     return kernel
@@ -199,12 +196,13 @@ def _build_kernel(nodes: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
 def _channel_kernel(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
     """The kernel of the channel's masked quadrature, built once per content
-    (truncation, nodes and weights), so equal channels share one build."""
-    nodes, weights = _masked_quadrature(ch, max_clipped)
-    key = (ch.truncation, nodes.tobytes(), weights.tobytes())
+    (truncation, grid, conjugation scale and weights), so equal channels
+    share one build."""
+    weights = _masked_quadrature(ch, max_clipped)
+    key = (ch.truncation, ch.mu.grid, CONJUGATION_SCALE, weights.tobytes())
     kernel = _kernels.pop(key, None)
     if kernel is None:
-        kernel = _build_kernel(nodes, weights, ch.truncation)
+        kernel = _build_kernel(weights, ch.mu.grid, ch.truncation)
     _kernels[key] = kernel
     while len(_kernels) > 1 and (
         sum(k.nbytes for k in _kernels.values()) > _KERNEL_CACHE_BYTES

@@ -2,9 +2,9 @@
 
 Subcommands map to experiment families; each run writes one JSON (and,
 when a curve is attached, one CSV) artifact per check plus a summary.
-Artifacts are deterministic for a fixed config - timestamps live only in
-a separate metadata file.  Exit status: 0 all checks passed, 1 some check
-failed, 2 the config was invalid.
+Artifacts are deterministic for a fixed config - timestamps and timings
+live only in a separate metadata file.  Exit status: 0 all checks passed,
+1 some check failed, 2 the config was invalid.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -730,10 +732,12 @@ _RUNNERS = {
 }
 
 
-def run_subcommand(subcommand: str, cfg: RunConfig) -> list[ExperimentReport]:
+def run_subcommand(subcommand: str, cfg: RunConfig) -> list[tuple[ExperimentReport, float]]:
+    """Each check's report with its wall time in seconds."""
     out = []
     for fn in _RUNNERS[subcommand]:
-        out.append(fn(cfg))
+        start = time.perf_counter()
+        out.append((fn(cfg), time.perf_counter() - start))
     return out
 
 
@@ -768,7 +772,7 @@ def _write_summary(out_dir: Path, reports) -> dict:
     return summary
 
 
-def _write_metadata(out_dir: Path, argv) -> None:
+def _write_metadata(out_dir: Path, argv, wall_s: dict) -> None:
     meta = {
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "argv": list(argv),
@@ -776,6 +780,9 @@ def _write_metadata(out_dir: Path, argv) -> None:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+        "thread_pins": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
+        "check_wall_s": wall_s,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_metadata.json").write_text(
@@ -817,22 +824,24 @@ def main(argv=None) -> int:
         print(f"ccrflow: invalid config: {exc}", file=sys.stderr)
         return 2
     out_dir = configs[names[0]].out_dir
-    all_reports = []
+    all_reports, wall_s = [], {}
     for name in names:
         try:
-            reports = run_subcommand(name, configs[name])
+            timed = run_subcommand(name, configs[name])
         except ValueError as exc:
             # module preconditions double as config validation for the
             # parameters only the numerics can judge (truncation windows,
             # budgets)
             print(f"ccrflow: {name}: {exc}", file=sys.stderr)
             return 2
+        reports = [rep for rep, _ in timed]
+        wall_s.update((rep.check, seconds) for rep, seconds in timed)
         _write_artifacts(out_dir, name, reports)
         all_reports.extend(reports)
         for rep in reports:
             print(rep.summary_line())
     summary = _write_summary(out_dir, all_reports)
-    _write_metadata(out_dir, argv)
+    _write_metadata(out_dir, argv, wall_s)
     if args.json_summary:
         print(json.dumps(summary, sort_keys=True, default=_json_fallback))
     return 0 if all(rep.passed for rep in all_reports) else 1

@@ -217,9 +217,8 @@ def displacement_batch(
 
 
 # Sums over W_z = Phi_th V e^{i rho Lam} V^T Phi_th^* that never build W_z
-# (the transform, the quadrature kernel) share these: polar node
-# coordinates, offset phase tables, the entries of one matrix offset and
-# node chunks that keep every (nodes x width) table small.
+# (the transform, the quadrature kernel) share these: square-lattice symmetry
+# classes and their sums, matrix offsets and chunks of small tables.
 
 
 def _node_slices(count: int, width: int):
@@ -233,12 +232,47 @@ def _polar(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.hypot(zs[:, 0], zs[:, 1]), np.arctan2(zs[:, 1], zs[:, 0])
 
 
-def _phase_table(theta: np.ndarray, top: int) -> np.ndarray:
-    """e^{i theta_p s} for s = -top..top, shape (len(theta), 2 top + 1).
-    The negative offsets are the conjugates of the positive ones, so half
-    the exponentials are computed."""
+def _lattice_classes(m: int, step: float, n: int, top: int) -> tuple:
+    """Classes of the nodes step * (a, b), a, b = -M/2..M/2 - 1, of an M x M
+    grid (mesh order) under the symmetries of the square: class f holds
+    (A, B) = (max(|a|,|b|), min(|a|,|b|)), and each node's reflection flag
+    and quarter turn q, from signs and magnitudes alone, give
+    arctan2(b, a) = q pi/2 + (-1)^flag arctan2(B, A) (mod 2 pi).  Returns
+    the classes' _class_tables, then each node's class, flag and turn."""
+    ia, ib = np.indices((m, m)).reshape(2, -1) - m // 2
+    abs_a, abs_b = np.abs(ia), np.abs(ib)
+    # the angle lies in the closed quadrant q; turned back, even q keeps
+    # (|a|, |b|), odd q swaps them, and past the diagonal th reflects
+    quad = np.where(ib >= 0, np.where(ia >= 0, 0, 1), np.where(ia < 0, 2, 3))
+    flip = np.where(quad % 2 == 0, abs_b > abs_a, abs_a > abs_b).astype(np.int8)
+    reps, cls = np.unique(np.maximum(abs_a, abs_b) * m + np.minimum(abs_a, abs_b),
+                          return_inverse=True)
+    rep_a, rep_b = np.divmod(reps, m)
+    return (*_class_tables(step * np.hypot(rep_a, rep_b), np.arctan2(rep_b, rep_a),
+                           n, top), cls, flip, ((quad + flip) % 4).astype(np.int8))
+
+
+def _class_tables(rho, theta, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """e^{i theta_f s} for s = -top..top (the negative offsets conjugate the
+    positive ones) and e^{i rho_f lam_k}, one row per class."""
     half = np.exp(1j * theta[:, None] * np.arange(top + 1))
-    return np.concatenate([half[:, :0:-1].conj(), half], axis=1)
+    phase = np.concatenate([half[:, :0:-1].conj(), half], axis=1)
+    return phase, np.exp(1j * rho[:, None] * _position_eigensystem(n)[0])
+
+
+def _quarter_powers(top: int) -> np.ndarray:
+    """The exact table i^{q s}, shape (2 top + 1, 4), for s = -top..top."""
+    return np.array([1, 1j, -1, -1j])[np.outer(np.arange(-top, top + 1), range(4)) % 4]
+
+
+def _class_sums(weights, cls, flip, quarter, phase: np.ndarray) -> np.ndarray:
+    """D[f, s] = sum_{p in f} w_p e^{i th_p s} for s = -top..top, through
+    e^{i th_p s} = i^{q s} e^{+-i th_f s}: the weights gather by (class,
+    flag, quarter turn), meet i^{q s} once and the class phases twice."""
+    gathered = np.zeros((len(phase), 2, 4), dtype=complex)
+    np.add.at(gathered, (cls, flip, quarter), weights)
+    sums = gathered @ _quarter_powers(phase.shape[1] // 2).T
+    return phase * sums[:, 0] + phase[:, ::-1] * sums[:, 1]
 
 
 def _offset_entries(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,11 +14,11 @@ and (lam, V) the eigensystem of Q (see fock.displacement_batch),
 
     W_z[i, j] = e^{i th (i - j)} sum_k V_ik V_jk e^{i rho lam_k},
 
-so both sums separate into an offset d = i - j and an eigen-index k: the
-forward transform contracts O(N^3) operand coefficients c[d, k] against a
-(points x (2N-1)) phase table, and the inverse accumulates the mirror table
-G[s, k] before spreading it back over the offsets.  A point costs O(N^2)
-instead of the O(N^3) of a Weyl matrix.
+so both sums separate into an offset d = i - j and an eigen-index k.  The
+nodes of a square-symmetry class (about an eighth of a grid) share a radius
+and sit at angles q pi/2 +- th_f, where e^{i th d} = i^{q d} e^{+-i th_f d}
+exactly, so both directions sum over classes, against class tables cached
+per grid: 1.2 MB at N = 30 and 2.8 MB at N = 40.
 """
 
 from __future__ import annotations
@@ -31,11 +31,13 @@ import numpy as np
 
 from .fock import (
     FockOperator,
-    _node_slices,
+    _class_sums,
+    _class_tables,
+    _lattice_classes,
     _offset_entries,
-    _phase_table,
     _polar,
     _position_eigensystem,
+    _quarter_powers,
     number_state,
     trace_norm,
 )
@@ -83,24 +85,29 @@ class CharFunction:
             raise ValueError("source dimension must be positive")
 
 
-def _transform_values(a: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """trace(A W_z) for each row z, through the eigensystem of Q:
+@lru_cache(maxsize=2)
+def _grid_classes(grid: GridSpec, n: int) -> tuple:
+    """fock._lattice_classes of every node of ``grid``, class phases over
+    the 2N - 1 offsets of truncation N, read-only: about 1.7 N^3 complex
+    entries on the spectral grid, 1.2 MB at N = 30 and 2.8 MB at N = 40."""
+    tables = _lattice_classes(grid.points_per_axis, grid.h, n, n - 1)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
-        trace(A W_z) = sum_k e^{i rho lam_k} sum_d e^{i th d} c[d, k],
-        c[d, k] = sum_{i - j = d} A_ji V_ik V_jk .
-    """
+
+def _transform_values(a: np.ndarray, phase, expo) -> np.ndarray:
+    """trace(A W_z) per class of fock._class_tables and per (reflection flag,
+    quarter turn q), shape (classes, 2, 4): sum_d i^{q d} e^{+-i th_f d} times
+    sum_k e^{i rho_f lam_k} c[d, k], with c[d, k] = sum_{i-j=d} A_ji V_ik V_jk."""
     n = a.shape[0]
-    lam, vec = _position_eigensystem(n)
+    _, vec = _position_eigensystem(n)
     c = np.empty((2 * n - 1, n), dtype=complex)
     for d in range(1 - n, n):
         j, i = _offset_entries(d, n)
         c[d + n - 1] = a[j, i] @ (vec[i] * vec[j])
-    rho, theta = _polar(zs)
-    out = np.empty(len(zs), dtype=complex)
-    for sl in _node_slices(len(zs), 2 * n - 1):
-        t = _phase_table(theta[sl], n - 1) @ c
-        out[sl] = np.einsum("pk,pk->p", np.exp(1j * rho[sl, None] * lam), t)
-    return out
+    chat = expo @ c.T
+    return np.stack([phase * chat, phase[:, ::-1] * chat], 1) @ _quarter_powers(n - 1)
 
 
 def char_values(a: FockOperator, points: np.ndarray) -> np.ndarray:
@@ -115,7 +122,9 @@ def char_values(a: FockOperator, points: np.ndarray) -> np.ndarray:
             f"point radius {radius:.3f} exceeds the trustworthy window "
             f"{limit:.3f} for dimension {a.dim}"
         )
-    return _transform_values(a.matrix, pts)
+    # each point is its own class, unreflected and unturned
+    tables = _class_tables(*_polar(pts), a.dim, a.dim - 1)
+    return _transform_values(a.matrix, *tables)[:, 0, 0]
 
 
 def char_function(a: FockOperator, grid: GridSpec) -> CharFunction:
@@ -132,9 +141,8 @@ def char_function(a: FockOperator, grid: GridSpec) -> CharFunction:
             f"grid half-width {grid.half_width:.3f} exceeds the trustworthy "
             f"window {limit:.3f} for dimension {a.dim}"
         )
-    xs, ys = grid.mesh()
-    pts = np.column_stack([xs.ravel(), ys.ravel()])
-    vals = _transform_values(a.matrix, pts)
+    phase, expo, cls, flip, quarter = _grid_classes(grid, a.dim)
+    vals = _transform_values(a.matrix, phase, expo)[cls, flip, quarter]
     m = grid.points_per_axis
     return CharFunction(grid, vals.reshape(m, m), a.dim)
 
@@ -165,16 +173,12 @@ def _raw_inverse(values: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     keep = np.hypot(xs, ys).ravel() <= min(
         grid.half_width, trust_radius(n)
     ) + 1e-12
-    pts = np.column_stack([xs.ravel(), ys.ravel()])[keep]
-    flat = np.asarray(values, dtype=complex).ravel()[keep]
-    # G[s, k] = sum_p F_p e^{-i th_p s} e^{-i rho_p lam_k}; then
-    # out[i, j] = sum_k V_ik V_jk G[j - i, k]
-    lam, vec = _position_eigensystem(n)
-    rho, theta = _polar(pts)
-    g = np.zeros((2 * n - 1, n), dtype=complex)
-    for sl in _node_slices(len(pts), 2 * n - 1):
-        weighted = flat[sl, None] * np.exp(-1j * rho[sl, None] * lam)
-        g += _phase_table(-theta[sl], n - 1).T @ weighted
+    masked = np.where(keep, np.asarray(values, dtype=complex).ravel(), 0.0)
+    # G[s, k] = sum_p F_p e^{-i th_p s} e^{-i rho_p lam_k} by node classes;
+    # then out[i, j] = sum_k V_ik V_jk G[j - i, k]
+    _, vec = _position_eigensystem(n)
+    phase, expo, cls, flip, quarter = _grid_classes(grid, n)
+    g = _class_sums(masked, cls, flip, quarter, phase)[:, ::-1].T @ expo.conj()
     acc = np.empty((n, n), dtype=complex)
     for s in range(1 - n, n):
         i, j = _offset_entries(s, n)

@@ -140,6 +140,22 @@ def test_main_artifacts_are_deterministic(tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
+def test_run_metadata_times_every_check(tmp_path):
+    out = tmp_path / "a"
+    assert main(["choi", "--out", str(out)]) == 0
+    meta = json.loads((out / "run_metadata.json").read_text())
+    summary = (out / "summary.json").read_text()
+    names = [c["name"] for c in json.loads(summary)["checks"]]
+    assert sorted(meta["check_wall_s"]) == sorted(names)
+    assert all(seconds >= 0 for seconds in meta["check_wall_s"].values())
+    assert meta["blas"]["name"]
+    assert all(key.endswith("_NUM_THREADS") for key in meta["thread_pins"])
+    # timings stay in the metadata, out of the reproducible artifacts
+    assert "wall" not in summary
+    for path in (out / "choi").iterdir():
+        assert "wall" not in path.read_text()
+
+
 def test_main_rejects_invalid_config(tmp_path, capsys):
     code = main(["choi", "--out", str(tmp_path), "--times", ""])
     assert code == 2

@@ -79,8 +79,9 @@ def test_node_slices_cover_the_axis_in_order(monkeypatch, b):
     slices = fock._node_slices(b, SLICE_WIDTH)
     assert [i for sl in slices for i in range(b)[sl]] == list(range(b))
     assert all(len(range(b)[sl]) <= SLICE_STEP for sl in slices)
-    # a transform cut into one-node slices still matches the trace against
-    # each displacement (up to the rounding of differently shaped products)
+    # with the budget at its floor the transform still matches the trace
+    # against each displacement (up to the rounding of differently shaped
+    # products)
     monkeypatch.setattr(fock, "_TABLE_ENTRIES", 2 * SLICE_WIDTH - 1)
     rng = np.random.default_rng(b)
     shape = (SLICE_WIDTH, SLICE_WIDTH)

@@ -1,9 +1,10 @@
 """The eigensystem kernels against their cell-by-cell definitions.
 
 Quadrature, Choi blocks and both transform directions are computed through
-the eigensystem of Q without building a displacement matrix.  The
-references here do build them, with the public displacement_batch, and sum
-the definitions directly.
+the eigensystem of Q without building a displacement matrix, summed over
+the symmetry classes of the square lattice.  The references here do build
+the matrices, with the public displacement_batch, and sum the definitions
+node by node.
 """
 
 import math
@@ -11,6 +12,8 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccrflow import (
     FockOperator,
@@ -153,9 +156,9 @@ def test_equal_channels_share_one_kernel_build(monkeypatch):
     builds = []
     original = channels._build_kernel
 
-    def counting(nodes, weights, n):
-        builds.append(n)
-        return original(nodes, weights, n)
+    def counting(*args):
+        builds.append(args[-1])  # the truncation comes last
+        return original(*args)
 
     monkeypatch.setattr(channels, "_build_kernel", counting)
     n = 12
@@ -166,3 +169,78 @@ def test_equal_channels_share_one_kernel_build(monkeypatch):
     assert np.array_equal(first.matrix, second.matrix)
     apply_quadrature(heat_channel(0.3, n), a)
     assert builds == [n, n]
+
+
+# every node of an even grid: the unpaired -L row and column, the axes,
+# the diagonals and the origin
+HALF_SIDES = st.integers(1, 30)
+
+
+def node_phases(half: int, top: int) -> np.ndarray:
+    """e^{i th_p s} node by node, from the float angles of a grid's nodes."""
+    xs, ys = GridSpec(float(half), 2 * half).mesh()
+    theta = np.arctan2(ys.ravel(), xs.ravel())
+    return np.exp(1j * theta[:, None] * np.arange(-top, top + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(half=HALF_SIDES, n=st.integers(2, 40))
+def test_class_phases_turn_into_every_node_angle(half, n):
+    top = 2 * n - 2
+    phase, _, cls, flip, quarter = fock._lattice_classes(2 * half, 1.0, n, top)
+    reflected = np.where(flip[:, None] == 1, phase[cls, ::-1], phase[cls])
+    turned = fock._quarter_powers(top)[:, quarter].T * reflected
+    assert float(np.abs(turned - node_phases(half, top)).max()) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(half=HALF_SIDES, n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_class_sums_match_the_node_sums(half, n, seed):
+    rng = np.random.default_rng(seed)
+    size = (2 * half) ** 2
+    weights = rng.normal(size=size) + 1j * rng.normal(size=size)
+    weights[rng.uniform(size=size) < 0.3] = 0.0  # a masked node set
+    top = 2 * n - 2
+    phase, _, cls, flip, quarter = fock._lattice_classes(2 * half, 1.0, n, top)
+    want = np.zeros((len(phase), 2 * top + 1), dtype=complex)
+    np.add.at(want, cls, weights[:, None] * node_phases(half, top))
+    assert_close(fock._class_sums(weights, cls, flip, quarter, phase), want)
+
+
+@pytest.mark.parametrize("n", [8, 24, 40])
+def test_grid_transform_is_the_transform_at_its_nodes(n):
+    # corners inside the trust window, so char_values takes every node
+    grid = GridSpec(half_width=0.7 * trust_radius(n), points_per_axis=26)
+    a = FockOperator(random_matrix(n))
+    xs, ys = grid.mesh()
+    at_nodes = char_values(a, np.column_stack([xs.ravel(), ys.ravel()]))
+    assert_close(char_function(a, grid).values.ravel(), at_nodes)
+
+
+def test_spectral_applications_share_one_class_table_build(monkeypatch):
+    weyl_transform._grid_classes.cache_clear()
+    builds = []
+    original = weyl_transform._lattice_classes
+
+    def counting(*args):
+        builds.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(weyl_transform, "_lattice_classes", counting)
+    a = FockOperator(random_matrix(12))
+    first = apply_spectral(HeatFlowParams(0.1), a)
+    for _ in range(3):
+        again = apply_spectral(HeatFlowParams(0.1), a)
+    assert len(builds) == 1
+    assert np.array_equal(first.matrix, again.matrix)
+
+
+def test_class_table_cache_stays_small():
+    tables = weyl_transform._grid_classes
+    for n in (8, 12, 30, 40):
+        tables(channels._spectral_grid(n), n)
+    assert tables.cache_info().maxsize == 2
+    assert tables.cache_info().currsize <= 2
+    spectral_40 = tables(channels._spectral_grid(40), 40)
+    assert sum(t.nbytes for t in spectral_40) <= 3e6
+    assert not any(t.flags.writeable for t in spectral_40)
