@@ -21,9 +21,12 @@ here, and their agreement is one of the package's core checks.
 
 No quadrature builds a displacement matrix.  Through the eigensystem
 (lam, V) of Q (see weyl_transform), the cell sum factors, class by class of
-symmetric nodes, into one per-channel kernel K[s, k, l] (see _build_kernel):
-quadrature and Choi blocks read it, and equal channels share one cached
-build, so a further operand costs O(N^4), not one conjugation per node.
+symmetric nodes, into one per-channel kernel K[k, l, s] over the matrix
+offsets s.  Applying it is a correlation along the offsets, so the channel
+caches K's spectrum on a circle of 4N offsets (see _build_kernel):
+quadrature runs one FFT pair per operand (see _apply_kernel), Choi blocks
+transform back to K, and equal channels share one cached build, so a
+further operand costs O(N^4), not one conjugation per node.
 
 A third engine exponentiates the flow's generator,
 L(A) = -([Q,[Q,A]] + [P,[P,A]]), in its truncated GKSL form (see
@@ -54,7 +57,6 @@ from .fock import (
     _class_sums,
     _lattice_classes,
     _node_slices,
-    _offset_entries,
     _position_eigensystem,
     weyl_operator,
 )
@@ -166,38 +168,51 @@ def _masked_quadrature(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
     return np.where(keep, w, 0.0)
 
 
-# kernels stay cached while together they hold at most 16 MB; the newest
-# always stays
+# kernel spectra stay cached while together they hold at most 16 MB; the
+# newest always stays
 _KERNEL_CACHE_BYTES = 16 << 20
 _kernels: OrderedDict = OrderedDict()
 
 
 def _build_kernel(weights: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
-    """K[s + 2N - 2, k, l] = sum_p w_p e^{i th_p s} e^{i rho_p (lam_k - lam_l)}
-    for |s| <= 2N - 2, with rho_p(cos th_p, sin th_p) = CONJUGATION_SCALE z_p
-    for grid node z_p and (lam, V) the eigensystem of Q, summed over the
-    node classes of fock._lattice_classes: one (4N - 3) x N^2 product each.
+    """Spectrum along s of the channel kernel
+    K[k, l, s] = sum_p w_p e^{i th_p s} e^{i rho_p (lam_k - lam_l)},
+    |s| <= 2N - 2, with rho_p(cos th_p, sin th_p) = CONJUGATION_SCALE z_p
+    for grid node z_p and (lam, V) the eigensystem of Q.
 
-    K is everything the channel knows about its nodes.  It holds
-    (4N - 3) N^2 complex entries: 1.7 MB at N = 30, 4 MB at N = 40 and
+    Returns Khat = L ifft_s(K) with K laid on a circle of length L = 4N,
+    offset s at position s mod L: at least the 4N - 3 offsets, so none
+    alias, and smooth at the truncations in use (L = 96, 120, 128, 160).
+    The transform meets the class sums D[f, s] of fock._lattice_classes
+    before they meet the pairs e^{i rho_f (lam_k - lam_l)}, so the build
+    is one N^2 x L product per class, as for K itself.
+
+    Khat is everything the channel knows about its nodes.  It holds
+    4N N^2 complex entries: 1.7 MB at N = 30, 4.1 MB at N = 40 and
     1 GB at N = 256.
     """
+    size = 4 * n
     phase, expo, cls, flip, quarter = _lattice_classes(
         grid.points_per_axis, CONJUGATION_SCALE * grid.h, n, 2 * n - 2)
     sums = _class_sums(weights, cls, flip, quarter, phase)
-    kernel = np.zeros((4 * n - 3, n * n), dtype=complex)
+    # sums hold s = -(2N - 2)..2N - 2 in order; offset s goes to s mod L
+    circle = np.zeros((len(sums), size), dtype=complex)
+    circle[:, : 2 * n - 1] = sums[:, 2 * n - 2:]
+    circle[:, 2 - 2 * n:] = sums[:, : 2 * n - 2]
+    spectra = size * np.fft.ifft(circle, axis=1)
+    kernel = np.zeros((size, n * n), dtype=complex)
     for sl in _node_slices(len(expo), n * n):
         pairs = (expo[sl, :, None] * expo[sl, None, :].conj()).reshape(-1, n * n)
-        kernel += sums[sl].T @ pairs
-    kernel = kernel.reshape(4 * n - 3, n, n)
+        kernel += spectra[sl].T @ pairs
+    kernel = np.ascontiguousarray(kernel.T).reshape(n, n, size)
     kernel.setflags(write=False)
     return kernel
 
 
 def _channel_kernel(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
-    """The kernel of the channel's masked quadrature, built once per content
-    (truncation, grid, conjugation scale and weights), so equal channels
-    share one build."""
+    """The kernel spectrum of the channel's masked quadrature, built once
+    per content (truncation, grid, conjugation scale and weights), so equal
+    channels share one build."""
     weights = _masked_quadrature(ch, max_clipped)
     key = (ch.truncation, ch.mu.grid, CONJUGATION_SCALE, weights.tobytes())
     kernel = _kernels.pop(key, None)
@@ -211,25 +226,53 @@ def _channel_kernel(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
     return kernel
 
 
+@lru_cache(maxsize=4)
+def _offset_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For row i and offset d = -(N - 1)..N - 1: the flat index of entry
+    (i, i + d) of an N x N matrix, at [i, d + N - 1], and V[i + d, l], at
+    [i, l, d + N - 1]; where column i + d leaves the matrix, the index is
+    N^2 and the row of V is zero."""
+    _, vec = _position_eigensystem(n)
+    rows = np.arange(n)[:, None]
+    cols = rows + np.arange(1 - n, n)
+    inside = (cols >= 0) & (cols < n)
+    flat = np.where(inside, rows * n + cols, n * n)
+    shifted = np.where(inside[:, None, :],
+                       vec[np.clip(cols, 0, n - 1)].transpose(0, 2, 1), 0.0)
+    flat.setflags(write=False)
+    shifted.setflags(write=False)
+    return flat, shifted
+
+
+def _real_product(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """r @ c over the first axis of c, for real r and complex c: one real
+    product on the interleaved parts."""
+    c = np.ascontiguousarray(c)
+    flat = c.reshape(len(c), -1).view(float)
+    return (r @ flat).view(complex).reshape(len(r), *c.shape[1:])
+
+
 def _apply_kernel(kernel: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_p w_p W_p A W_p^dagger from the channel kernel, in O(N^4).
+    """sum_p w_p W_p A W_p^dagger from the channel's kernel spectrum, in
+    O(N^4).
 
     With A_d the offset-d part of A (entries A[i, i+d]) and M_d = V^T A_d V,
     the output's offset-e part is the offset-e part of V Y_e V^T, where
-    Y_e = sum_d M_d * K[d - e] elementwise.
+    Y_e = sum_d M_d * K[:, :, d - e] elementwise.  That is a correlation
+    along the offsets, so Y = ifft(fft(M) * Khat) on the kernel's circle.
+    M_d enters at position d + N - 1 and Y_e comes out there; the circle
+    is long enough that no offset wraps onto another.
     """
     n = a.shape[0]
     _, vec = _position_eigensystem(n)
-    m = np.empty((2 * n - 1, n, n), dtype=complex)
-    for d in range(1 - n, n):
-        i, j = _offset_entries(d, n)
-        m[d + n - 1] = (vec[i].T * a[i, j]) @ vec[j]
-    out = np.empty((n, n), dtype=complex)
-    for e in range(1 - n, n):
-        y = np.einsum("dkl,dkl->kl", m, kernel[n - 1 - e: 3 * n - 2 - e])
-        i, j = _offset_entries(e, n)
-        out[i, j] = np.einsum("rl,rl->r", vec[i] @ y, vec[j])
-    return out
+    flat, shifted = _offset_layout(n)
+    entries = np.append(a.ravel(), 0.0)[flat]                # A[i, i + d]
+    m = _real_product(vec.T, shifted * entries[:, None, :])   # M_d[k, l]
+    y = np.fft.ifft(np.fft.fft(m, n=kernel.shape[-1], axis=-1) * kernel, axis=-1)
+    z = _real_product(vec, y[:, :, : 2 * n - 1])              # (V Y_e)[i, l]
+    out = np.empty(n * n + 1, dtype=complex)
+    out[flat] = np.einsum("ile,ile->ie", z, shifted)
+    return out[: n * n].reshape(n, n)
 
 
 @lru_cache(maxsize=1)
@@ -432,7 +475,8 @@ def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:
     Built as sum_p w_p v_p v_p^dagger with v_p the vectorized n-block of
     the displacement unitary, read off the channel kernel: with
     U[(i, j), k] = V_ik V_jk, entry (r, r') is
-    sum_{k,l} U[r, k] U[r', l] K[(i_r - j_r) - (i_r' - j_r'), k, l].
+    sum_{k,l} U[r, k] U[r', l] K[k, l, (i_r - j_r) - (i_r' - j_r')], with
+    K one forward FFT of the cached spectrum.
     Positive semidefinite exactly when the weights can be taken
     nonnegative.  Like apply_quadrature, it relies on the conjugation-scale
     oracle and rejects a measure that clips more than 1e-6 of its mass.
@@ -440,15 +484,16 @@ def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:
     if n > ch.truncation // 4:
         raise ValueError("Choi block exceeds a quarter of the truncation")
     _ensure_scale()
-    kernel = _channel_kernel(ch, 1e-6)
-    big = ch.truncation
-    _, vec = _position_eigensystem(big)
+    spectrum = _channel_kernel(ch, 1e-6)
+    size = spectrum.shape[-1]
+    kernel = np.moveaxis(np.fft.fft(spectrum, axis=-1) / size, -1, 0)  # K[s mod L]
+    _, vec = _position_eigensystem(ch.truncation)
     j, i = np.divmod(np.arange(n * n), n)  # column-major: r = j n + i
     u = vec[i] * vec[j]
     offset = i - j
     c = np.empty((n * n, n * n), dtype=complex)
     for r in range(n * n):
-        s = offset[r] - offset + 2 * big - 2
+        s = (offset[r] - offset) % size
         c[r] = np.einsum("qkl,k,ql->q", kernel[s], u[r], u)
     return c
 

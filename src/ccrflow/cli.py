@@ -535,6 +535,22 @@ def _offband_sample(delta: float, rng: np.random.Generator) -> np.ndarray:
     return np.vstack([pts, ring])
 
 
+# band-limited approximants by (t, delta, grid), kept for one subcommand run:
+# both lemma checks read the same ones
+_approximants: dict[tuple, GridMeasure] = {}
+
+
+def _approximant(t: float, delta: float, grid: GridSpec) -> GridMeasure:
+    """band_limited_approximant(t, delta, grid), built once per run, with
+    read-only weights."""
+    key = (t, delta, grid)
+    if key not in _approximants:
+        nu = band_limited_approximant(t, delta, grid)
+        nu.weights.setflags(write=False)
+        _approximants[key] = nu
+    return _approximants[key]
+
+
 def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
     """The surrogate's transform is dead off the delta disk, at every lattice node."""
     delta = cfg.delta
@@ -545,7 +561,7 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
     worst = 0.0
     curve = []
     for t in cfg.times:
-        nu = band_limited_approximant(t, delta, grid)
+        nu = _approximant(t, delta, grid)
         sup = max(float(np.abs(symplectic_ft_at(nu, _offband_sample(delta, rng))).max()),
                   float(np.abs(symplectic_ft_lattice(nu)[off_band]).max()))
         worst = max(worst, sup)
@@ -568,7 +584,7 @@ def check_lemma_tv_sweep(cfg: RunConfig) -> ExperimentReport:
     grid = default_lemma_grid(delta)
     tvs = []
     for t in cfg.times:
-        nu = band_limited_approximant(t, delta, grid)
+        nu = _approximant(t, delta, grid)
         mu = gaussian_measure(t, grid)
         tvs.append(float((mu - nu).total_variation()))
     decreasing = all(b < a for a, b in zip(tvs, tvs[1:]))
@@ -735,9 +751,12 @@ _RUNNERS = {
 def run_subcommand(subcommand: str, cfg: RunConfig) -> list[tuple[ExperimentReport, float]]:
     """Each check's report with its wall time in seconds."""
     out = []
-    for fn in _RUNNERS[subcommand]:
-        start = time.perf_counter()
-        out.append((fn(cfg), time.perf_counter() - start))
+    try:
+        for fn in _RUNNERS[subcommand]:
+            start = time.perf_counter()
+            out.append((fn(cfg), time.perf_counter() - start))
+    finally:
+        _approximants.clear()
     return out
 
 

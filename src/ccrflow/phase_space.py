@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import signal
 
 __all__ = [
     "GridSpec",
@@ -243,17 +242,19 @@ def conjugate_lattice(grid: GridSpec) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 def convolve(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
-    """Convolution of two grid measures by exact cell-index summation.
+    """Convolution of two grid measures by cell-index summation.
 
     Node sums land on nodes again because both grids share the spacing h,
     so the full linear convolution of the weight tables is exact at grid
-    scale; there is no circular wraparound.  The result lives on the
-    enlarged grid of half-width L1 + L2, so no weight is lost.
+    scale; it is taken through 2-D FFTs zero-padded to the full size
+    m1 + m2 - 1, so there is no circular wraparound.  The result lives on
+    the enlarged grid of half-width L1 + L2, so no weight is lost.
     """
     if not mu.grid.compatible_with(nu.grid):
         raise ValueError("convolution requires equal grid spacings")
     m1, m2 = mu.grid.points_per_axis, nu.grid.points_per_axis
-    full = signal.convolve(mu.weights, nu.weights, mode="full", method="auto")
+    shape = (m1 + m2 - 1,) * 2
+    full = np.fft.ifft2(np.fft.fft2(mu.weights, shape) * np.fft.fft2(nu.weights, shape))
     # index k <-> coordinate -(L1+L2) + k*h, k = 0..m1+m2-2; pad to even M.
     m_out = m1 + m2
     big = GridSpec(half_width=mu.grid.half_width + nu.grid.half_width,

@@ -283,6 +283,23 @@ def test_generator_scaling_records_the_times_it_ran(monkeypatch):
     assert sorted(ran) == sorted(listed)
 
 
+def test_lemma_checks_share_one_approximant_per_time(monkeypatch):
+    built = []
+    original = cli.band_limited_approximant
+
+    def counting(t, delta, grid):
+        built.append(original(t, delta, grid))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "band_limited_approximant", counting)
+    cfg = resolve_config("lemma37", make_args(times="1,4"))
+    names = [rep.check for rep, _ in cli.run_subcommand("lemma37", cfg)]
+    assert names[:2] == ["lemma_band_limit", "lemma_tv_sweep"]
+    assert len(built) == 2
+    assert not any(nu.weights.flags.writeable for nu in built)
+    assert cli._approximants == {}  # nothing outlives the run
+
+
 # What each subcommand's checks read of the run configuration.
 READS = {
     "weyl-check": {"truncation", "seed"},

@@ -46,17 +46,21 @@ def random_matrix(n: int) -> np.ndarray:
     return RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
 
 
+def asymmetric_channel(n: int, seed: int) -> MeasureChannel:
+    # every measure in the package is symmetric under z -> -z; this one is
+    # not, so a sign slip in the offset arithmetic cannot hide
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    return MeasureChannel(GridMeasure(GridSpec(1.5, 6), weights), n)
+
+
 def make_channel(kind: str, n: int) -> MeasureChannel:
     if kind == "heat":
         return heat_channel(0.1, n)
     if kind == "signed_atoms":
         return point_mass_channel([(0.5, 1.0), (-0.5, -1.0)], [0.5, -0.5],
                                   ATOM_GRID, n)
-    # every measure in the package is symmetric under z -> -z; this one is
-    # not, so a sign slip in the offset arithmetic cannot hide
-    rng = np.random.default_rng(5)
-    weights = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    return MeasureChannel(GridMeasure(GridSpec(1.5, 6), weights), n)
+    return asymmetric_channel(n, 5)
 
 
 def window_batches(ch: MeasureChannel, size: int = 256):
@@ -169,6 +173,60 @@ def test_equal_channels_share_one_kernel_build(monkeypatch):
     assert np.array_equal(first.matrix, second.matrix)
     apply_quadrature(heat_channel(0.3, n), a)
     assert builds == [n, n]
+
+
+def node_kernel(ch: MeasureChannel) -> np.ndarray:
+    """K[s + 2N - 2, k, l] = sum_p w_p e^{i th_p s} e^{i rho_p (lam_k - lam_l)}
+    for |s| <= 2N - 2, node by node over the conjugation nodes."""
+    n = ch.truncation
+    xs, ys = ch.mu.grid.mesh()
+    nodes = np.column_stack([xs.ravel(), ys.ravel()]) * channels.CONJUGATION_SCALE
+    rho, theta = np.hypot(nodes[:, 0], nodes[:, 1]), np.arctan2(nodes[:, 1], nodes[:, 0])
+    expo = np.exp(1j * rho[:, None] * fock._position_eigensystem(n)[0])
+    pairs = (expo[:, :, None] * expo[:, None, :].conj()).reshape(len(expo), -1)
+    turns = np.exp(1j * theta[:, None] * np.arange(2 - 2 * n, 2 * n - 1))
+    weights = ch.mu.weights.ravel()
+    return ((weights[:, None] * turns).T @ pairs).reshape(-1, n, n)
+
+
+def loop_apply_kernel(kernel: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Y_e = sum_d M_d * K[d - e] with one Python step per offset, from K
+    as node_kernel lays it out."""
+    n = a.shape[0]
+    _, vec = fock._position_eigensystem(n)
+    m = np.empty((2 * n - 1, n, n), dtype=complex)
+    for d in range(1 - n, n):
+        i, j = fock._offset_entries(d, n)
+        m[d + n - 1] = (vec[i].T * a[i, j]) @ vec[j]
+    out = np.empty((n, n), dtype=complex)
+    for e in range(1 - n, n):
+        y = np.einsum("dkl,dkl->kl", m, kernel[n - 1 - e: 3 * n - 2 - e])
+        i, j = fock._offset_entries(e, n)
+        out[i, j] = np.einsum("rl,rl->r", vec[i] @ y, vec[j])
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_spectral_apply_matches_the_offset_loop(n, seed):
+    ch = asymmetric_channel(n, seed)
+    a = np.random.default_rng(seed).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
+    got = channels._apply_kernel(channels._channel_kernel(ch, 1e-6), a)
+    assert_close(got, loop_apply_kernel(node_kernel(ch), a))
+
+
+@pytest.mark.parametrize("n", [2, 8, 30, 40])
+def test_kernel_spectrum_is_the_kernel_on_a_circle_of_4n(n):
+    ch = asymmetric_channel(n, n)
+    spectrum = channels._channel_kernel(ch, 1e-6)
+    assert spectrum.size == 4 * n * n * n
+    assert not spectrum.flags.writeable
+    # back along the circle: offset s sits at s mod 4N, and the three
+    # positions between +(2N - 2) and -(2N - 2) stay empty
+    circle = np.moveaxis(np.fft.fft(spectrum, axis=-1) / (4 * n), -1, 0)
+    want = np.zeros_like(circle)
+    want[np.arange(2 - 2 * n, 2 * n - 1) % (4 * n)] = node_kernel(ch)
+    assert_close(circle, want)
 
 
 # every node of an even grid: the unpaired -L row and column, the axes,

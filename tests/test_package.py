@@ -4,6 +4,9 @@ import ast
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,3 +133,16 @@ def test_benchmark_spans_name_public_functions():
             broken.append(metric["name"])
     assert checked > 0
     assert broken == []
+
+
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
+    # scipy.signal pulls in scipy.stats, interpolate and optimize: about a
+    # second of start-up that every command would pay
+    src = str(Path(ccrflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, ccrflow.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

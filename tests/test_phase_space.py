@@ -151,6 +151,22 @@ def test_convolution_semigroup_total_variation():
     assert (conv - g2).total_variation() < 1e-6
 
 
+def test_convolve_matches_the_cell_sum():
+    # unequal sizes on one spacing, complex weights without symmetry
+    rng = np.random.default_rng(8)
+    small, large = GridSpec(2.0, 8), GridSpec(3.0, 12)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    b = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    conv = convolve(GridMeasure(small, a), GridMeasure(large, b))
+    want = np.zeros((20, 20), dtype=complex)
+    for i in range(8):
+        for j in range(8):
+            want[i:i + 12, j:j + 12] += a[i, j] * b
+    assert conv.grid == GridSpec(5.0, 20)
+    err = float(np.abs(conv.weights - want).max())
+    assert err <= 1e-12 * float(np.abs(want).max())
+
+
 def test_convolve_incompatible_spacing_rejected():
     a = GridMeasure(GridSpec(2.0, 8), np.ones((8, 8), dtype=complex))
     b = GridMeasure(GridSpec(2.0, 16), np.ones((16, 16), dtype=complex))
