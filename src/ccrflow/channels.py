@@ -22,11 +22,11 @@ here, and their agreement is one of the package's core checks.
 No quadrature builds a displacement matrix.  Through the eigensystem
 (lam, V) of Q (see weyl_transform), the cell sum factors, class by class of
 symmetric nodes, into one per-channel kernel K[k, l, s] over the matrix
-offsets s.  Applying it is a correlation along the offsets, so the channel
-caches K's spectrum on a circle of 4N offsets (see _build_kernel):
-quadrature runs one FFT pair per operand (see _apply_kernel), Choi blocks
-transform back to K, and equal channels share one cached build, so a
-further operand costs O(N^4), not one conjugation per node.
+offsets s, laid out by fock._offset_layout as in both transform directions.
+Applying K is a correlation along the offsets, so the channel caches its
+spectrum on a circle of 4N offsets (see _build_kernel): quadrature runs one
+FFT pair per operand (see _apply_kernel), Choi blocks transform back to K,
+and equal channels share one build: a further operand costs O(N^4).
 
 A third engine exponentiates the flow's generator,
 L(A) = -([Q,[Q,A]] + [P,[P,A]]), in its truncated GKSL form (see
@@ -57,6 +57,9 @@ from .fock import (
     _class_sums,
     _lattice_classes,
     _node_slices,
+    _offset_gather,
+    _offset_layout,
+    _offset_scatter,
     _position_eigensystem,
     weyl_operator,
 )
@@ -226,24 +229,6 @@ def _channel_kernel(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
     return kernel
 
 
-@lru_cache(maxsize=4)
-def _offset_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For row i and offset d = -(N - 1)..N - 1: the flat index of entry
-    (i, i + d) of an N x N matrix, at [i, d + N - 1], and V[i + d, l], at
-    [i, l, d + N - 1]; where column i + d leaves the matrix, the index is
-    N^2 and the row of V is zero."""
-    _, vec = _position_eigensystem(n)
-    rows = np.arange(n)[:, None]
-    cols = rows + np.arange(1 - n, n)
-    inside = (cols >= 0) & (cols < n)
-    flat = np.where(inside, rows * n + cols, n * n)
-    shifted = np.where(inside[:, None, :],
-                       vec[np.clip(cols, 0, n - 1)].transpose(0, 2, 1), 0.0)
-    flat.setflags(write=False)
-    shifted.setflags(write=False)
-    return flat, shifted
-
-
 def _real_product(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """r @ c over the first axis of c, for real r and complex c: one real
     product on the interleaved parts."""
@@ -265,14 +250,11 @@ def _apply_kernel(kernel: np.ndarray, a: np.ndarray) -> np.ndarray:
     """
     n = a.shape[0]
     _, vec = _position_eigensystem(n)
-    flat, shifted = _offset_layout(n)
-    entries = np.append(a.ravel(), 0.0)[flat]                # A[i, i + d]
-    m = _real_product(vec.T, shifted * entries[:, None, :])   # M_d[k, l]
+    shifted = _offset_layout(n)[1]
+    m = _real_product(vec.T, shifted * _offset_gather(a)[:, None, :])  # M_d[k, l]
     y = np.fft.ifft(np.fft.fft(m, n=kernel.shape[-1], axis=-1) * kernel, axis=-1)
     z = _real_product(vec, y[:, :, : 2 * n - 1])              # (V Y_e)[i, l]
-    out = np.empty(n * n + 1, dtype=complex)
-    out[flat] = np.einsum("ile,ile->ie", z, shifted)
-    return out[: n * n].reshape(n, n)
+    return _offset_scatter(np.einsum("ile,ile->ie", z, shifted))
 
 
 @lru_cache(maxsize=1)

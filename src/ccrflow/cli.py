@@ -113,31 +113,23 @@ class RunConfig:
 
 
 def _parse_probe_spec(spec: str):
-    """Probe specs: 'vacuum', 'one', 'number:k', 'coherent:alpha'."""
+    """Probe specs: 'vacuum', 'one', 'number:k' (k >= 0), 'coherent:alpha'."""
     name = spec.strip().lower()
-    if name == "vacuum":
-        return ("number", 0)
-    if name == "one":
-        return ("number", 1)
-    kind, _, arg = name.partition(":")
-    if kind == "number" and arg:
-        try:
-            return ("number", int(arg))
-        except ValueError:
-            raise ConfigError(f"bad probe spec {spec!r}") from None
+    kind, _, arg = {"vacuum": "number:0", "one": "number:1"}.get(name, name).partition(":")
+    if kind == "number" and arg.isdecimal():
+        return ("number", int(arg))
     if kind == "coherent" and arg:
         try:
             return ("coherent", complex(arg))
         except ValueError:
-            raise ConfigError(f"bad probe spec {spec!r}") from None
-    raise ConfigError(f"unknown probe spec {spec!r}")
+            pass
+    raise ConfigError(f"bad probe spec {spec!r}")
 
 
 def _build_probe(spec: str, n_levels: int) -> tuple[str, DensityOperator]:
     kind, arg = _parse_probe_spec(spec)
-    if kind == "number":
-        return spec.strip().lower(), number_state(arg, n_levels)
-    return spec.strip().lower(), coherent_state(arg, n_levels)
+    state = number_state if kind == "number" else coherent_state
+    return spec.strip().lower(), state(arg, n_levels)
 
 
 # --------------------------------------------------------------------------
@@ -250,7 +242,14 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
                    "on the command line", reader)
     if args.out is not None:
         _apply_section(merged, {"out": args.out}, "on the command line", None)
-    return RunConfig(**merged)
+    cfg = RunConfig(**merged)
+    # a probe the truncation cannot hold fails here, before any check runs
+    for spec in cfg.probes if subcommand in _SETTINGS["probes"][2] else ():
+        try:
+            _build_probe(spec, cfg.truncation)
+        except ValueError as exc:
+            raise ConfigError(f"probe {spec!r} at truncation {cfg.truncation}: {exc}") from None
+    return cfg
 
 
 # --------------------------------------------------------------------------
@@ -791,7 +790,7 @@ def _write_summary(out_dir: Path, reports) -> dict:
     return summary
 
 
-def _write_metadata(out_dir: Path, argv, wall_s: dict) -> None:
+def _write_metadata(out_dir: Path, argv, wall_s: dict, started: float) -> None:
     meta = {
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "argv": list(argv),
@@ -802,6 +801,7 @@ def _write_metadata(out_dir: Path, argv, wall_s: dict) -> None:
         "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
         "thread_pins": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
         "check_wall_s": wall_s,
+        "total_wall_s": time.perf_counter() - started,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_metadata.json").write_text(
@@ -833,6 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -860,7 +861,7 @@ def main(argv=None) -> int:
         for rep in reports:
             print(rep.summary_line())
     summary = _write_summary(out_dir, all_reports)
-    _write_metadata(out_dir, argv, wall_s)
+    _write_metadata(out_dir, argv, wall_s, started)
     if args.json_summary:
         print(json.dumps(summary, sort_keys=True, default=_json_fallback))
     return 0 if all(rep.passed for rep in all_reports) else 1

@@ -14,7 +14,8 @@ and (lam, V) the eigensystem of Q (see fock.displacement_batch),
 
     W_z[i, j] = e^{i th (i - j)} sum_k V_ik V_jk e^{i rho lam_k},
 
-so both sums separate into an offset d = i - j and an eigen-index k.  The
+so both sums separate into an offset d and an eigen-index k, through the
+one offset layout fock._offset_layout that the channel kernel shares.  The
 nodes of a square-symmetry class (about an eighth of a grid) share a radius
 and sit at angles q pi/2 +- th_f, where e^{i th d} = i^{q d} e^{+-i th_f d}
 exactly, so both directions sum over classes, against class tables cached
@@ -34,7 +35,9 @@ from .fock import (
     _class_sums,
     _class_tables,
     _lattice_classes,
-    _offset_entries,
+    _offset_gather,
+    _offset_layout,
+    _offset_scatter,
     _polar,
     _position_eigensystem,
     _quarter_powers,
@@ -99,22 +102,16 @@ def _grid_classes(grid: GridSpec, n: int) -> tuple:
 def _transform_values(a: np.ndarray, phase, expo) -> np.ndarray:
     """trace(A W_z) per class of fock._class_tables and per (reflection flag,
     quarter turn q), shape (classes, 2, 4): sum_d i^{q d} e^{+-i th_f d} times
-    sum_k e^{i rho_f lam_k} c[d, k], with c[d, k] = sum_{i-j=d} A_ji V_ik V_jk."""
+    sum_k e^{i rho_f lam_k} c[d, k], c[d, k] = sum_i A[i, i+d] V_ik V_{i+d,k}."""
     n = a.shape[0]
     _, vec = _position_eigensystem(n)
-    c = np.empty((2 * n - 1, n), dtype=complex)
-    for d in range(1 - n, n):
-        j, i = _offset_entries(d, n)
-        c[d + n - 1] = a[j, i] @ (vec[i] * vec[j])
-    chat = expo @ c.T
+    chat = expo @ np.einsum("id,ik,ikd->kd", _offset_gather(a), vec, _offset_layout(n)[1])
     return np.stack([phase * chat, phase[:, ::-1] * chat], 1) @ _quarter_powers(n - 1)
 
 
 def char_values(a: FockOperator, points: np.ndarray) -> np.ndarray:
-    """Transform of ``a`` at arbitrary phase-space points (B, 2)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    """Transform of ``a`` at phase-space points (..., 2), one value per point."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     radius = np.hypot(pts[:, 0], pts[:, 1]).max(initial=0.0)
     limit = trust_radius(a.dim)
     if radius > limit + 1e-9:
@@ -179,11 +176,8 @@ def _raw_inverse(values: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     _, vec = _position_eigensystem(n)
     phase, expo, cls, flip, quarter = _grid_classes(grid, n)
     g = _class_sums(masked, cls, flip, quarter, phase)[:, ::-1].T @ expo.conj()
-    acc = np.empty((n, n), dtype=complex)
-    for s in range(1 - n, n):
-        i, j = _offset_entries(s, n)
-        acc[i, j] = (vec[i] * vec[j]) @ g[s + n - 1]
-    return acc * grid.cell_area()
+    entries = np.einsum("ik,iks,sk->is", vec, _offset_layout(n)[1], g)
+    return _offset_scatter(entries) * grid.cell_area()
 
 
 @lru_cache(maxsize=32)
@@ -241,13 +235,8 @@ def riemann_lebesgue_profile(a: FockOperator, radii) -> list[float]:
     For fixed finite-rank operators the profile decays to zero; the decay
     rate is not asserted, only observed.
     """
-    radii = [float(r) for r in radii]
-    if not radii:
-        return []
+    radii = np.array([float(r) for r in radii])
     angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    out = []
-    for r in radii:
-        vals = char_values(a, r * dirs)
-        out.append(float(np.abs(vals).max()))
-    return out
+    vals = char_values(a, radii[:, None, None] * dirs)
+    return [float(v) for v in np.abs(vals).reshape(len(radii), 64).max(axis=1)]

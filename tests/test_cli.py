@@ -43,7 +43,7 @@ def test_probe_specs():
     assert _parse_probe_spec("one") == ("number", 1)
     assert _parse_probe_spec("number:3") == ("number", 3)
     assert _parse_probe_spec("coherent:0.5+0.5j") == ("coherent", 0.5 + 0.5j)
-    for bad in ("number:x", "coherent:?", "squeezed:1", "number:"):
+    for bad in ("number:x", "coherent:?", "squeezed:1", "number:", "number:-1"):
         with pytest.raises(ConfigError):
             _parse_probe_spec(bad)
 
@@ -148,6 +148,7 @@ def test_run_metadata_times_every_check(tmp_path):
     names = [c["name"] for c in json.loads(summary)["checks"]]
     assert sorted(meta["check_wall_s"]) == sorted(names)
     assert all(seconds >= 0 for seconds in meta["check_wall_s"].values())
+    assert meta["total_wall_s"] >= sum(meta["check_wall_s"].values())
     assert meta["blas"]["name"]
     assert all(key.endswith("_NUM_THREADS") for key in meta["thread_pins"])
     # timings stay in the metadata, out of the reproducible artifacts
@@ -185,6 +186,27 @@ def test_main_reports_honest_failure_with_exit_1(tmp_path, capsys):
     verdicts = {c["name"]: c["pass"] for c in summary["checks"]}
     assert verdicts["lemma_tv_sweep"] is False
     assert verdicts["lemma_band_limit"] is True
+
+
+@pytest.mark.parametrize("spec", ["number:-1", "number:99"])
+def test_bad_probe_fails_before_any_check_runs(tmp_path, capsys, spec):
+    # number:99 parses but does not fit purity's N = 40
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"[purity]\nprobes = vacuum, {spec}\n")
+    out = tmp_path / "o"
+    assert main(["all", "--config", str(cfg_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and repr(spec) in err
+    assert not out.exists()
+
+
+def test_common_probe_binds_only_the_readers_of_probes(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[common]\nprobes = number:20\n")
+    assert resolve_config("beurling", make_args(config=str(cfg_file))).truncation == 12
+    resolve_config("purity", make_args(config=str(cfg_file)))
+    with pytest.raises(ConfigError, match="probe 'number:20' at truncation 12"):
+        resolve_config("purity", make_args(config=str(cfg_file), truncation=12))
 
 
 def test_json_summary_flag(tmp_path, capsys):

@@ -102,7 +102,7 @@ def test_choi_matches_the_vectorized_sum(kind, n):
     assert_close(choi_matrix(ch, block), want)
 
 
-@pytest.mark.parametrize("n", [8, 24, 40])
+@pytest.mark.parametrize("n", [1, 2, 8, 24, 40])
 def test_transform_matches_the_trace_against_each_displacement(n):
     a = random_matrix(n)
     pts = RNG.uniform(-1.0, 1.0, size=(200, 2)) * trust_radius(n) / math.sqrt(2.0)
@@ -110,7 +110,7 @@ def test_transform_matches_the_trace_against_each_displacement(n):
     assert_close(char_values(FockOperator(a), pts), want)
 
 
-@pytest.mark.parametrize("n", [8, 24, 40])
+@pytest.mark.parametrize("n", [1, 2, 8, 24, 40])
 def test_raw_inverse_matches_the_adjoint_displacement_sum(n):
     grid = GridSpec(half_width=0.9 * trust_radius(n), points_per_axis=24)
     values = random_matrix(24)
@@ -120,6 +120,16 @@ def test_raw_inverse_matches_the_adjoint_displacement_sum(n):
     want = np.einsum("b,bnm->mn", values.ravel()[keep],
                      displacement_batch(pts[keep], n).conj()) * grid.cell_area()
     assert_close(weyl_transform._raw_inverse(values, grid, n), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_offset_scatter_undoes_the_gather(n, seed):
+    a = np.random.default_rng(seed).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
+    entries = fock._offset_gather(a)
+    assert entries.shape == (n, 2 * n - 1)
+    assert np.array_equal(fock._offset_scatter(entries), a)
+    assert not any(t.flags.writeable for t in fock._offset_layout(n))
 
 
 def test_zero_measure_gives_exactly_zero():
@@ -196,12 +206,14 @@ def loop_apply_kernel(kernel: np.ndarray, a: np.ndarray) -> np.ndarray:
     _, vec = fock._position_eigensystem(n)
     m = np.empty((2 * n - 1, n, n), dtype=complex)
     for d in range(1 - n, n):
-        i, j = fock._offset_entries(d, n)
+        i = np.arange(max(0, -d), min(n, n - d))  # rows whose column i + d exists
+        j = i + d
         m[d + n - 1] = (vec[i].T * a[i, j]) @ vec[j]
     out = np.empty((n, n), dtype=complex)
     for e in range(1 - n, n):
         y = np.einsum("dkl,dkl->kl", m, kernel[n - 1 - e: 3 * n - 2 - e])
-        i, j = fock._offset_entries(e, n)
+        i = np.arange(max(0, -e), min(n, n - e))
+        j = i + e
         out[i, j] = np.einsum("rl,rl->r", vec[i] @ y, vec[j])
     return out
 

@@ -171,3 +171,9 @@ def test_riemann_lebesgue_profile_vacuum():
 
 def test_riemann_lebesgue_profile_empty():
     assert riemann_lebesgue_profile(random_low_block(10, 2), []) == []
+
+
+def test_riemann_lebesgue_profile_rejects_a_ring_beyond_the_window():
+    a = random_low_block(10, 2)
+    with pytest.raises(ValueError, match="trustworthy window"):
+        riemann_lebesgue_profile(a, [1.0, 1.01 * trust_radius(10), 2.0])
