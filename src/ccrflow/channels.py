@@ -30,9 +30,11 @@ and equal channels share one build: a further operand costs O(N^4).
 
 A third engine exponentiates the flow's generator,
 L(A) = -([Q,[Q,A]] + [P,[P,A]]), in its truncated GKSL form (see
-_heat_generator).  It is exact at every time without substeps and serves
-the purity instruments; quadrature stays the independent oracle and the
-only path for general measures.
+_heat_generator).  Each matrix offset of it is a real symmetric
+tridiagonal matrix, solved by the same numpy helper as Q
+(fock._tridiagonal_eigensystem).  It is exact at every time without
+substeps and serves the purity instruments; quadrature stays the
+independent oracle and the only path for general measures.
 
 Truncation policy: quadrature nodes whose displacement c*zeta leaves the
 trustworthy window |z| <= sqrt(2N) are dropped, and the dropped measure
@@ -49,7 +51,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .fock import (
     DensityOperator,
@@ -61,6 +62,7 @@ from .fock import (
     _offset_layout,
     _offset_scatter,
     _position_eigensystem,
+    _tridiagonal_eigensystem,
     weyl_operator,
 )
 from .phase_space import (
@@ -348,9 +350,9 @@ def evolve_state(params: HeatFlowParams, rho: DensityOperator) -> DensityOperato
     conjugation average.  Times beyond the single-step window are split
     into equal substeps (the measures convolve exactly, so this is the same
     channel), each on the default Gaussian grid of the substep time.
-    Output is renormalized for trace drift up to 1e-6 and validated as a
-    state; a PSD defect beyond 1e-8 means the truncation is inadequate and
-    raises.
+    The output is renormalized for trace drift up to 1e-6 (more raises),
+    hermitized, and validated as a state by DensityOperator, which rejects
+    an eigenvalue below -1e-10.
     """
     if params.t == 0:
         return rho
@@ -364,18 +366,7 @@ def evolve_state(params: HeatFlowParams, rho: DensityOperator) -> DensityOperato
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"trace drift {abs(tr - 1.0):.3e} exceeds 1e-6")
     out = out / tr
-    out = 0.5 * (out + out.conj().T)
-    lo = float(np.linalg.eigvalsh(out).min())
-    if lo < -1e-8:
-        raise ValueError(
-            f"evolved state has eigenvalue {lo:.3e}; truncation inadequate"
-        )
-    if lo < 0:
-        # wash out the tolerated sliver of negativity so the constructor's
-        # stricter gate (1e-10) accepts the state
-        dim = out.shape[0]
-        out = (out + (-lo) * np.eye(dim)) / (1.0 - lo * dim)
-    return DensityOperator(FockOperator(out))
+    return DensityOperator(FockOperator(0.5 * (out + out.conj().T)))
 
 
 @lru_cache(maxsize=16)
@@ -394,12 +385,8 @@ def _generator_eigensystems(n_levels: int) -> tuple:
     systems = []
     for d in range(n_levels):
         m = np.arange(n_levels - d)
-        lam, vec = eigh_tridiagonal(
-            -(dd[m] + dd[m + d]), 2.0 * np.sqrt(m[1:] * (m[1:] + d))
-        )
-        lam.setflags(write=False)
-        vec.setflags(write=False)
-        systems.append((lam, vec))
+        systems.append(_tridiagonal_eigensystem(
+            -(dd[m] + dd[m + d]), 2.0 * np.sqrt(m[1:] * (m[1:] + d))))
     return tuple(systems)
 
 

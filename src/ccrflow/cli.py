@@ -21,7 +21,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .channels import (
@@ -290,7 +289,7 @@ def check_weyl_relations(cfg: RunConfig) -> ExperimentReport:
 def check_riemann_lebesgue(cfg: RunConfig) -> ExperimentReport:
     """Vacuum ring profile: exact Gaussian law, tiny beyond radius 4.3."""
     n = cfg.truncation
-    vac = FockOperator(number_state(0, n).matrix)
+    vac = number_state(0, n).op
     radii = [0.25 * k for k in range(1, 25)]
     profile = riemann_lebesgue_profile(vac, radii)
     reference = [math.exp(-r * r / 4.0) for r in radii]
@@ -362,7 +361,7 @@ def check_path_agreement(cfg: RunConfig) -> ExperimentReport:
     for i, rho in enumerate(states):
         for t in cfg.times:
             quad = evolve_state(HeatFlowParams(t), rho).matrix[:k, :k]
-            spec = apply_spectral(HeatFlowParams(t), FockOperator(rho.matrix)).matrix
+            spec = apply_spectral(HeatFlowParams(t), rho.op).matrix
             gen = _heat_generator(rho.matrix, t)[:k, :k]
             gap = trace_norm(quad - spec)
             worst = max(worst, gap)
@@ -391,7 +390,7 @@ def check_conservation(cfg: RunConfig) -> ExperimentReport:
     curve = []
     for t in cfg.times:
         ch = heat_channel(t, n)
-        out_state = apply_quadrature(ch, FockOperator(rho.matrix))
+        out_state = apply_quadrature(ch, rho.op)
         trace_drift = abs(complex(out_state.trace()) - 1.0)
         out_eye = apply_quadrature(ch, eye)
         unital_drift = float(np.abs(out_eye.matrix - np.eye(n)).max())
@@ -432,7 +431,7 @@ def check_semigroup_composition(cfg: RunConfig) -> ExperimentReport:
     worst = 0.0
     curve = []
     for label, rho in [("vacuum", number_state(0, n)), ("coherent", coherent_state(0.8, n))]:
-        op = FockOperator(rho.matrix)
+        op = rho.op
         joined = apply_spectral(HeatFlowParams(s + t), op)
         first = apply_spectral(HeatFlowParams(s), op)
         second = apply_spectral(HeatFlowParams(t), first.embedded(n))
@@ -797,7 +796,6 @@ def _write_metadata(out_dir: Path, argv, wall_s: dict, started: float) -> None:
         "package_version": __version__,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
         "thread_pins": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
         "check_wall_s": wall_s,

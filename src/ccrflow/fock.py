@@ -8,6 +8,8 @@ fast via a cached eigendecomposition of the position operator) and the
 closed amplitude formula in the number basis (the top-left block of the
 untruncated operator, exact entrywise but not unitary at truncation).
 Their agreement on leading blocks is the internal consistency oracle.
+Q and each offset of the flow's generator (channels._generator_eigensystems)
+are real symmetric tridiagonal: one dense numpy solve serves both.
 
 Truncation discipline: the last rows and columns of the truncated ladder
 operators are wrong by construction, so every quantitative claim in this
@@ -174,14 +176,20 @@ def weyl_generator(z, n_levels: int) -> FockOperator:
     return FockOperator(1j * (x * q + y * p))
 
 
-@lru_cache(maxsize=16)
-def _position_eigensystem(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    # Q is real symmetric tridiagonal; V is real orthogonal.
-    q = position(n_levels).matrix.real
-    lam, vec = np.linalg.eigh(q)
+def _tridiagonal_eigensystem(diag, off) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (lam, V), lam ascending, of the real symmetric tridiagonal
+    matrix with diagonal ``diag`` and off-diagonal ``off``."""
+    lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     lam.setflags(write=False)
     vec.setflags(write=False)
     return lam, vec
+
+
+@lru_cache(maxsize=16)
+def _position_eigensystem(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, V) of Q: zero diagonal, off-diagonal sqrt(m)/sqrt(2)."""
+    q = position(n_levels).matrix.real
+    return _tridiagonal_eigensystem(np.zeros(n_levels), q.diagonal(1))
 
 
 @lru_cache(maxsize=4)

@@ -268,7 +268,7 @@ def absorbing_state_probe(times, probes) -> ExperimentReport:
     curve = []
     stale = []
     for label, rho in probes:
-        base = np.abs(char_values(FockOperator(rho.matrix), ring))
+        base = np.abs(char_values(rho.op, ring))
         moved = False
         for t in times:
             if t == 0:

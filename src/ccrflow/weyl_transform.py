@@ -99,14 +99,13 @@ def _grid_classes(grid: GridSpec, n: int) -> tuple:
     return tables
 
 
-def _transform_values(a: np.ndarray, phase, expo) -> np.ndarray:
-    """trace(A W_z) per class of fock._class_tables and per (reflection flag,
-    quarter turn q), shape (classes, 2, 4): sum_d i^{q d} e^{+-i th_f d} times
-    sum_k e^{i rho_f lam_k} c[d, k], c[d, k] = sum_i A[i, i+d] V_ik V_{i+d,k}."""
+def _offset_sums(a: np.ndarray, expo) -> np.ndarray:
+    """The offset-d part of trace(A W_z) before its angle phase, per row of
+    fock._class_tables' e^{i rho_f lam_k}: sum_k e^{i rho_f lam_k} c[d, k],
+    c[d, k] = sum_i A[i, i+d] V_ik V_{i+d,k}, shape (rows, 2N - 1)."""
     n = a.shape[0]
     _, vec = _position_eigensystem(n)
-    chat = expo @ np.einsum("id,ik,ikd->kd", _offset_gather(a), vec, _offset_layout(n)[1])
-    return np.stack([phase * chat, phase[:, ::-1] * chat], 1) @ _quarter_powers(n - 1)
+    return expo @ np.einsum("id,ik,ikd->kd", _offset_gather(a), vec, _offset_layout(n)[1])
 
 
 def char_values(a: FockOperator, points: np.ndarray) -> np.ndarray:
@@ -120,8 +119,8 @@ def char_values(a: FockOperator, points: np.ndarray) -> np.ndarray:
             f"{limit:.3f} for dimension {a.dim}"
         )
     # each point is its own class, unreflected and unturned
-    tables = _class_tables(*_polar(pts), a.dim, a.dim - 1)
-    return _transform_values(a.matrix, *tables)[:, 0, 0]
+    phase, expo = _class_tables(*_polar(pts), a.dim, a.dim - 1)
+    return (phase * _offset_sums(a.matrix, expo)).sum(1)
 
 
 def char_function(a: FockOperator, grid: GridSpec) -> CharFunction:
@@ -138,8 +137,11 @@ def char_function(a: FockOperator, grid: GridSpec) -> CharFunction:
             f"grid half-width {grid.half_width:.3f} exceeds the trustworthy "
             f"window {limit:.3f} for dimension {a.dim}"
         )
+    # e^{i th d} = i^{q d} e^{+-i th_f d} by reflection flag and quarter turn q
     phase, expo, cls, flip, quarter = _grid_classes(grid, a.dim)
-    vals = _transform_values(a.matrix, phase, expo)[cls, flip, quarter]
+    sums = _offset_sums(a.matrix, expo)
+    turned = np.stack([phase * sums, phase[:, ::-1] * sums], 1) @ _quarter_powers(a.dim - 1)
+    vals = turned[cls, flip, quarter]
     m = grid.points_per_axis
     return CharFunction(grid, vals.reshape(m, m), a.dim)
 
@@ -186,10 +188,9 @@ def _probe_round_trip_error(grid: GridSpec, source_dim: int) -> float:
     INVERSION_CONSTANT: a wrong constant fails here as surely as a grid
     too coarse or too narrow for the reconstruction."""
     k = reliable_levels(grid, source_dim)
-    p0 = number_state(0, source_dim).matrix
-    f = char_function(FockOperator(p0), grid)
-    raw = _raw_inverse(f.values, grid, source_dim)
-    return trace_norm(INVERSION_CONSTANT * raw[:k, :k] - p0[:k, :k])
+    p0 = number_state(0, source_dim)
+    raw = _raw_inverse(char_function(p0.op, grid).values, grid, source_dim)
+    return trace_norm(INVERSION_CONSTANT * raw[:k, :k] - p0.matrix[:k, :k])
 
 
 def inverse_transform(f: CharFunction, n_levels: int) -> FockOperator:

@@ -32,11 +32,13 @@ from ccrflow import (
     weyl_operator,
 )
 from ccrflow.channels import (
+    _generator_eigensystems,
     _heat_generator,
     cauchy_multiplier,
     heat_multiplier,
 )
 from ccrflow.cli import _random_low_block_state
+from ccrflow.fock import _position_eigensystem, annihilation, position
 
 RNG = np.random.default_rng(31415)
 
@@ -260,6 +262,31 @@ def _unit_hermitian(n: int, seed: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = g + g.conj().T
     return h / trace_norm(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40))
+def test_tridiagonal_eigensystems_rebuild_q_and_the_generator_offsets(n):
+    # V diag(lam) V^T gives back Q and, offset by offset, L_N on the entries
+    # (m, m + d), with L_N built here from the truncated a
+    def rebuilds(system, want):
+        lam, vec = system
+        assert not (lam.flags.writeable or vec.flags.writeable)
+        gap = np.abs((vec * lam) @ vec.T - want).max()
+        assert gap <= 1e-12 * np.abs(want).max()
+
+    rebuilds(_position_eigensystem(n), position(n).matrix.real)
+    a = annihilation(n).matrix
+    ad = a.conj().T
+    dd = a @ ad + ad @ a
+    for d, system in enumerate(_generator_eigensystems(n)):
+        block = np.empty((n - d, n - d))
+        for m in range(n - d):
+            unit = np.zeros((n, n))
+            unit[m, m + d] = 1.0
+            out = 2 * (a @ unit @ ad + ad @ unit @ a) - dd @ unit - unit @ dd
+            block[:, m] = np.diagonal(out, d).real
+        rebuilds(system, block)
 
 
 TIMES = st.floats(0.0, 4.0)

@@ -135,14 +135,29 @@ def test_benchmark_spans_name_public_functions():
     assert broken == []
 
 
-def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
-    # scipy.signal pulls in scipy.stats, interpolate and optimize: about a
-    # second of start-up that every command would pay
+def _fresh_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
     src = str(Path(ccrflow.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # the runtime needs numpy only; scipy.linalg alone is about half of
+    # start-up that every command would pay
     code = ("import sys, ccrflow.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    run = _fresh_python(code, tmp_path)
+    assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_heatflow_runs_without_scipy(tmp_path):
+    # quadrature, spectral and generator engines, with scipy unimportable
+    code = ("import sys; sys.modules['scipy'] = None; import ccrflow.cli; "
+            "sys.exit(ccrflow.cli.main(['heatflow', '--truncation', '12', "
+            "'--times', '0.1,0.2', '--out', 'out']))")
+    run = _fresh_python(code, tmp_path)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["checks"]
