@@ -47,8 +47,9 @@ from .fock import (
 from .phase_space import (
     GridMeasure,
     GridSpec,
+    _band_support,
+    _lattice_radius,
     band_limited_approximant,
-    conjugate_lattice,
     convolve,
     default_gaussian_grid,
     default_lemma_grid,
@@ -553,14 +554,14 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
     """The surrogate's transform is dead off the delta disk, at every lattice node."""
     delta = cfg.delta
     grid = default_lemma_grid(delta)
-    lx, ly = conjugate_lattice(grid).mesh()
-    off_band = np.hypot(lx, ly) >= delta
+    off_band = _lattice_radius(grid) >= delta
     rng = np.random.default_rng(cfg.seed + 4)
     worst = 0.0
     curve = []
     for t in cfg.times:
         nu = _approximant(t, delta, grid)
-        sup = max(float(np.abs(symplectic_ft_at(nu, _offband_sample(delta, rng))).max()),
+        sample = _offband_sample(delta, rng)
+        sup = max(float(np.abs(symplectic_ft_at(nu, sample)).max()),
                   float(np.abs(symplectic_ft_lattice(nu)[off_band]).max()))
         worst = max(worst, sup)
         curve.append({"t": t, "offband_sup": sup})
@@ -572,6 +573,9 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
         measured=float(worst),
         bound=1e-6,
         passed=bool(worst <= 1e-6),
+        details={"offband_lattice_nodes": int(off_band.sum()),
+                 "offlattice_points_per_time": len(sample),
+                 "qhat_support_nodes": int(_band_support(delta, grid).sum())},
         curve=curve,
     )
 
@@ -595,7 +599,8 @@ def check_lemma_tv_sweep(cfg: RunConfig) -> ExperimentReport:
         measured=float(final),
         bound=0.05,
         passed=bool(decreasing and final <= 0.05),
-        details={"tv_values": tvs, "strictly_decreasing": decreasing},
+        details={"tv_values": tvs, "strictly_decreasing": decreasing,
+                 "grid_nodes": grid.points_per_axis ** 2},
         curve=[{"t": t, "tv": v} for t, v in zip(cfg.times, tvs)],
     )
 
@@ -612,7 +617,7 @@ def check_lemma_ft_formula(cfg: RunConfig) -> ExperimentReport:
     grid = GridSpec(half_width=half_width, points_per_axis=m)
     x, y = grid.mesh()
     vals = np.exp(-(x * x + y * y) / (32.0 * t)) / math.sqrt(16.0 * math.pi * t)
-    sqrt_mu = GridMeasure(grid, (vals * grid.cell_area()).astype(complex))
+    sqrt_mu = GridMeasure(grid, vals * grid.cell_area())
     rng = np.random.default_rng(cfg.seed + 5)
     pts = _disk_points(rng, 200, radius=2.0)
     numeric = symplectic_ft_at(sqrt_mu, pts)

@@ -11,10 +11,12 @@ symplectic Fourier transform
 
 turns convolution into pointwise multiplication and sends the Gaussian
 family onto the heat multipliers exp(-t*|zeta|^2).  Everything here is
-discretized on uniform square grids: a measure is a table of complex
-cell weights, and its transform is a plain (factorized) sum over cells
-at the requested dual points, so no FFT periodicity artifacts enter
-unless a routine explicitly opts in.
+discretized on uniform square grids: a measure is a table of real or
+complex cell weights, and its transform is a plain (factorized) sum over
+cells at the requested dual points, so no FFT periodicity artifacts enter
+unless a routine explicitly opts in.  Each transform has one real engine,
+on the lattice a real FFT through the Hermitian half; a complex table goes
+through it twice, as its real part plus i times its imaginary part.
 
 Grid convention: a ``GridSpec`` with half-width L and M points per axis
 places nodes at -L + k*h for k = 0..M-1 with h = 2L/M, covering
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -121,14 +124,15 @@ class GridSpec:
 
 @dataclass
 class GridMeasure:
-    """Complex measure as cell weights on a grid: weights[i, j] is the mass
-    attached to the node (x_i, y_j)."""
+    """Measure as cell weights on a grid: weights[i, j] is the mass attached
+    to the node (x_i, y_j), float64 for real data, complex128 otherwise."""
 
     grid: GridSpec
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=complex)
+        w = np.asarray(self.weights)
+        self.weights = w.astype(complex if np.iscomplexobj(w) else float, copy=False)
         m = self.grid.points_per_axis
         if self.weights.shape != (m, m):
             raise ValueError(
@@ -165,34 +169,53 @@ def measure_from_atoms(
 # Symplectic Fourier transform
 # ---------------------------------------------------------------------------
 
+def _real_parts(transform: Callable, values: np.ndarray) -> np.ndarray:
+    """transform(values), a complex table taken as real + i * imaginary part."""
+    if np.iscomplexobj(values):
+        return transform(values.real) + 1j * transform(values.imag)
+    return transform(values)
+
+
 def symplectic_ft_at(mu: GridMeasure, points: np.ndarray) -> np.ndarray:
-    """Transform of ``mu`` at arbitrary dual points, shape (P, 2) -> (P,)."""
+    """Transform of ``mu`` at arbitrary dual points, shape (P, 2) -> (P,).
+
+    The phase exp(i*(x_i*b_p - a_p*y_j)/2) factorizes per point: the cos and
+    sin rows of its x factor meet real weights in one real (2P x M)(M x M)
+    product, and the y factor finishes each point's sum."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     x = mu.grid.axis()
-    # phase[p, i, j] = exp(i*(x_i*b_p - a_p*y_j)/2); factorize per point
     ex = np.exp(0.5j * np.outer(pts[:, 1], x))  # [p, x]
     ey = np.exp(-0.5j * np.outer(pts[:, 0], x))  # [p, y]
-    return np.einsum("pi,ij,pj->p", ex, mu.weights, ey, optimize=True)
+    rows = np.concatenate([ex.real, ex.imag])
+
+    def real_ft(w: np.ndarray) -> np.ndarray:
+        cos_w, sin_w = np.split(rows @ w, 2)
+        return ((cos_w + 1j * sin_w) * ey).sum(axis=1)
+
+    return _real_parts(real_ft, mu.weights)
 
 
-def _centered_dft(values: np.ndarray, axis: int, sign: int) -> np.ndarray:
-    """DFT with both index sets centered at M/2.
-
-    Computes out[a] = sum_b exp(sign * 2j*pi*(a - M/2)*(b - M/2)/M) v[b]
-    along ``axis``.  Requires M divisible by 4 so the constant phase
-    i**(sign*M) collapses to 1.
-    """
-    m = values.shape[axis]
+def _lattice_dft(values: np.ndarray) -> np.ndarray:
+    """Centered DFT, out[a] = sum_b exp(s*2j*pi*(a - M/2)*(b - M/2)/M) v[b],
+    of a real (M, M) table, s = -1 along axis 0 then s = +1 along axis 1.
+    With M divisible by 4 that is a plain 2-D DFT between checkerboards
+    (-1)**(a0 + a1): an rfft, a second pass on the half a0 <= M/2 only, and
+    the exact Hermitian mirror F[-a0 % M, -a1 % M] = conj(F[a0, a1])."""
+    m = values.shape[0]
     if m % 4 != 0:
         raise ValueError("centered DFT requires M divisible by 4")
-    shape = [1] * values.ndim
-    shape[axis] = m
-    alt = ((-1.0) ** np.arange(m)).reshape(shape)
-    if sign < 0:
-        core = np.fft.fft(values * alt, axis=axis)
-    else:
-        core = np.fft.ifft(values * alt, axis=axis) * m
-    return alt * core
+    alt = (-1.0) ** np.arange(m)
+    half = np.fft.rfft(values * np.outer(alt, alt), axis=0)
+    half = np.fft.ifft(half, axis=1, norm="forward")
+    out = np.empty((m, m), dtype=complex)
+    np.multiply(half, np.outer(alt[: m // 2 + 1], alt), out=out[: m // 2 + 1])
+    # row M - a0 mirrors row a0 = M/2 - 1..1; column 0 is its own mirror
+    low = out[m // 2 - 1:0:-1]
+    np.conjugate(low[:, 0], out=out[m // 2 + 1:, 0])
+    np.conjugate(low[:, :0:-1], out=out[m // 2 + 1:, 1:])
+    edge = [0, m // 2]  # the rows that are their own mirror
+    out[edge] = 0.5 * (out[edge] + out[edge][:, -np.arange(m) % m].conj())
+    return out
 
 
 def inverse_symplectic_lattice(
@@ -211,10 +234,9 @@ def inverse_symplectic_lattice(
     eta = 4.0 * math.pi / (m * grid.h)
     # f[ax, ay] = sum_{bx, by} F[bx, by] e^{-i x(ax) zeta_y(by)/2} e^{+i zeta_x(bx) y(ay)/2}
     # x(a)*eta*(b - M/2)/2 = (2*pi/M)(a - M/2)(b - M/2): centered DFT pairs.
-    t = _centered_dft(dual_values, axis=1, sign=-1)  # contracts by -> index ax
-    out = _centered_dft(t, axis=0, sign=+1)  # contracts bx -> index ay
-    # after the two passes axes are (ax from old axis 1, ay from old axis 0)
-    return out.T * (eta * eta / (16.0 * math.pi**2))
+    # on F.T, axis 0 (by) contracts to ax with sign -1, then bx to ay
+    out = _real_parts(_lattice_dft, np.asarray(dual_values).T)
+    return out * (eta * eta / (16.0 * math.pi**2))
 
 
 def symplectic_ft_lattice(mu: GridMeasure) -> np.ndarray:
@@ -225,9 +247,9 @@ def symplectic_ft_lattice(mu: GridMeasure) -> np.ndarray:
     Entry [bx, by] sits at the node (bx, by) of conjugate_lattice(mu.grid).
     """
     # F[bx, by] = sum_{ax, ay} w[ax, ay] e^{+i x(ax) zeta_y(by)/2} e^{-i zeta_x(bx) y(ay)/2}
-    t = _centered_dft(mu.weights, axis=0, sign=+1)  # contracts ax -> index by
-    out = _centered_dft(t, axis=1, sign=-1)  # contracts ay -> index bx
-    return out.T
+    # ax contracts to by with sign +1, then ay to bx: for a real table the
+    # signs flip under conjugation, and the result is F.T
+    return _real_parts(lambda w: _lattice_dft(w).conj(), mu.weights).T
 
 
 def conjugate_lattice(grid: GridSpec) -> GridSpec:
@@ -235,6 +257,14 @@ def conjugate_lattice(grid: GridSpec) -> GridSpec:
     m = grid.points_per_axis
     eta = 4.0 * math.pi / (m * grid.h)
     return GridSpec(half_width=eta * m / 2.0, points_per_axis=m)
+
+
+@lru_cache(maxsize=1)
+def _lattice_radius(grid: GridSpec) -> np.ndarray:
+    """Read-only |zeta| at every node of conjugate_lattice(grid)."""
+    r = np.hypot(*conjugate_lattice(grid).mesh())
+    r.setflags(write=False)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +324,7 @@ def gaussian_measure(t: float, grid: GridSpec) -> GridMeasure:
         raise ValueError(
             f"grid captures mass {captured:.12f} < 1 - {_GAUSSIAN_CAPTURE:g}; widen it"
         )
-    return GridMeasure(grid, (w / captured).astype(complex))
+    return GridMeasure(grid, w / captured)
 
 
 def default_gaussian_grid(t: float) -> GridSpec:
@@ -332,7 +362,7 @@ def cauchy_measure(
             f"cauchy tails leave mass deficit {1.0 - captured:.3g} > "
             f"{max_deficit:g}; widen the grid"
         )
-    return GridMeasure(grid, (w / captured).astype(complex))
+    return GridMeasure(grid, w / captured)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +376,12 @@ def _bump_profile(s: np.ndarray) -> np.ndarray:
     si = s[inside]
     out[inside] = np.exp(-1.0 / (1.0 - si * si))
     return out
+
+
+def _band_support(delta: float, grid: GridSpec) -> np.ndarray:
+    """Conjugate-lattice nodes of ``grid`` inside disk_r + moll_r = 7*delta/16
+    (plateau_profile's float expression), beyond which the profile is 0."""
+    return _lattice_radius(grid) < 3.0 * delta / 8.0 + delta / 16.0
 
 
 def plateau_profile(delta: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -396,11 +432,12 @@ def band_limited_approximant(
     """Probability measure close to the time-t Gaussian whose transform is
     supported in the disk |zeta| <= delta.
 
-    Construction: q_hat = (plateau profile) * (transform of f_t) on the
-    conjugate lattice of ``grid``; q = inverse transform of q_hat; the
-    measure has cell weights h^2*|q|^2, rescaled to unit mass.  Since
-    q_hat vanishes outside |zeta| <= 7*delta/16, the measure's transform
-    is a lattice autocorrelation supported inside |zeta| <= 7*delta/8,
+    Construction: the real q_hat = (plateau profile) * (transform of f_t),
+    evaluated on the conjugate-lattice nodes of ``grid`` inside
+    |zeta| < 7*delta/16, off which the profile is exactly 0; q = inverse
+    transform of q_hat; the measure has real cell weights h^2*|q|^2,
+    rescaled to unit mass.  Its transform is a lattice autocorrelation
+    supported inside |zeta| <= 7*delta/8,
     strictly inside the delta disk; off-lattice leakage is bounded by the
     (tiny) mass of q*q-bar beyond the grid edge.
 
@@ -411,20 +448,18 @@ def band_limited_approximant(
         raise ValueError("approximant requires t > 0")
     if not delta > 0:
         raise ValueError("approximant requires delta > 0")
-    lattice = conjugate_lattice(grid)
-    eta = lattice.h
+    eta = conjugate_lattice(grid).h
     if eta >= delta / 16.0 * (1 + 1e-12):
         raise ValueError(
             "grid too small: conjugate lattice spacing "
             f"{eta:.4g} must resolve delta/16 = {delta / 16.0:.4g}"
         )
-    zx, zy = lattice.mesh()
-    r = np.hypot(zx, zy)
-    ghat = plateau_profile(delta)(r.ravel()).reshape(r.shape)
-    qhat = ghat * sqrt_density_ft(t, r)
-    q = inverse_symplectic_lattice(qhat, grid)
-    w = np.abs(q) ** 2 * grid.cell_area()
-    return GridMeasure(grid, (w / w.sum()).astype(complex))
+    inside = _band_support(delta, grid)
+    r = _lattice_radius(grid)[inside]
+    qhat = np.zeros(inside.shape)
+    qhat[inside] = plateau_profile(delta)(r) * sqrt_density_ft(t, r)
+    w = np.abs(inverse_symplectic_lattice(qhat, grid)) ** 2 * grid.cell_area()
+    return GridMeasure(grid, w / w.sum())
 
 
 def default_lemma_grid(delta: float) -> GridSpec:
