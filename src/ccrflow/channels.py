@@ -343,6 +343,13 @@ def max_single_step(n_levels: int) -> float:
     return 0.98 * 8.0 * n_levels / (18.2 ** 2)
 
 
+def _substep_channel(t: float, n_levels: int) -> tuple[MeasureChannel, int]:
+    """heat_channel of the equal substeps that carry time t > 0 at truncation
+    N, each within max_single_step(N), and their count."""
+    n_steps = max(1, int(math.ceil(t / max_single_step(n_levels))))
+    return heat_channel(t / n_steps, n_levels), n_steps
+
+
 def evolve_state(params: HeatFlowParams, rho: DensityOperator) -> DensityOperator:
     """Predual heat-flow action on a state, by quadrature.
 
@@ -356,9 +363,7 @@ def evolve_state(params: HeatFlowParams, rho: DensityOperator) -> DensityOperato
     """
     if params.t == 0:
         return rho
-    n = rho.dim
-    n_steps = max(1, int(math.ceil(params.t / max_single_step(n))))
-    ch = heat_channel(params.t / n_steps, n)
+    ch, n_steps = _substep_channel(params.t, rho.dim)
     out = rho.matrix
     for _ in range(n_steps):
         out = apply_quadrature(ch, FockOperator(out)).matrix

@@ -26,6 +26,7 @@ from . import __version__
 from .channels import (
     HeatFlowParams,
     _heat_generator,
+    _substep_channel,
     apply_quadrature,
     apply_spectral,
     choi_matrix,
@@ -48,6 +49,7 @@ from .phase_space import (
     GridMeasure,
     GridSpec,
     _band_support,
+    _column_band,
     _lattice_radius,
     band_limited_approximant,
     convolve,
@@ -390,13 +392,15 @@ def check_conservation(cfg: RunConfig) -> ExperimentReport:
     worst = 0.0
     curve = []
     for t in cfg.times:
-        ch = heat_channel(t, n)
-        out_state = apply_quadrature(ch, rho.op)
+        ch, steps = _substep_channel(t, n)  # as evolve_state splits t
+        out_state, out_eye = rho.op, eye
+        for _ in range(steps):
+            out_state = apply_quadrature(ch, out_state)
+            out_eye = apply_quadrature(ch, out_eye)
         trace_drift = abs(complex(out_state.trace()) - 1.0)
-        out_eye = apply_quadrature(ch, eye)
         unital_drift = float(np.abs(out_eye.matrix - np.eye(n)).max())
         worst = max(worst, trace_drift, unital_drift)
-        curve.append({"t": t, "trace_drift": float(trace_drift),
+        curve.append({"t": t, "substeps": steps, "trace_drift": float(trace_drift),
                       "unital_drift": unital_drift})
     return ExperimentReport(
         check="conservation",
@@ -565,6 +569,8 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
                   float(np.abs(symplectic_ft_lattice(nu)[off_band]).max()))
         worst = max(worst, sup)
         curve.append({"t": t, "offband_sup": sup})
+    support = _band_support(delta, grid)
+    band = _column_band(support.T)  # q_hat enters the inverse transposed
     return ExperimentReport(
         check="lemma_band_limit",
         params={"delta": delta, "times": list(cfg.times),
@@ -575,7 +581,8 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
         passed=bool(worst <= 1e-6),
         details={"offband_lattice_nodes": int(off_band.sum()),
                  "offlattice_points_per_time": len(sample),
-                 "qhat_support_nodes": int(_band_support(delta, grid).sum())},
+                 "qhat_support_nodes": int(support.sum()),
+                 "dual_band_columns": int(band.stop - band.start)},
         curve=curve,
     )
 

@@ -308,8 +308,9 @@ def _quarter_powers(top: int) -> np.ndarray:
 def _class_sums(weights, cls, flip, quarter, phase: np.ndarray) -> np.ndarray:
     """D[f, s] = sum_{p in f} w_p e^{i th_p s} for s = -top..top, through
     e^{i th_p s} = i^{q s} e^{+-i th_f s}: the weights gather by (class,
-    flag, quarter turn), meet i^{q s} once and the class phases twice."""
-    gathered = np.zeros((len(phase), 2, 4), dtype=complex)
+    flag, quarter turn), meet i^{q s} once and the class phases twice.
+    Real weights gather in a real table, np.add.at's no-cast path."""
+    gathered = np.zeros((len(phase), 2, 4), dtype=np.result_type(weights, np.float64))
     np.add.at(gathered, (cls, flip, quarter), weights)
     sums = gathered @ _quarter_powers(phase.shape[1] // 2).T
     return phase * sums[:, 0] + phase[:, ::-1] * sums[:, 1]

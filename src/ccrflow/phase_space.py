@@ -15,8 +15,11 @@ discretized on uniform square grids: a measure is a table of real or
 complex cell weights, and its transform is a plain (factorized) sum over
 cells at the requested dual points, so no FFT periodicity artifacts enter
 unless a routine explicitly opts in.  Each transform has one real engine,
-on the lattice a real FFT through the Hermitian half; a complex table goes
-through it twice, as its real part plus i times its imaginary part.
+and a complex table goes through it twice, as its real part plus i times
+its imaginary part.  Off the lattice the engine folds each axis about its
+node 0 onto the half axis (cos rows meet even parts, sin rows odd parts);
+on the lattice it is a real FFT through the Hermitian half whose first
+pass skips the zero columns outside a table's band.
 
 Grid convention: a ``GridSpec`` with half-width L and M points per axis
 places nodes at -L + k*h for k = 0..M-1 with h = 2L/M, covering
@@ -176,23 +179,55 @@ def _real_parts(transform: Callable, values: np.ndarray) -> np.ndarray:
     return transform(values)
 
 
+def _fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd parts v[M/2 + k] +- v[M/2 - k] of v along its last axis,
+    on the half axis k = 0..M/2: the origin counts once, and the edge node
+    -L folds in as the mirror of +L, which carries no node."""
+    m = v.shape[-1] // 2
+    zero = np.zeros_like(v[..., :1])
+    up = np.concatenate([v[..., m:], zero], axis=-1)
+    down = np.concatenate([zero, v[..., m - 1::-1]], axis=-1)
+    return up + down, up - down
+
+
+def _half_axis_phases(theta: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of theta_p*h*k, shape (P, n), k = 0..n-1, from coarse and
+    fine factors exp(i*theta*h*(J*q + r)) = exp(i*theta*h*J*q) * exp(i*theta*h*r)."""
+    j = math.isqrt(n - 1) + 1
+    fine = np.exp(1j * np.outer(theta * h, np.arange(j)))
+    coarse = np.exp(1j * np.outer(theta * (h * j), np.arange(j)))
+    table = (coarse[:, :, None] * fine[:, None, :]).reshape(len(theta), -1)[:, :n]
+    return table.real.copy(), table.imag.copy()
+
+
 def symplectic_ft_at(mu: GridMeasure, points: np.ndarray) -> np.ndarray:
     """Transform of ``mu`` at arbitrary dual points, shape (P, 2) -> (P,).
 
-    The phase exp(i*(x_i*b_p - a_p*y_j)/2) factorizes per point: the cos and
-    sin rows of its x factor meet real weights in one real (2P x M)(M x M)
-    product, and the y factor finishes each point's sum."""
+    The phase exp(i*(x_i*b_p - a_p*y_j)/2) factorizes per point, and each
+    axis is symmetric about its node 0, so both factors fold onto the half
+    axis 0, h, .., L: cos rows meet the even part of the weights, sin rows
+    the odd part.  Along x that is two real (P x (M/2+1))((M/2+1) x M)
+    products for real weights; the y fold finishes each point's sum."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    x = mu.grid.axis()
-    ex = np.exp(0.5j * np.outer(pts[:, 1], x))  # [p, x]
-    ey = np.exp(-0.5j * np.outer(pts[:, 0], x))  # [p, y]
-    rows = np.concatenate([ex.real, ex.imag])
+    n = mu.grid.points_per_axis // 2 + 1
+    cos_x, sin_x = _half_axis_phases(0.5 * pts[:, 1], mu.grid.h, n)
+    cos_y, sin_y = _half_axis_phases(0.5 * pts[:, 0], mu.grid.h, n)
 
     def real_ft(w: np.ndarray) -> np.ndarray:
-        cos_w, sin_w = np.split(rows @ w, 2)
-        return ((cos_w + 1j * sin_w) * ey).sum(axis=1)
+        even, odd = _fold(w.T)
+        # sum_x w e^{+i b x/2} = re + i im, then sum_y (re + i im) e^{-i a y/2}
+        re_even, re_odd = _fold(cos_x @ even.T)
+        im_even, im_odd = _fold(sin_x @ odd.T)
+        return ((re_even * cos_y + im_odd * sin_y).sum(axis=1)
+                + 1j * (im_even * cos_y - re_odd * sin_y).sum(axis=1))
 
     return _real_parts(real_ft, mu.weights)
+
+
+def _column_band(values: np.ndarray) -> slice:
+    """Columns from the first to the last nonzero one (none in a zero table)."""
+    cols = np.flatnonzero(values.any(axis=0))
+    return slice(cols[0], cols[-1] + 1) if len(cols) else slice(0, 0)
 
 
 def _lattice_dft(values: np.ndarray) -> np.ndarray:
@@ -200,12 +235,17 @@ def _lattice_dft(values: np.ndarray) -> np.ndarray:
     of a real (M, M) table, s = -1 along axis 0 then s = +1 along axis 1.
     With M divisible by 4 that is a plain 2-D DFT between checkerboards
     (-1)**(a0 + a1): an rfft, a second pass on the half a0 <= M/2 only, and
-    the exact Hermitian mirror F[-a0 % M, -a1 % M] = conj(F[a0, a1])."""
+    the exact Hermitian mirror F[-a0 % M, -a1 % M] = conj(F[a0, a1]).
+    A zero column transforms to zero, so the rfft runs only over the band
+    of columns that holds a nonzero value (all of a dense table)."""
     m = values.shape[0]
     if m % 4 != 0:
         raise ValueError("centered DFT requires M divisible by 4")
     alt = (-1.0) ** np.arange(m)
-    half = np.fft.rfft(values * np.outer(alt, alt), axis=0)
+    band = _column_band(values)
+    half = np.fft.rfft(values[:, band] * np.outer(alt, alt[band]), axis=0)
+    if half.shape[1] < m:
+        half = np.pad(half, ((0, 0), (band.start, m - band.stop)))
     half = np.fft.ifft(half, axis=1, norm="forward")
     out = np.empty((m, m), dtype=complex)
     np.multiply(half, np.outer(alt[: m // 2 + 1], alt), out=out[: m // 2 + 1])
@@ -317,8 +357,9 @@ def gaussian_measure(t: float, grid: GridSpec) -> GridMeasure:
     """
     if not t > 0:
         raise ValueError("gaussian measure requires t > 0")
-    x, y = grid.mesh()
-    w = gaussian_density(t, x, y) * grid.cell_area()
+    # a product over the axes: density(x, y) = 16*pi*t * g(x) * g(y)
+    g = gaussian_density(t, grid.axis(), 0.0)
+    w = np.outer(g, g) * (16.0 * math.pi * t * grid.cell_area())
     captured = float(w.sum())
     if captured < 1.0 - _GAUSSIAN_CAPTURE:
         raise ValueError(

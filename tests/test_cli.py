@@ -8,6 +8,7 @@ import math
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ccrflow import channels, cli
@@ -164,15 +165,24 @@ def test_main_rejects_invalid_config(tmp_path, capsys):
 
 
 def test_main_maps_numeric_preconditions_to_exit_2(tmp_path, capsys):
-    # a grid only the numerics can reject: valid shape, but it clips the
-    # Gaussian quadrature mass
+    # a grid only the numerics can reject: valid shape, but its first time
+    # clips the Gaussian quadrature mass of eigen_relation's single step
     code = main([
         "heatflow", "--out", str(tmp_path), "--truncation", "8",
-        "--times", "0.25,4.0",
+        "--times", "4.0,8.0",
     ])
     assert code == 2
     err = capsys.readouterr().err
     assert "ccrflow: heatflow" in err
+    assert "clipped mass" in err
+
+
+def test_conservation_substeps_times_past_one_quadrature_step(tmp_path):
+    # t = 2 exceeds max_single_step(30) = 0.71: three substeps, as in
+    # evolve_state, where a single step used to clip mass and exit 2
+    assert main(["heatflow", "--out", str(tmp_path), "--times", "0.25,2"]) == 0
+    rows = (tmp_path / "heatflow" / "conservation.csv").read_text().split()
+    assert [row.split(",")[1] for row in rows] == ["substeps", "1", "3"]
 
 
 def test_main_reports_honest_failure_with_exit_1(tmp_path, capsys):
@@ -320,6 +330,23 @@ def test_lemma_checks_share_one_approximant_per_time(monkeypatch):
     assert len(built) == 2
     assert not any(nu.weights.flags.writeable for nu in built)
     assert cli._approximants == {}  # nothing outlives the run
+
+
+def test_band_limit_counts_the_columns_the_dual_band_transforms(monkeypatch):
+    widths = []
+    original = np.fft.rfft
+
+    def recording(a, *args, **kwargs):
+        widths.append(a.shape[1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording)
+    cli._approximants.clear()
+    rep = cli.check_lemma_band_limit(resolve_config("lemma37", make_args(times="1")))
+    cli._approximants.clear()
+    # one approximant (its q_hat band) and one dense lattice transform
+    assert rep.details["dual_band_columns"] == 27
+    assert sorted(widths) == [27, rep.params["grid_points"]]
 
 
 # What each subcommand's checks read of the run configuration.

@@ -277,6 +277,20 @@ def test_class_sums_match_the_node_sums(half, n, seed):
     assert_close(fock._class_sums(weights, cls, flip, quarter, phase), want)
 
 
+@pytest.mark.parametrize("t", [0.25, 0.5])
+def test_real_class_sums_equal_their_complex_cast_bitwise(t):
+    # real weights gather in a real table; the sums must not move by a bit,
+    # so the heat channels' kernels stay byte-identical
+    grid = default_gaussian_grid(t)
+    weights = gaussian_measure(t, grid).weights.ravel()
+    assert weights.dtype == np.float64
+    phase, _, cls, flip, quarter = fock._lattice_classes(
+        grid.points_per_axis, channels.CONJUGATION_SCALE * grid.h, 30, 58)
+    real = fock._class_sums(weights, cls, flip, quarter, phase)
+    cast = fock._class_sums(weights.astype(complex), cls, flip, quarter, phase)
+    np.testing.assert_array_equal(real, cast)
+
+
 @pytest.mark.parametrize("n", [8, 24, 40])
 def test_grid_transform_is_the_transform_at_its_nodes(n):
     # corners inside the trust window, so char_values takes every node

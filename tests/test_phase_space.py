@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+from ccrflow import phase_space
+from ccrflow.cli import _offband_sample
 from ccrflow.phase_space import (
     GridMeasure,
     GridSpec,
@@ -18,6 +20,7 @@ from ccrflow.phase_space import (
     convolve,
     default_gaussian_grid,
     default_lemma_grid,
+    gaussian_density,
     gaussian_measure,
     inverse_symplectic_lattice,
     measure_from_atoms,
@@ -417,3 +420,99 @@ def test_band_limited_approximant_matches_the_complex_construction(t):
     want = reference_approximant(t, 1.0, grid)
     gap = float(np.abs(got - want).max())
     assert gap <= 8 * np.finfo(float).eps * float(np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
+# The folded off-lattice transform, the band-trimmed lattice DFT and the
+# separable Gaussian
+# ---------------------------------------------------------------------------
+
+def far_points(rng, count):
+    """Dual points with |zeta| up to 8, the axes and the origin among them."""
+    r = 8.0 * np.sqrt(rng.uniform(size=count))
+    th = rng.uniform(0.0, 2.0 * math.pi, count)
+    axes = [[8.0, 0.0], [0.0, -8.0], [-5.5, 0.0], [0.0, 0.0]]
+    return np.vstack([np.column_stack([r * np.cos(th), r * np.sin(th)]), axes])
+
+
+@pytest.mark.parametrize("m", [12, 16, 20, 22])
+def test_folded_transform_matches_the_naive_sum(m):
+    rng = np.random.default_rng(300 + m)
+    grid = GridSpec(half_width=0.25 * m, points_per_axis=m)
+    pts = far_points(rng, 40)
+    dense = rng.standard_normal((m, m))
+    # the edge node -L has no partner on the grid: tables that live only there
+    edge_row, edge_col = np.zeros((2, m, m))
+    edge_row[0] = rng.standard_normal(m)
+    edge_col[:, 0] = rng.standard_normal(m)
+    tables = (dense, dense + 1j * rng.standard_normal((m, m)), edge_row,
+              edge_col, edge_row - 2j * edge_col)
+    for w in tables:
+        mu = GridMeasure(grid, w)
+        np.testing.assert_allclose(symplectic_ft_at(mu, pts), naive_ft(mu, pts),
+                                   rtol=0, atol=1e-12)
+
+
+def extended_ft(mu, points):
+    """Direct sum in extended precision over the nodes (k - M/2)*h."""
+    m = mu.grid.points_per_axis
+    x = (np.arange(m) - m // 2).astype(np.longdouble) * np.longdouble(mu.grid.h)
+    w = mu.weights.astype(np.clongdouble)
+    return np.array([np.exp(0.5j * np.longdouble(b) * x) @ w
+                     @ np.exp(-0.5j * np.longdouble(a) * x) for a, b in points])
+
+
+def test_folded_transform_on_the_lemma_grid_is_exact_to_roundoff():
+    # the band-limit check's own grid (M = 808) and points, with a few inside
+    # the band where the transform is near 1; phase arguments k*h on the
+    # half axis keep the sum within 1e-15 of the exact one
+    grid = default_lemma_grid(1.0)
+    nu = band_limited_approximant(1.0, 1.0, grid)
+    inside = [[0.0, 0.0], [0.3, -0.2], [-0.45, 0.1]]
+    pts = np.vstack([_offband_sample(1.0, np.random.default_rng(5))[::23], inside])
+    gap = np.abs(symplectic_ft_at(nu, pts) - extended_ft(nu, pts)).max()
+    assert gap <= 1e-15
+
+
+def dense_passes(monkeypatch):
+    """Make _lattice_dft transform every column, as for a dense table."""
+    monkeypatch.setattr(phase_space, "_column_band", lambda v: slice(0, v.shape[1]))
+
+
+@pytest.mark.parametrize("m", [16, 808])
+@pytest.mark.parametrize("lo, hi", [(0, 3), (-4, None), (7, 8), (0, None)])
+def test_band_trimmed_dft_equals_the_dense_passes_bitwise(m, lo, hi, monkeypatch):
+    rng = np.random.default_rng(m)
+    values = np.zeros((m, m))
+    values[:, lo:hi] = rng.standard_normal(values[:, lo:hi].shape)
+    values[: m // 4] = 0.0  # zero rows inside the band change nothing
+    trimmed = phase_space._lattice_dft(values)
+    dense_passes(monkeypatch)
+    np.testing.assert_array_equal(trimmed, phase_space._lattice_dft(values))
+
+
+@pytest.mark.parametrize("t", [1.0, 16.0])
+def test_approximant_weights_are_bitwise_those_of_the_dense_passes(t, monkeypatch):
+    grid = GridSpec(110.0, 440)
+    trimmed = band_limited_approximant(t, 1.0, grid).weights
+    dense_passes(monkeypatch)
+    np.testing.assert_array_equal(trimmed, band_limited_approximant(t, 1.0, grid).weights)
+
+
+def test_all_zero_tables_transform_to_zero():
+    grid = GridSpec(4.0, 16)
+    zero = np.zeros((16, 16))
+    np.testing.assert_array_equal(phase_space._lattice_dft(zero), zero)
+    np.testing.assert_array_equal(inverse_symplectic_lattice(zero, grid), zero)
+    np.testing.assert_array_equal(symplectic_ft_lattice(GridMeasure(grid, zero)), zero)
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+def test_separable_gaussian_matches_the_density_on_the_mesh(t):
+    # the mesh form rounds exp(-(x^2 + y^2)/16t) with up to 4e-15 relative
+    # error in the far corners, so the gap is measured on the largest weight
+    grid = default_gaussian_grid(t)
+    dense = gaussian_density(t, *grid.mesh())
+    want = dense / dense.sum()
+    got = gaussian_measure(t, grid).weights
+    assert float(np.abs(got - want).max()) <= 1e-15 * float(want.max())
