@@ -312,8 +312,8 @@ def _class_sums(weights, cls, flip, quarter, phase: np.ndarray) -> np.ndarray:
     Real weights gather in a real table, np.add.at's no-cast path."""
     gathered = np.zeros((len(phase), 2, 4), dtype=np.result_type(weights, np.float64))
     np.add.at(gathered, (cls, flip, quarter), weights)
-    sums = gathered @ _quarter_powers(phase.shape[1] // 2).T
-    return phase * sums[:, 0] + phase[:, ::-1] * sums[:, 1]
+    powers = _quarter_powers(phase.shape[1] // 2).T
+    return phase * (gathered[:, 0] @ powers) + phase[:, ::-1] * (gathered[:, 1] @ powers)
 
 
 def _displacement_exponential(zs: np.ndarray, n_levels: int) -> np.ndarray:

@@ -19,7 +19,8 @@ one offset layout fock._offset_layout that the channel kernel shares.  The
 nodes of a square-symmetry class (about an eighth of a grid) share a radius
 and sit at angles q pi/2 +- th_f, where e^{i th d} = i^{q d} e^{+-i th_f d}
 exactly, so both directions sum over classes, against class tables cached
-per grid: 1.2 MB at N = 30 and 2.8 MB at N = 40.
+per grid: 1.2 MB at N = 30 and 2.8 MB at N = 40.  The inverse sums only
+the offsets and rows of the leading block it returns.
 """
 
 from __future__ import annotations
@@ -139,8 +140,8 @@ def char_function(a: FockOperator, grid: GridSpec) -> CharFunction:
         )
     # e^{i th d} = i^{q d} e^{+-i th_f d} by reflection flag and quarter turn q
     phase, expo, cls, flip, quarter = _grid_classes(grid, a.dim)
-    sums = _offset_sums(a.matrix, expo)
-    turned = np.stack([phase * sums, phase[:, ::-1] * sums], 1) @ _quarter_powers(a.dim - 1)
+    sums, powers = _offset_sums(a.matrix, expo), _quarter_powers(a.dim - 1)
+    turned = np.stack([(phase * sums) @ powers, (phase[:, ::-1] * sums) @ powers], 1)
     vals = turned[cls, flip, quarter]
     m = grid.points_per_axis
     return CharFunction(grid, vals.reshape(m, m), a.dim)
@@ -160,8 +161,9 @@ def reliable_levels(grid: GridSpec, source_dim: int) -> int:
     return max(1, int(r * r / 8.0) - 1)
 
 
-def _raw_inverse(values: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
-    """Unnormalized quadrature sum of F(z) W_z^dagger over complete disks.
+def _raw_inverse(values: np.ndarray, grid: GridSpec, n: int, levels: int) -> np.ndarray:
+    """Leading ``levels`` block of the unnormalized quadrature sum of
+    F(z) W_z^dagger over complete disks, W_z at truncation N.
 
     Nodes outside the inscribed disk (or the trustworthy window, whichever
     is smaller) are dropped: partial corner rings break the radial
@@ -177,8 +179,9 @@ def _raw_inverse(values: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     # then out[i, j] = sum_k V_ik V_jk G[j - i, k]
     _, vec = _position_eigensystem(n)
     phase, expo, cls, flip, quarter = _grid_classes(grid, n)
-    g = _class_sums(masked, cls, flip, quarter, phase)[:, ::-1].T @ expo.conj()
-    entries = np.einsum("ik,iks,sk->is", vec, _offset_layout(n)[1], g)
+    kept = slice(n - levels, n + levels - 1)  # s = -(levels - 1)..levels - 1
+    g = _class_sums(masked, cls, flip, quarter, phase[:, kept])[:, ::-1].T @ expo.conj()
+    entries = np.einsum("ik,iks,sk->is", vec[:levels], _offset_layout(n)[1][:levels, :, kept], g)
     return _offset_scatter(entries) * grid.cell_area()
 
 
@@ -189,16 +192,16 @@ def _probe_round_trip_error(grid: GridSpec, source_dim: int) -> float:
     too coarse or too narrow for the reconstruction."""
     k = reliable_levels(grid, source_dim)
     p0 = number_state(0, source_dim)
-    raw = _raw_inverse(char_function(p0.op, grid).values, grid, source_dim)
-    return trace_norm(INVERSION_CONSTANT * raw[:k, :k] - p0.matrix[:k, :k])
+    raw = _raw_inverse(char_function(p0.op, grid).values, grid, source_dim, k)
+    return trace_norm(INVERSION_CONSTANT * raw - p0.matrix[:k, :k])
 
 
 def inverse_transform(f: CharFunction, n_levels: int) -> FockOperator:
     """Reconstruct the leading ``n_levels`` block from the sampled transform.
 
     The quadrature runs at the source truncation (where the Weyl matrices
-    are trustworthy across the window) and the result is cropped to the
-    requested block.  Three gates guard the output: the grid must resolve
+    are trustworthy across the window) and sums only the requested
+    block.  Three gates guard the output: the grid must resolve
     the Weyl-kernel oscillation (h * sqrt(2N) <= pi/2), the window must be
     wide enough to carry ``n_levels`` (see reliable_levels), and a cached
     vacuum round trip on the same grid, with the same constant, must
@@ -226,8 +229,8 @@ def inverse_transform(f: CharFunction, n_levels: int) -> FockOperator:
             f"grid fails the vacuum round-trip probe ({probe:.2e} > 1e-3); "
             "refine the spacing or extend the window"
         )
-    raw = _raw_inverse(f.values, f.grid, f.source_dim)
-    return FockOperator(INVERSION_CONSTANT * raw[:n_levels, :n_levels])
+    raw = _raw_inverse(f.values, f.grid, f.source_dim, n_levels)
+    return FockOperator(INVERSION_CONSTANT * raw)
 
 
 def riemann_lebesgue_profile(a: FockOperator, radii) -> list[float]:

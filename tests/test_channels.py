@@ -38,7 +38,12 @@ from ccrflow.channels import (
     heat_multiplier,
 )
 from ccrflow.cli import _random_low_block_state
-from ccrflow.fock import _position_eigensystem, annihilation, position
+from ccrflow.fock import (
+    _position_eigensystem,
+    _tridiagonal_eigensystem,
+    annihilation,
+    position,
+)
 
 RNG = np.random.default_rng(31415)
 
@@ -279,14 +284,53 @@ def test_tridiagonal_eigensystems_rebuild_q_and_the_generator_offsets(n):
     a = annihilation(n).matrix
     ad = a.conj().T
     dd = a @ ad + ad @ a
-    for d, system in enumerate(_generator_eigensystems(n)):
+    lams, vecs, _ = _generator_eigensystems(n)  # offset d fills [:n - d]
+    assert lams.shape == (n, n) and vecs.shape == (n, n, n)
+    for d in range(n):
         block = np.empty((n - d, n - d))
         for m in range(n - d):
             unit = np.zeros((n, n))
             unit[m, m + d] = 1.0
             out = 2 * (a @ unit @ ad + ad @ unit @ a) - dd @ unit - unit @ dd
             block[:, m] = np.diagonal(out, d).real
-        rebuilds(system, block)
+        rebuilds((lams[d, : n - d], vecs[d, : n - d, : n - d]), block)
+        assert not (lams[d, n - d:].any() or vecs[d, n - d:].any() or vecs[d, :, n - d:].any())
+
+
+def offset_eigensystems(n_levels: int) -> tuple:
+    """One (lam, V) per offset d = 0..N-1 at its own size N - d, as the
+    generator engine kept them before it padded them to one shape."""
+    dd = np.arange(1, 2 * n_levels, 2, dtype=float)
+    dd[-1] = n_levels - 1
+    systems = []
+    for d in range(n_levels):
+        m = np.arange(n_levels - d)
+        systems.append(_tridiagonal_eigensystem(
+            -(dd[m] + dd[m + d]), 2.0 * np.sqrt(m[1:] * (m[1:] + d))))
+    return tuple(systems)
+
+
+def loop_heat_generator(a: np.ndarray, t: float) -> np.ndarray:
+    """e^{t L_N}(a) with one Python step per offset, each at its own size."""
+    if t == 0:
+        return np.array(a, dtype=complex)
+    n = a.shape[0]
+    out = np.empty((n, n), dtype=complex)
+    for d, (lam, vec) in enumerate(offset_eigensystems(n)):
+        m = np.arange(n - d)
+        cols = np.stack([a[m, m + d], a[m + d, m]], axis=1)
+        evolved = vec @ (np.exp(t * lam)[:, None] * (vec.T @ cols))
+        out[m, m + d] = evolved[:, 0]
+        out[m + d, m] = evolved[:, 1]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 8.0))
+def test_batched_generator_equals_the_offset_loop_bitwise(n, seed, t):
+    a = np.random.default_rng(seed).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
+    np.testing.assert_array_equal(_heat_generator(a, t), loop_heat_generator(a, t))
+    assert not any(table.flags.writeable for table in _generator_eigensystems(n))
 
 
 TIMES = st.floats(0.0, 4.0)

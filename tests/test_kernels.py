@@ -31,6 +31,7 @@ from ccrflow import (
     gaussian_measure,
     heat_channel,
     point_mass_channel,
+    reliable_levels,
     trust_radius,
     weyl_operator,
 )
@@ -119,7 +120,12 @@ def test_raw_inverse_matches_the_adjoint_displacement_sum(n):
     keep = np.hypot(pts[:, 0], pts[:, 1]) <= grid.half_width + 1e-12
     want = np.einsum("b,bnm->mn", values.ravel()[keep],
                      displacement_batch(pts[keep], n).conj()) * grid.cell_area()
-    assert_close(weyl_transform._raw_inverse(values, grid, n), want)
+    # the inverse sums only the leading block it returns; levels = n is
+    # the whole sum
+    for levels in (1, reliable_levels(grid, n), n):
+        got = weyl_transform._raw_inverse(values, grid, n, levels)
+        assert got.shape == (levels, levels)
+        assert_close(got, want[:levels, :levels])
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,6 +189,29 @@ def test_equal_channels_share_one_kernel_build(monkeypatch):
     assert np.array_equal(first.matrix, second.matrix)
     apply_quadrature(heat_channel(0.3, n), a)
     assert builds == [n, n]
+
+
+def test_path_agreement_builds_each_channel_once(monkeypatch):
+    # a cache that keeps only the newest spectrum, as from N = 51 on: the
+    # time-first loop still builds one channel per time (both times at
+    # N = 24 take one step, max_single_step(24) = 0.568)
+    channels._ensure_scale()
+    monkeypatch.setattr(channels, "_KERNEL_CACHE_BYTES", 1)
+    monkeypatch.setattr(channels, "_kernels", OrderedDict())
+    builds = []
+    original = channels._build_kernel
+
+    def counting(*args):
+        builds.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(channels, "_build_kernel", counting)
+    cfg = cli.RunConfig(**{**cli._COMMON, **cli._DEFAULTS["heatflow"],
+                           "truncation": 24, "times": (0.25, 0.5)})
+    report = cli.check_path_agreement(cfg)
+    assert builds == [24, 24]
+    assert [(row["state"], row["t"]) for row in report.curve] == [
+        (i, t) for i in range(10) for t in (0.25, 0.5)]
 
 
 def node_kernel(ch: MeasureChannel) -> np.ndarray:
@@ -289,6 +318,45 @@ def test_real_class_sums_equal_their_complex_cast_bitwise(t):
     real = fock._class_sums(weights, cls, flip, quarter, phase)
     cast = fock._class_sums(weights.astype(complex), cls, flip, quarter, phase)
     np.testing.assert_array_equal(real, cast)
+
+
+def stacked_char_function(a: FockOperator, grid: GridSpec) -> np.ndarray:
+    """char_function's quarter turns as one batched product over the
+    stacked (classes, 2, 2N - 1) table, the formulation it replaced."""
+    phase, expo, cls, flip, quarter = weyl_transform._grid_classes(grid, a.dim)
+    sums = weyl_transform._offset_sums(a.matrix, expo)
+    turned = np.stack([phase * sums, phase[:, ::-1] * sums], 1) @ fock._quarter_powers(a.dim - 1)
+    vals = turned[cls, flip, quarter]
+    m = grid.points_per_axis
+    return vals.reshape(m, m)
+
+
+def stacked_class_sums(weights, cls, flip, quarter, phase: np.ndarray) -> np.ndarray:
+    """fock._class_sums with the quarter turns as one batched product over
+    the (classes, 2, 4) gathered table, the formulation it replaced."""
+    gathered = np.zeros((len(phase), 2, 4), dtype=np.result_type(weights, np.float64))
+    np.add.at(gathered, (cls, flip, quarter), weights)
+    sums = gathered @ fock._quarter_powers(phase.shape[1] // 2).T
+    return phase * sums[:, 0] + phase[:, ::-1] * sums[:, 1]
+
+
+@pytest.mark.parametrize("n", [12, 30, 40])
+def test_quarter_turns_match_the_stacked_product(n):
+    grid = channels._spectral_grid(n)
+    a = FockOperator(random_matrix(n))
+    np.testing.assert_array_equal(char_function(a, grid).values,
+                                  stacked_char_function(a, grid))
+    # the class sums' turn products are equal too, but the phases now meet
+    # contiguous sums, whose complex product numpy may round differently
+    # (a fused multiply-add): a few units in the last place of the table
+    heat_grid = default_gaussian_grid(0.25)
+    phase, _, cls, flip, quarter = fock._lattice_classes(
+        heat_grid.points_per_axis, channels.CONJUGATION_SCALE * heat_grid.h, n, 2 * n - 2)
+    heat = gaussian_measure(0.25, heat_grid).weights.ravel()
+    for weights in (heat, heat * np.exp(1j * RNG.uniform(0.0, 2.0 * math.pi, heat.size))):
+        assert_close(fock._class_sums(weights, cls, flip, quarter, phase),
+                     stacked_class_sums(weights, cls, flip, quarter, phase),
+                     rel=4 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("n", [8, 24, 40])
