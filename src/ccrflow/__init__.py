@@ -59,7 +59,6 @@ from .channels import (
     spectral_levels,
 )
 from .purity import (
-    BoundCertificate,
     absorbing_state_probe,
     band_annihilated_distance,
     certified_bound,
@@ -82,7 +81,7 @@ __all__ = [
     "apply_spectral", "cb_distance_bound", "choi_matrix", "evolve_state",
     "generator_check", "heat_channel", "max_single_step",
     "point_mass_channel", "spectral_levels",
-    "BoundCertificate", "absorbing_state_probe",
+    "absorbing_state_probe",
     "band_annihilated_distance", "certified_bound", "decay_curve",
     "ExperimentReport", "load_report",
     "__version__",

@@ -254,7 +254,7 @@ def _apply_kernel(kernel: np.ndarray, a: np.ndarray) -> np.ndarray:
     """
     n = a.shape[0]
     _, vec = _position_eigensystem(n)
-    shifted = _offset_layout(n)[1]
+    shifted = _offset_layout(n)
     m = _real_product(vec.T, shifted * _offset_gather(a)[:, None, :])  # M_d[k, l]
     y = np.fft.ifft(np.fft.fft(m, n=kernel.shape[-1], axis=-1) * kernel, axis=-1)
     z = _real_product(vec, y[:, :, : 2 * n - 1])              # (V Y_e)[i, l]

@@ -192,35 +192,40 @@ def _position_eigensystem(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     return _tridiagonal_eigensystem(np.zeros(n_levels), q.diagonal(1))
 
 
+@lru_cache(maxsize=8)
+def _offset_index(n: int) -> np.ndarray:
+    """For row i and offset d = -(N - 1)..N - 1, the flat index of entry
+    (i, i + d) of an N x N matrix at [i, d + N - 1]; N^2 where column
+    i + d leaves the matrix.  Read-only."""
+    cols = np.arange(n)[:, None] + np.arange(1 - n, n)
+    flat = np.where((cols >= 0) & (cols < n), np.arange(n)[:, None] * n + cols, n * n)
+    flat.setflags(write=False)
+    return flat
+
+
 @lru_cache(maxsize=4)
-def _offset_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For row i and offset d = -(N - 1)..N - 1: the flat index of entry
-    (i, i + d) of an N x N matrix, at [i, d + N - 1], and V[i + d, l], at
-    [i, l, d + N - 1]; where column i + d leaves the matrix, the index is
-    N^2 and the row of V is zero.  V's table holds N N (2N - 1) reals:
-    1 MB at N = 40, 268 MB at N = 256."""
+def _offset_layout(n: int) -> np.ndarray:
+    """V[i + d, l] of Q's eigenvectors at [i, l, d + N - 1], laid out as
+    _offset_index; zero where column i + d leaves the matrix.  Read-only;
+    it holds N N (2N - 1) reals: 1 MB at N = 40, 268 MB at N = 256."""
     _, vec = _position_eigensystem(n)
-    rows = np.arange(n)[:, None]
-    cols = rows + np.arange(1 - n, n)
-    inside = (cols >= 0) & (cols < n)
-    flat = np.where(inside, rows * n + cols, n * n)
-    padded = np.vstack([vec, np.zeros(n)])[np.where(inside, cols, n)]  # V[N] = 0
+    flat = _offset_index(n)
+    padded = np.vstack([vec, np.zeros(n)])[np.where(flat < n * n, flat % n, n)]
     shifted = np.ascontiguousarray(padded.transpose(0, 2, 1))
-    for table in (flat, shifted):
-        table.setflags(write=False)
-    return flat, shifted
+    shifted.setflags(write=False)
+    return shifted
 
 
 def _offset_gather(a: np.ndarray) -> np.ndarray:
     """A[i, i + d] at [i, d + N - 1], zero where column i + d leaves A."""
-    return np.append(a.ravel(), 0.0)[_offset_layout(a.shape[0])[0]]
+    return np.append(a.ravel(), 0.0)[_offset_index(a.shape[0])]
 
 
 def _offset_scatter(entries: np.ndarray) -> np.ndarray:
     """The inverse of _offset_gather: entries[i, d + N - 1] back to (i, i + d)."""
     n = len(entries)
     out = np.empty(n * n + 1, dtype=complex)
-    out[_offset_layout(n)[0]] = entries
+    out[_offset_index(n)] = entries
     return out[: n * n].reshape(n, n)
 
 
@@ -354,11 +359,9 @@ def _displacement_closed(zs: np.ndarray, n_levels: int) -> np.ndarray:
     return out
 
 
-def weyl_operator(z, n_levels: int, method: str = "exponential") -> FockOperator:
+def weyl_operator(z, n_levels: int) -> FockOperator:
     """The Weyl unitary W_z = exp(i(xQ + yP)) at truncation N."""
-    x, y = _coords(z)
-    mat = displacement_batch(np.array([[x, y]]), n_levels, method=method)[0]
-    return FockOperator(mat)
+    return FockOperator(displacement_batch(np.array([_coords(z)]), n_levels)[0])
 
 
 # ---------------------------------------------------------------------------

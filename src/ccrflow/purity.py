@@ -21,13 +21,12 @@ Three instruments:
                                + 0,
   where omega0's transform dies on the delta-disk and nu_t's transform
   lives inside the (7/8 delta)-disk, so their pairing vanishes identically;
-  the certificate stores the numerically verified inner product.
+  the purity_certificate report it returns records the verified pairing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .reports import ExperimentReport
 from .weyl_transform import char_values
 
 __all__ = [
-    "BoundCertificate",
     "decay_curve",
     "DEFAULT_TIME_GRID",
     "band_annihilated_distance",
@@ -149,56 +147,23 @@ def constraint_grid(epsilon: float) -> GridSpec:
     return GridSpec(epsilon, 8)
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
-    """Three-term bound on the evolved distance, with its own receipts.
-
-    A record, not a verdict: a bound below the measured distance shows as
-    a negative slack, for the caller to report as a failed check.
-    """
-
-    epsilon: float
-    term1: float
-    term2: float
-    term3: float
-    measured: float
-    details: dict = field(default_factory=dict)
-
-    @property
-    def bound(self) -> float:
-        return self.term1 + self.term2 + self.term3
-
-    @property
-    def slack(self) -> float:
-        return self.bound - self.measured
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "term1": self.term1,
-            "term2": self.term2,
-            "term3": self.term3,
-            "measured": self.measured,
-            "bound": self.bound,
-            "slack": self.slack,
-            "details": self.details,
-        }
-
-
 def certified_bound(
     rho1: DensityOperator,
     rho2: DensityOperator,
     t: float,
     epsilon: float,
     delta: float,
-) -> BoundCertificate:
-    """Build the three-term certificate at time t.
+) -> ExperimentReport:
+    """The purity_certificate report: the three-term bound at time t.
 
     epsilon is the budget for the first term: if the band-annihilated
     projection cannot get that close, the pair (epsilon, delta) is
-    infeasible and reported as such rather than silently loosened.  The
+    infeasible and raises rather than being silently loosened.  The
     constraints sit on a delta/4 grid over the delta-disk; the measures
-    live on default_lemma_grid(delta).
+    live on default_lemma_grid(delta).  The check passes when the bound
+    exceeds the measured distance and the pairing vanishes (<= 1e-8); a
+    violated bound is a failed report with negative slack, not an error.
+    The details hold the terms, the slack and the receipts.
     """
     if rho1.dim != rho2.dim:
         raise ValueError("states must share a truncation")
@@ -214,7 +179,8 @@ def certified_bound(
     nu = band_limited_approximant(t, delta, lemma_grid)
     mu = gaussian_measure(t, lemma_grid)
     tv_gap = (mu - nu).total_variation()
-    term2 = trace_norm(omega0) * tv_gap
+    omega0_norm = trace_norm(omega0)
+    term2 = omega0_norm * tv_gap
 
     # pairing nodes: a coarse sublattice of nu's conjugate lattice, spacing
     # <= delta/4, reaching twice the band radius; inside the delta-disk the
@@ -233,21 +199,19 @@ def certified_bound(
     inner = complex(np.sum(nu_hat * omega0_hat))
 
     measured = trace_norm(_heat_generator(omega.matrix, t))
-    return BoundCertificate(
-        epsilon=float(epsilon),
-        term1=float(term1),
-        term2=float(term2),
-        term3=0.0,
-        measured=float(measured),
-        details={
-            "t": float(t),
-            "delta": float(delta),
-            "truncation": n,
-            "tv_gap": float(tv_gap),
-            "omega0_trace_norm": float(trace_norm(omega0)),
-            "pairing_inner_product": abs(inner),
-            "pairing_nodes": int(len(pairing)),
-        },
+    bound = term1 + term2  # the third term vanishes identically
+    receipts = {"t": float(t), "delta": float(delta), "truncation": n,
+                "tv_gap": tv_gap, "omega0_trace_norm": omega0_norm,
+                "pairing_inner_product": abs(inner), "pairing_nodes": len(pairing)}
+    return ExperimentReport(
+        check="purity_certificate",
+        params={"truncation": n, "t": float(t), "delta": float(delta), "epsilon": float(epsilon)},
+        measured=measured,
+        bound=bound,
+        passed=bool(bound - measured > 0 and abs(inner) <= 1e-8),
+        details={"epsilon": float(epsilon), "term1": term1, "term2": term2,
+                 "term3": 0.0, "measured": measured, "bound": bound,
+                 "slack": bound - measured, "details": receipts},
     )
 
 

@@ -106,7 +106,7 @@ def _offset_sums(a: np.ndarray, expo) -> np.ndarray:
     c[d, k] = sum_i A[i, i+d] V_ik V_{i+d,k}, shape (rows, 2N - 1)."""
     n = a.shape[0]
     _, vec = _position_eigensystem(n)
-    return expo @ np.einsum("id,ik,ikd->kd", _offset_gather(a), vec, _offset_layout(n)[1])
+    return expo @ np.einsum("id,ik,ikd->kd", _offset_gather(a), vec, _offset_layout(n))
 
 
 def char_values(a: FockOperator, points: np.ndarray) -> np.ndarray:
@@ -181,7 +181,7 @@ def _raw_inverse(values: np.ndarray, grid: GridSpec, n: int, levels: int) -> np.
     phase, expo, cls, flip, quarter = _grid_classes(grid, n)
     kept = slice(n - levels, n + levels - 1)  # s = -(levels - 1)..levels - 1
     g = _class_sums(masked, cls, flip, quarter, phase[:, kept])[:, ::-1].T @ expo.conj()
-    entries = np.einsum("ik,iks,sk->is", vec[:levels], _offset_layout(n)[1][:levels, :, kept], g)
+    entries = np.einsum("ik,iks,sk->is", vec[:levels], _offset_layout(n)[:levels, :, kept], g)
     return _offset_scatter(entries) * grid.cell_area()
 
 

@@ -128,6 +128,16 @@ def test_main_choi_writes_artifacts_and_passes(tmp_path, capsys):
     assert (out / "run_metadata.json").is_file()
 
 
+def test_choi_checks_a_long_time_on_its_substep_channel(tmp_path):
+    # one quadrature step at t = 1 would clip more than 1e-6 of its mass at
+    # N = 24; the check runs the substeps the flow composes
+    out = tmp_path / "artifacts"
+    assert main(["choi", "--times", "1", "--out", str(out)]) == 0
+    rep = json.loads((out / "choi" / "choi_positivity.json").read_text())
+    assert rep["params"]["substeps"] == 2
+    assert rep["pass"] is True
+
+
 def test_main_artifacts_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["choi", "--out", str(out1)]) == 0
@@ -450,5 +460,8 @@ def test_certificate_report_records_the_bound_its_verdict_uses(monkeypatch):
 
     monkeypatch.setattr(cli, "certified_bound", record)
     rep = check_purity_certificate(resolve_config("purity", make_args(times="0,1")))
-    assert rep.bound == made[0].bound == rep.details["bound"]
-    assert rep.passed == (made[0].slack > 0)
+    assert rep is made[0]
+    terms = rep.details
+    assert rep.bound == terms["bound"] == terms["term1"] + terms["term2"] + terms["term3"]
+    assert rep.passed == (terms["slack"] > 0
+                          and terms["details"]["pairing_inner_product"] <= 1e-8)

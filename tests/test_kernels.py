@@ -135,7 +135,19 @@ def test_offset_scatter_undoes_the_gather(n, seed):
     entries = fock._offset_gather(a)
     assert entries.shape == (n, 2 * n - 1)
     assert np.array_equal(fock._offset_scatter(entries), a)
-    assert not any(t.flags.writeable for t in fock._offset_layout(n))
+    assert not fock._offset_index(n).flags.writeable
+    assert not fock._offset_layout(n).flags.writeable
+
+
+def test_heatflow_builds_one_offset_table_per_truncation(tmp_path):
+    # the gather and scatter read only the flat index, so the inverse's
+    # scatter at its block size builds no eigenvector table: N = 24 (the
+    # scale oracle), 30 and 40 (semigroup composition), none evicted
+    channels._ensure_scale.cache_clear()
+    fock._offset_layout.cache_clear()
+    assert cli.main(["heatflow", "--times", "0.25,0.5", "--out", str(tmp_path)]) == 0
+    info = fock._offset_layout.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
 
 
 def test_zero_measure_gives_exactly_zero():

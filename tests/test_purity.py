@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ccrflow import (
-    BoundCertificate,
     FockOperator,
     GridSpec,
     absorbing_state_probe,
@@ -131,15 +130,19 @@ def test_band_annihilated_guards():
 
 
 def test_certificate_on_small_fock_pair():
-    cert = certified_bound(
+    rep = certified_bound(
         number_state(0, 24), number_state(1, 24),
         t=4.0, epsilon=2.0, delta=1.0,
     )
-    assert cert.measured <= cert.term1 + cert.term2 + 1e-6
-    assert cert.slack > 0
-    assert cert.details["pairing_inner_product"] <= 1e-8
-    assert cert.term3 == 0.0
-    assert cert.bound == cert.term1 + cert.term2 + cert.term3
+    terms = rep.details
+    assert rep.check == "purity_certificate"
+    assert rep.params == {"truncation": 24, "t": 4.0, "delta": 1.0, "epsilon": 2.0}
+    assert rep.measured <= terms["term1"] + terms["term2"] + 1e-6
+    assert terms["slack"] > 0
+    assert terms["details"]["pairing_inner_product"] <= 1e-8
+    assert rep.passed
+    assert terms["term3"] == 0.0
+    assert rep.bound == terms["term1"] + terms["term2"] + terms["term3"]
 
 
 def test_certificate_rejects_too_small_budget():
@@ -151,18 +154,16 @@ def test_certificate_rejects_too_small_budget():
 
 
 def test_certificate_record_invariant(monkeypatch, tmp_path, capsys):
-    # a violated bound is a record with negative slack; the check built on
-    # it fails (exit 1) instead of reading as an invalid config (exit 2)
-    from ccrflow import cli
+    # a violated bound is a report with negative slack that fails (exit 1)
+    # instead of reading as an invalid config (exit 2)
+    from ccrflow import cli, purity
 
-    cert = BoundCertificate(
-        epsilon=1.0, term1=0.1, term2=0.1, term3=0.0, measured=0.5,
-        details={"pairing_inner_product": 0.0},
-    )
-    assert cert.slack < 0
-    monkeypatch.setattr(cli, "certified_bound", lambda *args: cert)
+    original = purity._heat_generator
+    monkeypatch.setattr(purity, "_heat_generator", lambda a, t: 1000.0 * original(a, t))
     cfg = cli.RunConfig(**{**cli._COMMON, **cli._DEFAULTS["purity"]})
-    assert cli.check_purity_certificate(cfg).passed is False
+    rep = cli.check_purity_certificate(cfg)
+    assert rep.details["slack"] < 0
+    assert rep.passed is False
     assert cli.main(["purity", "--out", str(tmp_path)]) == 1
     assert "[FAIL] purity_certificate" in capsys.readouterr().out
 

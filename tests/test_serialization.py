@@ -1,5 +1,5 @@
 """What a run writes: report JSON with its curve CSV, and the certificate
-record the purity check stores in its report.
+report of the purity check.
 
 Curve cells print floats with %.17g, which round-trips IEEE doubles
 exactly, so the equality checks below are bitwise, not approximate.
@@ -7,7 +7,7 @@ exactly, so the equality checks below are bitwise, not approximate.
 
 import json
 
-from ccrflow import BoundCertificate, ExperimentReport, load_report
+from ccrflow import ExperimentReport, certified_bound, load_report, number_state
 
 
 def test_report_round_trip_and_csv(tmp_path):
@@ -44,16 +44,23 @@ def test_report_summary_line():
     assert bad.summary_line().startswith("[FAIL]")
 
 
-def test_certificate_json():
-    cert = BoundCertificate(
-        epsilon=1.5, term1=1.2, term2=0.04, term3=0.0, measured=0.01,
-        details={"t": 16.0},
+def test_certificate_json(tmp_path):
+    rep = certified_bound(
+        number_state(0, 24), number_state(1, 24), t=4.0, epsilon=2.0, delta=1.0,
     )
-    data = json.loads(json.dumps(cert.to_dict()))
-    assert data["bound"] == 1.24
-    assert data["slack"] == 1.24 - 0.01
-    assert data["details"] == {"t": 16.0}
+    rep.save(tmp_path / "cert")
+    back = load_report(tmp_path / "cert")
+    assert back == rep
+    data = back.details
+    assert data["bound"] == back.bound == data["term1"] + data["term2"] + data["term3"]
+    assert data["slack"] == back.bound - back.measured
+    assert data["measured"] == back.measured
+    assert data["details"]["t"] == 4.0
     assert set(data) == {
         "epsilon", "term1", "term2", "term3", "measured",
         "bound", "slack", "details",
+    }
+    assert set(data["details"]) == {
+        "t", "delta", "truncation", "tv_gap", "omega0_trace_norm",
+        "pairing_inner_product", "pairing_nodes",
     }
