@@ -3,14 +3,14 @@
 The package models a quantum dynamical semigroup whose action damps
 displacement operators pointwise, through two independent numerical
 paths: measure-weighted conjugation averages (quadrature) and
-transform-side multiplication (spectral).  A third engine exponentiates
-the flow's truncated generator, one tridiagonal eigensystem per matrix
-offset; it evolves the purity instruments (decay curves, the
-certificate's measured distance, the absorbing-state probe), and the
-quadrature path is its independent oracle.  Experiments cover the algebra
-of displacements, channel positivity and composition laws, band-limited
-measure surgery, and the decay of state distinguishability, each with a
-pass/fail report.
+transform-side multiplication (spectral).  A third engine is exact: the
+flow as pure loss followed by a quantum-limited amplifier, summed offset
+by offset on any leading window; it evolves the purity instruments (decay
+curves, the certificate's measured distance, the absorbing-state probe)
+and is the reference both paths are measured against.  Experiments cover
+the algebra of displacements, channel positivity and composition laws,
+band-limited measure surgery, and the decay of state distinguishability,
+each with a pass/fail report.
 """
 
 from .phase_space import (
@@ -52,6 +52,7 @@ from .channels import (
     cb_distance_bound,
     choi_matrix,
     evolve_state,
+    exact_heat,
     generator_check,
     heat_channel,
     max_single_step,
@@ -79,7 +80,7 @@ __all__ = [
     "reliable_levels", "riemann_lebesgue_profile", "trust_radius",
     "HeatFlowParams", "MeasureChannel", "apply_quadrature",
     "apply_spectral", "cb_distance_bound", "choi_matrix", "evolve_state",
-    "generator_check", "heat_channel", "max_single_step",
+    "exact_heat", "generator_check", "heat_channel", "max_single_step",
     "point_mass_channel", "spectral_levels",
     "absorbing_state_probe",
     "band_annihilated_distance", "certified_bound", "decay_curve",

@@ -28,15 +28,10 @@ spectrum on a circle of 4N offsets (see _build_kernel): quadrature runs one
 FFT pair per operand (see _apply_kernel), Choi blocks transform back to K,
 and equal channels share one build: a further operand costs O(N^4).
 
-A third engine exponentiates the flow's generator,
-L(A) = -([Q,[Q,A]] + [P,[P,A]]), in its truncated GKSL form (see
-_heat_generator).  Each matrix offset of it is a real symmetric
-tridiagonal matrix, solved by the same numpy helper as Q
-(fock._tridiagonal_eigensystem) and zero-padded into one table of N^3
-reals (134 MB at N = 256), so one batched product evolves every offset.
-It is exact at every time without substeps and serves the purity
-instruments; quadrature stays the independent oracle and the only path
-for general measures.
+A third engine, exact_heat, is exact: any leading window of the flow is a
+finite sum.  It serves the purity instruments and is the reference the
+other two are measured against; quadrature stays the only path for
+general measures.
 
 Truncation policy: quadrature nodes whose displacement c*zeta leaves the
 trustworthy window |z| <= sqrt(2N) are dropped, and the dropped measure
@@ -64,7 +59,6 @@ from .fock import (
     _offset_layout,
     _offset_scatter,
     _position_eigensystem,
-    _tridiagonal_eigensystem,
     weyl_operator,
 )
 from .phase_space import (
@@ -94,6 +88,7 @@ __all__ = [
     "apply_spectral",
     "spectral_levels",
     "evolve_state",
+    "exact_heat",
     "max_single_step",
     "generator_check",
     "choi_matrix",
@@ -376,51 +371,111 @@ def evolve_state(params: HeatFlowParams, rho: DensityOperator) -> DensityOperato
     return DensityOperator(FockOperator(0.5 * (out + out.conj().T)))
 
 
-@lru_cache(maxsize=16)
-def _generator_eigensystems(n: int) -> tuple:
-    """Eigensystems of the truncated generator, one per offset d = 0..N-1,
-    zero-padded to one shape: lam[d] (N,) and V[d] (N, N), zero beyond
-    N - d, with the flat index of entry (m, m+d) at [d, m, 0] and of
-    (m+d, m) at [d, m, 1], N^2 beyond N - d.  Read-only; V holds N^3
-    reals: 0.2 MB at N = 30, 33 MB at N = 160 and 134 MB at N = 256.
+def _log_factorials(size: int) -> np.ndarray:
+    """log n! for n < size, as one cumulative sum."""
+    return np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, size)))])
 
-    L_N(A) = 2(a A a† + a† A a) - {a a† + a† a, A} maps each offset m-n=d
-    to itself; on the entries (m, m+d) (and equally on (m+d, m)) it is the
-    real symmetric tridiagonal matrix with diagonal -(D_m + D_{m+d}) and
-    off-diagonal 2 sqrt((m+1)(m+1+d)), where D = a a† + a† a =
-    diag(1, 3, ..., 2N-3, N-1) for the truncated a.  That last entry makes
-    L_N trace-preserving and unital, as the quadrature channels are.
+
+@lru_cache(maxsize=4)
+def _transfer_table(levels: int, n_out: int, t: float) -> np.ndarray:
+    """T[d, o, m], read-only: the weight that takes entry (m, m + d) of an
+    operator on ``levels`` levels, and (m + d, m) alike, to (o, o + d) of the
+    n_out-level window at time t > 0.  Where m + d or o + d lies past its
+    window, T holds the weight all the same, and exact_heat never reads it.
+
+    Loss takes (m, m + d) to (m - k, m + d - k) with weight
+    sqrt(C(m, k) C(m + d, k)) eta^(m - k + d/2) (1 - eta)^k, the amplifier
+    (i, i + d) to (i + k, i + d + k) with
+    sqrt(C(i + k, k) C(i + d + k, k)) eta^(i + d/2 + 1) (1 - eta)^k.  T
+    holds min(levels, n_out) n_out levels reals: 35 kB for the basis pair
+    in 1,089 levels, 134 MB for 256 levels in 256.
     """
-    dd = np.arange(1, 2 * n, 2, dtype=float)
-    dd[-1] = n - 1
-    lam, vec = np.zeros((n, n)), np.zeros((n, n, n))
-    flat = np.full((n, n, 2), n * n)
-    for d in range(n):
-        m = np.arange(n - d)
-        lam[d, : n - d], vec[d, : n - d, : n - d] = _tridiagonal_eigensystem(
-            -(dd[m] + dd[m + d]), 2.0 * np.sqrt(m[1:] * (m[1:] + d)))
-        flat[d, : n - d] = np.column_stack([m * n + m + d, (m + d) * n + m])
-    for table in (lam, vec, flat):
-        table.setflags(write=False)
-    return lam, vec, flat
+    depth = min(levels, n_out)
+    lf = _log_factorials(levels + n_out)
+    log_g = math.log1p(2.0 * t)  # -log eta
+    log_q = math.log(2.0 * t) - log_g  # log(1 - eta)
+    mid = np.arange(depth)  # the levels between loss and amplifier
+    table = np.empty((depth, n_out, levels))
+    for sl in _node_slices(depth, n_out * levels):
+        d = np.arange(sl.start, sl.stop)[:, None, None]
+
+        def ladder(hi, lo):
+            # log weights: a (hi, lo) plane plus two (d, level) rows; hi < lo
+            # is zeroed after exp, as arithmetic on -inf is slower
+            k = np.maximum(hi - lo, 0)
+            plane = 0.5 * (lf[hi] - lf[lo]) - lf[k] + k * log_q - lo * log_g
+            w = np.exp(plane + 0.5 * (lf[hi + d] - d * log_g) - 0.5 * lf[lo + d])
+            return np.where(hi >= lo, w, 0.0)
+
+        loss = ladder(np.arange(levels), mid[:, None])
+        table[sl] = ladder(np.arange(n_out)[:, None], mid) @ loss / (1.0 + 2.0 * t)
+    table.setflags(write=False)
+    return table
 
 
-def _heat_generator(a: np.ndarray, t: float) -> np.ndarray:
-    """e^{t L_N}(a): the heat flow at time t through its truncated generator.
+def _offset_pairs(n: int, rows: int, depth: int) -> np.ndarray:
+    """Flat indices in an n x n matrix of (m, m + d) at [d, m, 0] and of
+    (m + d, m) at [d, m, 1], d < depth, m < rows; n^2 where m + d >= n."""
+    d, m = np.arange(depth)[:, None], np.arange(rows)
+    pairs = np.stack([d + m * (n + 1), d * n + m * (n + 1)], axis=-1)
+    return np.where((m + d < n)[..., None], pairs, n * n)
 
-    Each offset evolves as v (e^{t lambda} * (v^T x)), all in one batched
-    product, so every time is exact in one step.  e^{t L_N} is a trace-
-    preserving, completely positive semigroup on the N-level space.
+
+def _occupied_levels(a: np.ndarray) -> int:
+    """One past the highest level a nonzero entry of a touches, at least 1."""
+    rows = np.flatnonzero((a != 0).any(axis=0) | (a != 0).any(axis=1))
+    return int(rows[-1]) + 1 if rows.size else 1
+
+
+def exact_heat(a: np.ndarray, t: float, n_out: int) -> np.ndarray:
+    """The leading n_out levels of phi_t(a), for an N-level operator a.
+
+    phi_t is the classical-noise Gaussian channel with 2t added quanta
+    (Holevo and Werner, PRA 63 (2001) 032312): pure loss eta = 1/(1 + 2t),
+    then the quantum-limited amplifier of gain 1/eta (Caruso, Giovannetti
+    and Holevo, NJP 8 (2006) 310).  Both keep each matrix offset; loss
+    moves a level only down and the amplifier only up, so the window is a
+    finite sum with no truncation of the flow.  Only the levels and offsets
+    a occupies are worked on, through one table (see _transfer_table)
+    shared by operands on as many levels.  phi_t preserves the trace, so
+    the window misses tr a - tr exact_heat(a, t, n_out) of it.
     """
-    if t == 0:
-        return np.array(a, dtype=complex)
+    a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    lam, vec, flat = _generator_eigensystems(n)
-    cols = np.append(a.ravel(), 0j)[flat]
-    evolved = vec @ (np.exp(t * lam)[:, :, None] * (vec.transpose(0, 2, 1) @ cols))
-    out = np.empty(n * n + 1, dtype=complex)
-    out[flat] = evolved
-    return out[: n * n].reshape(n, n)
+    if t == 0:
+        return np.pad(a[:n_out, :n_out], (0, max(n_out - n, 0)))
+    levels = _occupied_levels(a)
+    table = _transfer_table(levels, n_out, float(t))
+    cols = np.append(a.ravel(), 0j)[_offset_pairs(n, levels, len(table))]
+    occupied = np.flatnonzero(cols.any(axis=(1, 2)))
+    # one real product per offset on the interleaved parts of both columns
+    evolved = (table[occupied] @ cols[occupied].view(float)).view(complex)
+    out = np.zeros(n_out * n_out + 1, dtype=complex)
+    out[_offset_pairs(n_out, n_out, len(table))[occupied]] = evolved
+    return out[:-1].reshape(n_out, n_out)
+
+
+def _tail_window(a: np.ndarray, t: float, tol: float) -> int:
+    """The least n_out that leaves at most tol of the output trace of each
+    level a occupies above exact_heat(a, t, n_out).  The amplifier bounds
+    it, loss only moving levels down first: it takes the top level j to
+    j + K, K negative binomial, with P(K >= k) = P(Bin(j + k, eta) <= j)."""
+    j = _occupied_levels(a) - 1
+    if t == 0:
+        return j + 1
+    log_eta = -math.log1p(2.0 * t)
+    log_q = math.log(2.0 * t) + log_eta
+    # the tail decays about as (1 - eta)^k: 32 (1 + 2t) steps per level
+    # usually reach the tolerance at once
+    s, size = np.arange(j + 1)[:, None], 32 * (j + 1) * int(math.ceil(1.0 + 2.0 * t))
+    while True:
+        trials = np.arange(j, j + size)  # j + k for k = 0..size - 1
+        lf = _log_factorials(j + size)
+        tail = np.exp(lf[trials] - lf[s] - lf[trials - s]
+                      + s * log_eta + (trials - s) * log_q).sum(axis=0)
+        if (tail <= tol).any():
+            return j + int(np.argmax(tail <= tol))
+        size *= 2
 
 
 def generator_check(z, n_levels: int, t_values) -> tuple[float, float]:
@@ -428,10 +483,11 @@ def generator_check(z, n_levels: int, t_values) -> tuple[float, float]:
 
     At the two smallest times, fit the coefficient g(t) in
     (phi_t - id)(W_z) = g W_z on the leading block, and return the
-    Richardson extrapolation 2 g(t1) - g(t2) (its real part, to compare
-    with -|z|^2) with the relative residual of the first-order fit at t1.
+    Richardson extrapolation (t2 g(t1) - t1 g(t2)) / (t2 - t1) to t = 0 (its
+    real part, to compare with -|z|^2) with the relative residual of the
+    first-order fit at t1.
     """
-    t_values = sorted(float(t) for t in t_values)
+    t_values = sorted({float(t) for t in t_values})
     if len(t_values) < 2:
         raise ValueError("need at least two time values")
     x, y = float(z[0]), float(z[1])
@@ -448,7 +504,9 @@ def generator_check(z, n_levels: int, t_values) -> tuple[float, float]:
         if t == t_values[0]:
             resid = diff / t + zsq * wk
             fd_residual_rel = float(np.linalg.norm(resid) / np.linalg.norm(wk))
-    return float((2.0 * coeffs[0] - coeffs[1]).real), fd_residual_rel
+    t1, t2 = t_values[:2]
+    richardson = (t2 * coeffs[0] - t1 * coeffs[1]) / (t2 - t1)
+    return float(richardson.real), fd_residual_rel
 
 
 def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:

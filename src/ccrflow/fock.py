@@ -8,8 +8,6 @@ fast via a cached eigendecomposition of the position operator) and the
 closed amplitude formula in the number basis (the top-left block of the
 untruncated operator, exact entrywise but not unitary at truncation).
 Their agreement on leading blocks is the internal consistency oracle.
-Q and each offset of the flow's generator (channels._generator_eigensystems)
-are real symmetric tridiagonal: one dense numpy solve serves both.
 
 Truncation discipline: the last rows and columns of the truncated ladder
 operators are wrong by construction, so every quantitative claim in this
@@ -176,20 +174,14 @@ def weyl_generator(z, n_levels: int) -> FockOperator:
     return FockOperator(1j * (x * q + y * p))
 
 
-def _tridiagonal_eigensystem(diag, off) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (lam, V), lam ascending, of the real symmetric tridiagonal
-    matrix with diagonal ``diag`` and off-diagonal ``off``."""
-    lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+@lru_cache(maxsize=16)
+def _position_eigensystem(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (lam, V), lam ascending, of Q: the real symmetric
+    tridiagonal matrix with zero diagonal and off-diagonal sqrt(m)/sqrt(2)."""
+    lam, vec = np.linalg.eigh(position(n_levels).matrix.real)
     lam.setflags(write=False)
     vec.setflags(write=False)
     return lam, vec
-
-
-@lru_cache(maxsize=16)
-def _position_eigensystem(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, V) of Q: zero diagonal, off-diagonal sqrt(m)/sqrt(2)."""
-    q = position(n_levels).matrix.real
-    return _tridiagonal_eigensystem(np.zeros(n_levels), q.diagonal(1))
 
 
 @lru_cache(maxsize=8)
@@ -369,8 +361,17 @@ def weyl_operator(z, n_levels: int) -> FockOperator:
 
 
 def trace_norm(a) -> float:
-    """Sum of singular values; dominates |trace|."""
-    m = a.matrix if isinstance(a, FockOperator) else np.asarray(a, dtype=complex)
+    """Sum of singular values; dominates |trace|.
+
+    Those of a diagonal matrix are the moduli of its diagonal, summed
+    without an SVD.  Past its first entry, the flat n x n matrix reshaped
+    to (n - 1, n + 1) rows holds the diagonal in its last column, so the
+    other columns are the off-diagonal entries, tested as one view.
+    """
+    m = a.matrix if isinstance(a, FockOperator) else np.ascontiguousarray(a, dtype=complex)
+    n = len(m)
+    if m.shape == (n, n) and not m.ravel()[1:].reshape(n - 1, n + 1)[:, :n].any():
+        return float(np.abs(np.diagonal(m)).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 

@@ -28,22 +28,19 @@ from ccrflow import (
     omega,
     point_mass_channel,
     reliable_levels,
+    spectral_levels,
     trace_norm,
     weyl_operator,
 )
 from ccrflow.channels import (
-    _generator_eigensystems,
-    _heat_generator,
+    _tail_window,
+    _transfer_table,
     cauchy_multiplier,
+    exact_heat,
     heat_multiplier,
 )
 from ccrflow.cli import _random_low_block_state
-from ccrflow.fock import (
-    _position_eigensystem,
-    _tridiagonal_eigensystem,
-    annihilation,
-    position,
-)
+from ccrflow.fock import _position_eigensystem, position
 
 RNG = np.random.default_rng(31415)
 
@@ -155,6 +152,10 @@ def test_generator_coefficient_unit_displacement():
     coeff, fd_residual = generator_check((1.0, 0.0), 30, (0.0125, 0.025, 0.05, 0.1))
     assert fd_residual <= 1e-2
     assert abs(coeff - (-1.0)) < 1e-2
+    # the extrapolation to t = 0 holds for any two times, not only t2 = 2 t1:
+    # what it leaves is second order, about g'' t1 t2 / 2
+    for times in [(0.0125, 0.025), (0.0375, 0.0125)]:
+        assert abs(generator_check((1.0, 0.0), 30, times)[0] + 1.0) < 2e-4
 
 
 def test_generator_check_edge_cases():
@@ -163,6 +164,8 @@ def test_generator_check_edge_cases():
     assert abs(coeff) <= 1e-12 and fd_residual <= 1e-2
     with pytest.raises(ValueError, match="two time"):
         generator_check((1.0, 0.0), 16, (0.05,))
+    with pytest.raises(ValueError, match="two time"):
+        generator_check((1.0, 0.0), 16, (0.05, 0.05))
 
 
 def test_choi_identity_channel_is_rank_one():
@@ -233,33 +236,36 @@ def test_max_single_step_grows_with_truncation():
         assert 0.5 * 18.2 * math.sqrt(t) <= math.sqrt(2 * n) + 1e-12
 
 
-def test_generator_matches_quadrature_and_spectral_paths():
-    # three independent engines of one flow: the generator exponential, the
-    # quadrature conjugation average and the transform multiplier
+def test_quadrature_and_spectral_paths_match_the_exact_flow():
+    # the quadrature conjugation average and the transform multiplier against
+    # the flow itself, on the block the spectral path reconstructs
     n = 30
-    probe = FockOperator(number_state(0, n).matrix)
-    k = apply_spectral(HeatFlowParams(0.25), probe).dim
+    k = spectral_levels(n)
     rng = np.random.default_rng(2718)
     states = [_random_low_block_state(rng, k, n) for _ in range(3)]
     for rho in states:
         for t in (0.25, 1.0):
-            gen = _heat_generator(rho.matrix, t)
+            exact = exact_heat(rho.matrix, t, k)
             quad = evolve_state(HeatFlowParams(t), rho).matrix
-            assert trace_norm(gen[:10, :10] - quad[:10, :10]) <= 1e-8
+            assert trace_norm(quad[:k, :k] - exact) <= 1e-8
             spec = apply_spectral(HeatFlowParams(t), FockOperator(rho.matrix))
-            assert trace_norm(gen[:k, :k] - spec.matrix) <= 1e-6
+            assert trace_norm(spec.matrix - exact) <= 1e-6
 
 
-def test_generator_tracks_quadrature_on_the_basis_pair():
+def test_quadrature_substeps_track_the_exact_flow_on_the_basis_pair():
+    # each substep that carries the pair to t = 4 at N = 32 acts on the
+    # trusted block as the flow does on the same input; composed, the six
+    # drift by 8e-5 there, as the truncated channel keeps inside N the trace
+    # the flow carries above it
     n, t = 32, 4.0
-    omega = number_state(0, n).matrix - number_state(1, n).matrix
     n_steps = int(math.ceil(t / max_single_step(n)))
     ch = heat_channel(t / n_steps, n)
-    quad = omega
+    k = spectral_levels(n)
+    x = number_state(0, n).matrix - number_state(1, n).matrix
     for _ in range(n_steps):
-        quad = apply_quadrature(ch, FockOperator(quad)).matrix
-    gap = trace_norm(_heat_generator(omega, t)) - trace_norm(quad)
-    assert abs(gap) <= 1e-5
+        step = apply_quadrature(ch, FockOperator(x)).matrix
+        assert trace_norm(step[:k, :k] - exact_heat(x, t / n_steps, k)) <= 1e-5
+        x = step
 
 
 def _unit_hermitian(n: int, seed: int) -> np.ndarray:
@@ -271,68 +277,57 @@ def _unit_hermitian(n: int, seed: int) -> np.ndarray:
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 40))
-def test_tridiagonal_eigensystems_rebuild_q_and_the_generator_offsets(n):
-    # V diag(lam) V^T gives back Q and, offset by offset, L_N on the entries
-    # (m, m + d), with L_N built here from the truncated a
-    def rebuilds(system, want):
-        lam, vec = system
-        assert not (lam.flags.writeable or vec.flags.writeable)
-        gap = np.abs((vec * lam) @ vec.T - want).max()
-        assert gap <= 1e-12 * np.abs(want).max()
-
-    rebuilds(_position_eigensystem(n), position(n).matrix.real)
-    a = annihilation(n).matrix
-    ad = a.conj().T
-    dd = a @ ad + ad @ a
-    lams, vecs, _ = _generator_eigensystems(n)  # offset d fills [:n - d]
-    assert lams.shape == (n, n) and vecs.shape == (n, n, n)
-    for d in range(n):
-        block = np.empty((n - d, n - d))
-        for m in range(n - d):
-            unit = np.zeros((n, n))
-            unit[m, m + d] = 1.0
-            out = 2 * (a @ unit @ ad + ad @ unit @ a) - dd @ unit - unit @ dd
-            block[:, m] = np.diagonal(out, d).real
-        rebuilds((lams[d, : n - d], vecs[d, : n - d, : n - d]), block)
-        assert not (lams[d, n - d:].any() or vecs[d, n - d:].any() or vecs[d, :, n - d:].any())
+def test_position_eigensystem_rebuilds_q(n):
+    lam, vec = _position_eigensystem(n)
+    assert not (lam.flags.writeable or vec.flags.writeable)
+    want = position(n).matrix.real
+    assert np.abs((vec * lam) @ vec.T - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def offset_eigensystems(n_levels: int) -> tuple:
-    """One (lam, V) per offset d = 0..N-1 at its own size N - d, as the
-    generator engine kept them before it padded them to one shape."""
-    dd = np.arange(1, 2 * n_levels, 2, dtype=float)
-    dd[-1] = n_levels - 1
-    systems = []
-    for d in range(n_levels):
-        m = np.arange(n_levels - d)
-        systems.append(_tridiagonal_eigensystem(
-            -(dd[m] + dd[m + d]), 2.0 * np.sqrt(m[1:] * (m[1:] + d))))
-    return tuple(systems)
-
-
-def loop_heat_generator(a: np.ndarray, t: float) -> np.ndarray:
-    """e^{t L_N}(a) with one Python step per offset, each at its own size."""
-    if t == 0:
-        return np.array(a, dtype=complex)
-    n = a.shape[0]
-    out = np.empty((n, n), dtype=complex)
-    for d, (lam, vec) in enumerate(offset_eigensystems(n)):
-        m = np.arange(n - d)
-        cols = np.stack([a[m, m + d], a[m + d, m]], axis=1)
-        evolved = vec @ (np.exp(t * lam)[:, None] * (vec.T @ cols))
-        out[m, m + d] = evolved[:, 0]
-        out[m + d, m] = evolved[:, 1]
+def kraus_heat(a: np.ndarray, t: float, n_out: int) -> np.ndarray:
+    """Loss eta = 1/(1 + 2t), then the amplifier of gain 1/eta, each as an
+    explicit Kraus sum; the n_out-level window of the result."""
+    n = len(a)
+    eta, q = 1.0 / (1.0 + 2.0 * t), 2.0 * t / (1.0 + 2.0 * t)
+    lost = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        op = np.zeros((n, n))
+        for m in range(k, n):
+            op[m - k, m] = math.sqrt(math.comb(m, k) * eta ** (m - k) * q ** k)
+        lost += op @ a @ op.T
+    out = np.zeros((n_out, n_out), dtype=complex)
+    for k in range(n_out):
+        op = np.zeros((n_out, n))
+        for j in range(min(n, n_out - k)):
+            op[j + k, j] = math.sqrt(math.comb(j + k, k) * eta ** (j + 1) * q ** k)
+        out += op @ lost @ op.T
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 8.0))
-def test_batched_generator_equals_the_offset_loop_bitwise(n, seed, t):
-    a = np.random.default_rng(seed).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
-    np.testing.assert_array_equal(_heat_generator(a, t), loop_heat_generator(a, t))
-    assert not any(table.flags.writeable for table in _generator_eigensystems(n))
+@pytest.mark.parametrize("n, n_out, t", [
+    (6, 6, 0.3), (5, 40, 2.0), (12, 8, 1.0), (3, 90, 8.0), (1, 4, 0.5)])
+def test_exact_heat_is_loss_then_amplifier(n, n_out, t):
+    a = np.random.default_rng(n).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
+    a /= trace_norm(a)
+    gap = exact_heat(a, t, n_out) - kraus_heat(a, t, n_out)
+    assert float(np.abs(gap).max()) <= 1e-13
 
 
+def test_exact_heat_works_on_the_levels_it_occupies():
+    # a pair on levels 0 and 1 of a 40-level space evolves through the
+    # two-level table that the pair on its own two levels then reuses, and
+    # the zero operator evolves to zero
+    big = np.zeros((40, 40), dtype=complex)
+    big[0, 0], big[1, 1] = 1.0, -1.0
+    _transfer_table.cache_clear()
+    np.testing.assert_array_equal(exact_heat(big, 2.0, 60), exact_heat(big[:2, :2], 2.0, 60))
+    assert _transfer_table(2, 60, 2.0).shape == (2, 60, 2)
+    assert _transfer_table.cache_info()[:2] == (2, 1)  # hits, misses
+    assert not exact_heat(np.zeros((5, 5)), 1.0, 7).any()
+
+
+# Properties of the flow's semigroup e^{tL}, L its generator, which
+# exact_heat computes on a window.
 TIMES = st.floats(0.0, 4.0)
 GENERATOR_CASES = dict(n=st.integers(4, 24), seed=st.integers(0, 2**32 - 1), t=TIMES)
 
@@ -340,27 +335,32 @@ GENERATOR_CASES = dict(n=st.integers(4, 24), seed=st.integers(0, 2**32 - 1), t=T
 @settings(max_examples=40, deadline=None)
 @given(**GENERATOR_CASES, s=TIMES)
 def test_generator_semigroup_law(n, seed, s, t):
+    # the intermediate window reaches past the tail, so the second step
+    # finds every level that loss brings down into the final window
     a = _unit_hermitian(n, seed)
-    twice = _heat_generator(_heat_generator(a, s), t)
-    assert float(np.abs(twice - _heat_generator(a, s + t)).max()) <= 1e-12
+    mid = exact_heat(a, s, _tail_window(a, s, 1e-13))
+    twice = exact_heat(mid, t, n)
+    assert float(np.abs(twice - exact_heat(a, s + t, n)).max()) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(**GENERATOR_CASES)
 def test_generator_preserves_trace_identity_and_hermiticity(n, seed, t):
+    # the trace up to the tail the window leaves out; phi_t(I) = I, so the
+    # truncated identity evolves to at most I
     a = _unit_hermitian(n, seed)
-    out = _heat_generator(a, t)
+    out = exact_heat(a, t, _tail_window(a, t, 1e-13))
     assert abs(np.trace(out) - np.trace(a)) <= 1e-11
     assert float(np.abs(out - out.conj().T).max()) <= 1e-15
-    eye = _heat_generator(np.eye(n, dtype=complex), t)
-    assert float(np.abs(eye - np.eye(n)).max()) <= 1e-12
+    eye = exact_heat(np.eye(n), t, n)
+    assert float(np.linalg.eigvalsh(eye).max()) <= 1.0 + 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(**GENERATOR_CASES)
 def test_generator_contracts_the_trace_norm(n, seed, t):
     a = _unit_hermitian(n, seed)
-    assert trace_norm(_heat_generator(a, t)) <= 1.0 + 1e-12
+    assert trace_norm(exact_heat(a, t, n)) <= 1.0 + 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,20 +370,20 @@ def test_generator_is_rotation_covariant(n, seed, t, theta):
     # e^{i theta (m - k)}
     a = _unit_hermitian(n, seed)
     phase = np.exp(1j * theta * np.subtract.outer(np.arange(n), np.arange(n)))
-    gap = phase * _heat_generator(a, t) - _heat_generator(phase * a, t)
+    gap = phase * exact_heat(a, t, n) - exact_heat(phase * a, t, n)
     assert float(np.abs(gap).max()) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 12), t=st.floats(0.01, 3.0))
 def test_generator_is_completely_positive(n, t):
-    # the Choi matrix sum_ij |i><j| (x) e^{tL}(|i><j|) is positive semidefinite
+    # the Choi matrix sum_ij |i><j| (x) phi_t(|i><j|) is positive semidefinite
     choi = np.zeros((n, n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
             unit = np.zeros((n, n), dtype=complex)
             unit[i, j] = 1.0
-            choi[i, :, j, :] = _heat_generator(unit, t)
+            choi[i, :, j, :] = exact_heat(unit, t, n)
     assert float(np.linalg.eigvalsh(choi.reshape(n * n, n * n)).min()) >= -1e-12
 
 
@@ -391,12 +391,12 @@ def test_generator_is_completely_positive(n, t):
 @given(seed=st.integers(0, 2**32 - 1), r=st.floats(0.0, 0.45),
        theta=st.floats(-math.pi, math.pi), t=st.floats(0.0, 0.5))
 def test_generator_is_weyl_covariant_on_leading_blocks(seed, r, theta, t):
-    # e^{tL} commutes with conjugation by W_z; truncation spoils this only
+    # the flow commutes with conjugation by W_z; truncation spoils this only
     # near the edge, so a low-level operand is compared on the 8-block
     n = 40
     a = np.zeros((n, n), dtype=complex)
     a[:4, :4] = _unit_hermitian(4, seed)
     w = weyl_operator((r * math.cos(theta), r * math.sin(theta)), n).matrix
-    before = w @ _heat_generator(a, t) @ w.conj().T
-    after = _heat_generator(w @ a @ w.conj().T, t)
+    before = w @ exact_heat(a, t, n) @ w.conj().T
+    after = exact_heat(w @ a @ w.conj().T, t, n)
     assert float(np.abs(before - after)[:8, :8].max()) <= 1e-12

@@ -205,6 +205,19 @@ def test_trace_norm_is_singular_value_sum():
     # and on a Hermitian matrix it is the absolute eigenvalue sum
     h = m + m.conj().T
     assert trace_norm(h) == pytest.approx(float(np.abs(np.linalg.eigvalsh(h)).sum()))
+    # a diagonal matrix skips the SVD; one entry anywhere off the diagonal,
+    # or a transposed view, must not
+    for n in (1, 2, 7):
+        d = np.diag(RNG.standard_normal(n) + 1j * RNG.standard_normal(n))
+        cases = [d]
+        for i, j in [(0, n - 1), (n - 1, 0), (n - 1, n - 2)]:
+            if i != j:
+                near = d.copy()
+                near[i, j] = 0.5j
+                cases += [near, near.T]
+        for c in cases:
+            want = float(np.linalg.svd(c, compute_uv=False).sum())
+            assert trace_norm(c) == pytest.approx(want, rel=1e-14)
 
 
 def test_operator_algebra_helpers():

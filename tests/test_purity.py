@@ -1,5 +1,7 @@
 """Distinguishability decay, band-annihilated distances, certified bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ccrflow import (
     number_state,
     trace_norm,
 )
+from ccrflow.purity import DEFAULT_TIME_GRID
 
 
 def gue_traceless(n: int, seed: int) -> FockOperator:
@@ -23,15 +26,29 @@ def gue_traceless(n: int, seed: int) -> FockOperator:
     return FockOperator(h)
 
 
+def pair_distance(t: float) -> float:
+    """||phi_t(|0><0| - |1><1|)||_1 in closed form: with nbar = 2t added
+    quanta the two evolved densities cross once, after level K = ceil(nbar) - 1,
+    which leaves 2(K + 1) nbar^K / (1 + nbar)^(K + 2)."""
+    if t == 0:
+        return 2.0
+    nbar = 2.0 * t
+    k = math.ceil(nbar) - 1
+    return 2.0 * (k + 1) * nbar ** k / (1.0 + nbar) ** (k + 2)
+
+
 def test_fock_pair_decay_matches_closed_form():
     # |0><0| vs |1><1| has a closed-form distance curve; the first few
     # values are 2, 8/9, 1/2, 8/27
-    d = decay_curve(
-        number_state(0, 40), number_state(1, 40), times=(0.0, 0.25, 0.5, 1.0)
-    )
-    want = [2.0, 8.0 / 9.0, 0.5, 8.0 / 27.0]
-    np.testing.assert_allclose(d, want, atol=1e-5)
+    rows = decay_curve(number_state(0, 40), number_state(1, 40))
+    d = [row["distance"] for row in rows]
+    np.testing.assert_allclose(d[:4], [2.0, 8.0 / 9.0, 0.5, 8.0 / 27.0], atol=1e-5)
+    np.testing.assert_allclose(d, [pair_distance(t) for t in DEFAULT_TIME_GRID],
+                               rtol=1e-12, atol=0.0)
     assert all(b < a for a, b in zip(d, d[1:]))
+    # the window outgrows the truncation, and what it leaves out is stated
+    assert [row["t"] for row in rows] == list(DEFAULT_TIME_GRID)
+    assert rows[-1]["levels"] > 1000 and all(row["lost_trace"] <= 1e-13 for row in rows)
 
 
 def test_spectral_path_agrees_on_fock_pair():
@@ -41,7 +58,7 @@ def test_spectral_path_agrees_on_fock_pair():
 
     n = 30
     rho1, rho2 = number_state(0, n), number_state(1, n)
-    d = decay_curve(rho1, rho2, times=(0.0, 0.5), path="spectral")
+    d = [row["distance"] for row in decay_curve(rho1, rho2, times=(0.0, 0.5), path="spectral")]
     assert abs(d[0] - 2.0) < 1e-9
     k = spectral_levels(n)
     e1 = evolve_state(HeatFlowParams(0.5), rho1).matrix
@@ -57,8 +74,8 @@ def test_decay_curve_input_guards():
         decay_curve(number_state(0, 10), number_state(1, 10), times=(0.5, 0.5))
     with pytest.raises(ValueError, match="unknown path"):
         decay_curve(number_state(0, 10), number_state(1, 10),
-                    times=(0.0,), path="exact")
-    # the generator blows up backwards in time
+                    times=(0.0,), path="generator")
+    # the flow is not defined backwards in time
     with pytest.raises(ValueError, match="negative time"):
         decay_curve(number_state(0, 10), number_state(1, 10), times=(-1.0, 0.0))
 
@@ -158,8 +175,8 @@ def test_certificate_record_invariant(monkeypatch, tmp_path, capsys):
     # instead of reading as an invalid config (exit 2)
     from ccrflow import cli, purity
 
-    original = purity._heat_generator
-    monkeypatch.setattr(purity, "_heat_generator", lambda a, t: 1000.0 * original(a, t))
+    original = purity.exact_heat
+    monkeypatch.setattr(purity, "exact_heat", lambda a, t, n_out: 1000.0 * original(a, t, n_out))
     cfg = cli.RunConfig(**{**cli._COMMON, **cli._DEFAULTS["purity"]})
     rep = cli.check_purity_certificate(cfg)
     assert rep.details["slack"] < 0

@@ -62,5 +62,5 @@ def test_certificate_json(tmp_path):
     }
     assert set(data["details"]) == {
         "t", "delta", "truncation", "tv_gap", "omega0_trace_norm",
-        "pairing_inner_product", "pairing_nodes",
+        "pairing_inner_product", "pairing_nodes", "levels", "lost_trace",
     }
