@@ -24,9 +24,11 @@ No quadrature builds a displacement matrix.  Through the eigensystem
 symmetric nodes, into one per-channel kernel K[k, l, s] over the matrix
 offsets s, laid out by fock._offset_layout as in both transform directions.
 Applying K is a correlation along the offsets, so the channel caches its
-spectrum on a circle of 4N offsets (see _build_kernel): quadrature runs one
-FFT pair per operand (see _apply_kernel), Choi blocks transform back to K,
-and equal channels share one build: a further operand costs O(N^4).
+spectrum, one per residue s mod 4 on a circle of N offsets with the origin
+node apart; a heat channel keeps residue 0 alone (see _build_kernel).
+Quadrature runs one FFT pair per operand (see _apply_kernel), Choi blocks
+transform back to K, and equal channels share one build: a further
+operand costs O(N^4).
 
 A third engine, exact_heat, is exact: any leading window of the flow is a
 finite sum.  It serves the purity instruments and is the reference the
@@ -46,6 +48,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,10 +141,15 @@ def cauchy_multiplier(t: float, points: np.ndarray) -> np.ndarray:
 
 def heat_channel(t: float, n_levels: int) -> MeasureChannel:
     """Quadrature channel of the Gaussian measure at time t, on
-    default_gaussian_grid(t): the one grid every Gaussian channel uses."""
+    default_gaussian_grid(t): the one grid every Gaussian channel uses, less
+    its row and column at -L, which have no mirror at +L (renormalized), so
+    the measure is quarter-turn symmetric (see _build_kernel).  That drops
+    1.1e-10 of the mass at t = 0.0125, 7.1e-11 at 0.25 and 9.0e-12 at 16."""
     if t <= 0:
         raise ValueError("heat channel needs t > 0; t = 0 is the identity")
-    return MeasureChannel(gaussian_measure(t, default_gaussian_grid(t)), n_levels)
+    grid = default_gaussian_grid(t)
+    w = np.pad(gaussian_measure(t, grid).weights[1:, 1:], ((1, 0), (1, 0)))
+    return MeasureChannel(GridMeasure(grid, w / w.sum()), n_levels)
 
 
 def point_mass_channel(zs, weights, grid: GridSpec, n_levels: int) -> MeasureChannel:
@@ -174,55 +182,76 @@ def _masked_quadrature(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
 # newest always stays
 _KERNEL_CACHE_BYTES = 16 << 20
 _kernels: OrderedDict = OrderedDict()
+_kernel_counts = dict.fromkeys(("builds", "cache_hits", "residues_kept"), 0)  # since import
+# a residue r > 0 whose class sums are within this share of the largest is skipped
+_RESIDUE_FLOOR = 1e-14
 
 
-def _build_kernel(weights: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
-    """Spectrum along s of the channel kernel
+class _Kernel(NamedTuple):
+    """A channel kernel: the origin node's weight, the kept residues
+    r = s mod 4 and their read-only spectra [residue, k, l, position]."""
+
+    origin: complex
+    residues: tuple
+    spectra: np.ndarray
+
+
+def _build_kernel(weights: np.ndarray, grid: GridSpec, n: int) -> _Kernel:
+    """Spectra along s of the channel kernel
     K[k, l, s] = sum_p w_p e^{i th_p s} e^{i rho_p (lam_k - lam_l)},
     |s| <= 2N - 2, with rho_p(cos th_p, sin th_p) = CONJUGATION_SCALE z_p
     for grid node z_p and (lam, V) the eigensystem of Q.
 
-    Returns Khat = L ifft_s(K) with K laid on a circle of length L = 4N,
-    offset s at position s mod L: at least the 4N - 3 offsets, so none
-    alias, and smooth at the truncations in use (L = 96, 120, 128, 160).
-    The transform meets the class sums D[f, s] of fock._lattice_classes
-    before they meet the pairs e^{i rho_f (lam_k - lam_l)}, so the build
-    is one N^2 x L product per class, as for K itself.
+    The origin node has no angle and W_0 = I: its weight w_0 sits on every
+    offset, so it is kept apart as the term w_0 A.  The other offsets split
+    by residue r = s mod 4: s = 4j + r takes at most N values of j, so
+    Chat_r = N ifft_j(K[4j + r]), j at position j mod N, never aliases.
+    The four quarter turns of a node (W_{Rz} = e^{i pi N/2} W_z e^{-i pi N/2})
+    sum to a factor 1 + i^s + i^{2s} + i^{3s}, so a quarter-turn-symmetric
+    measure keeps r = 0 alone: a residue whose class sums D[f, s] of
+    fock._lattice_classes are roundoff (_RESIDUE_FLOOR) is skipped.  The
+    transform meets D before the pairs e^{i rho_f (lam_k - lam_l)}, so the
+    build is one N^2 x RN product per class for R kept residues.
 
-    Khat is everything the channel knows about its nodes.  It holds
-    4N N^2 complex entries: 1.7 MB at N = 30, 4.1 MB at N = 40 and
-    1 GB at N = 256.
+    Each kept residue holds N N^2 complex entries: 0.43 MB at N = 30, 34 MB at N = 128.
     """
-    size = 4 * n
     phase, expo, cls, flip, quarter = _lattice_classes(
         grid.points_per_axis, CONJUGATION_SCALE * grid.h, n, 2 * n - 2)
     sums = _class_sums(weights, cls, flip, quarter, phase)
-    # sums hold s = -(2N - 2)..2N - 2 in order; offset s goes to s mod L
-    circle = np.zeros((len(sums), size), dtype=complex)
-    circle[:, : 2 * n - 1] = sums[:, 2 * n - 2:]
-    circle[:, 2 - 2 * n:] = sums[:, : 2 * n - 2]
-    spectra = size * np.fft.ifft(circle, axis=1)
-    kernel = np.zeros((size, n * n), dtype=complex)
+    # class 0 is the origin; sums hold s = -(2N - 2)..2N - 2 in order
+    origin, sums, expo = complex(sums[0, 0]), sums[1:], expo[1:]
+    s = np.arange(2 - 2 * n, 2 * n - 1)
+    circles = np.zeros((len(sums), 4, n), dtype=complex)
+    circles[:, s % 4, s // 4 % n] = sums  # s = 4j + r at position j mod N of circle r
+    floor = _RESIDUE_FLOOR * np.abs(circles).max()
+    residues = [r for r in range(4) if r == 0 or np.abs(circles[:, r]).max() > floor]
+    spectra = (n * np.fft.ifft(circles[:, residues], axis=-1)).reshape(len(sums), -1)
+    kernel = np.zeros((spectra.shape[1], n * n), dtype=complex)
     for sl in _node_slices(len(expo), n * n):
         pairs = (expo[sl, :, None] * expo[sl, None, :].conj()).reshape(-1, n * n)
         kernel += spectra[sl].T @ pairs
-    kernel = np.ascontiguousarray(kernel.T).reshape(n, n, size)
+    kernel = np.ascontiguousarray(kernel.reshape(-1, n, n * n).transpose(0, 2, 1))
+    kernel = kernel.reshape(-1, n, n, n)
     kernel.setflags(write=False)
-    return kernel
+    return _Kernel(origin, tuple(residues), kernel)
 
 
-def _channel_kernel(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
-    """The kernel spectrum of the channel's masked quadrature, built once
-    per content (truncation, grid, conjugation scale and weights), so equal
+def _channel_kernel(ch: MeasureChannel, max_clipped: float) -> _Kernel:
+    """The kernel of the channel's masked quadrature, built once per
+    content (truncation, grid, conjugation scale and weights), so equal
     channels share one build."""
     weights = _masked_quadrature(ch, max_clipped)
     key = (ch.truncation, ch.mu.grid, CONJUGATION_SCALE, weights.tobytes())
     kernel = _kernels.pop(key, None)
     if kernel is None:
         kernel = _build_kernel(weights, ch.mu.grid, ch.truncation)
+        _kernel_counts["builds"] += 1
+        _kernel_counts["residues_kept"] += len(kernel.residues)
+    else:
+        _kernel_counts["cache_hits"] += 1
     _kernels[key] = kernel
     while len(_kernels) > 1 and (
-        sum(k.nbytes for k in _kernels.values()) > _KERNEL_CACHE_BYTES
+        sum(k.spectra.nbytes for k in _kernels.values()) > _KERNEL_CACHE_BYTES
     ):
         _kernels.popitem(last=False)
     return kernel
@@ -236,24 +265,33 @@ def _real_product(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (r @ flat).view(complex).reshape(len(r), *c.shape[1:])
 
 
-def _apply_kernel(kernel: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_p w_p W_p A W_p^dagger from the channel's kernel spectrum, in
-    O(N^4).
+def _apply_kernel(kernel: _Kernel, a: np.ndarray) -> np.ndarray:
+    """sum_p w_p W_p A W_p^dagger from the channel's kernel, in O(N^4).
 
     With A_d the offset-d part of A (entries A[i, i+d]) and M_d = V^T A_d V,
     the output's offset-e part is the offset-e part of V Y_e V^T, where
     Y_e = sum_d M_d * K[:, :, d - e] elementwise.  That is a correlation
-    along the offsets, so Y = ifft(fft(M) * Khat) on the kernel's circle.
-    M_d enters at position d + N - 1 and Y_e comes out there; the circle
-    is long enough that no offset wraps onto another.
+    along the offsets, so Y = ifft(fft(M) * Khat) on a circle of 4N, where
+    Khat[q N + b] = sum_r e^{i pi r (q + b / N) / 2} Chat_r[b] for the kept
+    residue spectra Chat_r (see _build_kernel).  M_d enters at position
+    d + N - 1 and Y_e comes out there; the circle is long enough that no
+    offset wraps onto another.  The FFT pair runs in place, so one array
+    of 4N N^2 entries is alive at a time.
     """
     n = a.shape[0]
     _, vec = _position_eigensystem(n)
     shifted = _offset_layout(n)
     m = _real_product(vec.T, shifted * _offset_gather(a)[:, None, :])  # M_d[k, l]
-    y = np.fft.ifft(np.fft.fft(m, n=kernel.shape[-1], axis=-1) * kernel, axis=-1)
+    y = np.fft.fft(m, n=4 * n, axis=-1)
+    del m
+    quarters, b = y.reshape(n, n, 4, n), np.arange(n) / n
+    for q in range(4):
+        terms = [spec if r == 0 else spec * np.exp(0.5j * np.pi * r * (q + b))
+                 for r, spec in zip(kernel.residues, kernel.spectra)]
+        quarters[:, :, q] *= sum(terms[1:], terms[0])
+    np.fft.ifft(y, axis=-1, out=y)
     z = _real_product(vec, y[:, :, : 2 * n - 1])              # (V Y_e)[i, l]
-    return _offset_scatter(np.einsum("ile,ile->ie", z, shifted))
+    return _offset_scatter(np.einsum("ile,ile->ie", z, shifted)) + kernel.origin * a
 
 
 @lru_cache(maxsize=1)
@@ -347,16 +385,17 @@ def _substep_channel(t: float, n_levels: int) -> tuple[MeasureChannel, int]:
     return heat_channel(t / n_steps, n_levels), n_steps
 
 
-def evolve_state(params: HeatFlowParams, rho: DensityOperator) -> DensityOperator:
+def evolve_state(params: HeatFlowParams, rho: DensityOperator, drifts=None) -> DensityOperator:
     """Predual heat-flow action on a state, by quadrature.
 
     The Gaussian measure is symmetric, so the state side uses the same
     conjugation average.  Times beyond the single-step window are split
     into equal substeps (the measures convolve exactly, so this is the same
     channel), each on the default Gaussian grid of the substep time.
-    The output is renormalized for trace drift up to 1e-6 (more raises),
-    hermitized, and validated as a state by DensityOperator, which rejects
-    an eigenvalue below -1e-10.
+    The output is renormalized for trace drift up to 1e-6 (more raises;
+    the drift is appended to ``drifts`` when given), hermitized, and
+    validated as a state by DensityOperator, which rejects an eigenvalue
+    below -1e-10.
     """
     if params.t == 0:
         return rho
@@ -367,6 +406,8 @@ def evolve_state(params: HeatFlowParams, rho: DensityOperator) -> DensityOperato
     tr = float(np.real(np.trace(out)))
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"trace drift {abs(tr - 1.0):.3e} exceeds 1e-6")
+    if drifts is not None:
+        drifts.append(abs(tr - 1.0))
     out = out / tr
     return DensityOperator(FockOperator(0.5 * (out + out.conj().T)))
 
@@ -516,7 +557,7 @@ def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:
     the displacement unitary, read off the channel kernel: with
     U[(i, j), k] = V_ik V_jk, entry (r, r') is
     sum_{k,l} U[r, k] U[r', l] K[k, l, (i_r - j_r) - (i_r' - j_r')], with
-    K one forward FFT of the cached spectrum.
+    K the origin weight plus one forward FFT of each kept residue spectrum.
     Positive semidefinite exactly when the weights can be taken
     nonnegative.  Like apply_quadrature, it relies on the conjugation-scale
     oracle and rejects a measure that clips more than 1e-6 of its mass.
@@ -524,17 +565,18 @@ def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:
     if n > ch.truncation // 4:
         raise ValueError("Choi block exceeds a quarter of the truncation")
     _ensure_scale()
-    spectrum = _channel_kernel(ch, 1e-6)
-    size = spectrum.shape[-1]
-    kernel = np.moveaxis(np.fft.fft(spectrum, axis=-1) / size, -1, 0)  # K[s mod L]
+    cached = _channel_kernel(ch, 1e-6)
+    circles = np.zeros((4, *cached.spectra.shape[1:]), dtype=complex)
+    circles[list(cached.residues)] = np.fft.fft(cached.spectra, axis=-1) / ch.truncation
+    s = np.arange(2 - 2 * n, 2 * n - 1)  # K[s], |s| <= 2n - 2, at s + 2n - 2
+    kernel = cached.origin + circles[s % 4, :, :, s // 4 % ch.truncation]
     _, vec = _position_eigensystem(ch.truncation)
     j, i = np.divmod(np.arange(n * n), n)  # column-major: r = j n + i
     u = vec[i] * vec[j]
     offset = i - j
     c = np.empty((n * n, n * n), dtype=complex)
     for r in range(n * n):
-        s = (offset[r] - offset) % size
-        c[r] = np.einsum("qkl,k,ql->q", kernel[s], u[r], u)
+        c[r] = np.einsum("qkl,k,ql->q", kernel[offset[r] - offset + 2 * n - 2], u[r], u)
     return c
 
 

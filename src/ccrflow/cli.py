@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .channels import (
     HeatFlowParams,
+    _kernel_counts,
     _substep_channel,
     apply_quadrature,
     apply_spectral,
@@ -360,10 +361,10 @@ def check_path_agreement(cfg: RunConfig) -> ExperimentReport:
     k = spectral_levels(n)
     states = [_random_low_block_state(rng, k, n) for _ in range(10)]
     worst = 0.0
-    curve = []
+    curve, drifts = [], []
     for t in cfg.times:  # time first, so each channel is built once
         for i, rho in enumerate(states):
-            quad = evolve_state(HeatFlowParams(t), rho).matrix[:k, :k]
+            quad = evolve_state(HeatFlowParams(t), rho, drifts).matrix[:k, :k]
             spec = apply_spectral(HeatFlowParams(t), rho.op).matrix
             exact = exact_heat(rho.matrix, t, k)
             gap = trace_norm(quad - spec)
@@ -380,7 +381,8 @@ def check_path_agreement(cfg: RunConfig) -> ExperimentReport:
         bound=2e-3,
         passed=bool(worst <= 2e-3),
         details={"quadrature_exact_gap_max": max(r["quadrature_exact_gap"] for r in curve),
-                 "spectral_exact_gap_max": max(r["spectral_exact_gap"] for r in curve)},
+                 "spectral_exact_gap_max": max(r["spectral_exact_gap"] for r in curve),
+                 "trace_renormalization_max": max(drifts)},
         curve=curve,
     )
 
@@ -757,13 +759,16 @@ _RUNNERS = {
 }
 
 
-def run_subcommand(subcommand: str, cfg: RunConfig) -> list[tuple[ExperimentReport, float]]:
-    """Each check's report with its wall time in seconds."""
+def run_subcommand(subcommand: str, cfg: RunConfig) -> list[tuple[ExperimentReport, dict]]:
+    """Each check's report with its costs: wall time in seconds, and kernel
+    builds, cache hits and residues kept, which depend on what ran before."""
     out = []
     try:
         for fn in _RUNNERS[subcommand]:
-            start = time.perf_counter()
-            out.append((fn(cfg), time.perf_counter() - start))
+            start, before = time.perf_counter(), dict(_kernel_counts)
+            report = fn(cfg)
+            out.append((report, {"wall_s": time.perf_counter() - start, "kernels": {
+                key: _kernel_counts[key] - count for key, count in before.items()}}))
     finally:
         _approximants.clear()
     return out
@@ -800,7 +805,7 @@ def _write_summary(out_dir: Path, reports) -> dict:
     return summary
 
 
-def _write_metadata(out_dir: Path, argv, wall_s: dict, started: float) -> None:
+def _write_metadata(out_dir: Path, argv, wall_s: dict, kernels: dict, started: float) -> None:
     meta = {
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "argv": list(argv),
@@ -810,6 +815,7 @@ def _write_metadata(out_dir: Path, argv, wall_s: dict, started: float) -> None:
         "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
         "thread_pins": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
         "check_wall_s": wall_s,
+        "check_kernels": kernels,
         "total_wall_s": time.perf_counter() - started,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -853,7 +859,7 @@ def main(argv=None) -> int:
         print(f"ccrflow: invalid config: {exc}", file=sys.stderr)
         return 2
     out_dir = configs[names[0]].out_dir
-    all_reports, wall_s = [], {}
+    all_reports, wall_s, kernels = [], {}, {}
     for name in names:
         try:
             timed = run_subcommand(name, configs[name])
@@ -864,13 +870,14 @@ def main(argv=None) -> int:
             print(f"ccrflow: {name}: {exc}", file=sys.stderr)
             return 2
         reports = [rep for rep, _ in timed]
-        wall_s.update((rep.check, seconds) for rep, seconds in timed)
+        wall_s.update((rep.check, costs["wall_s"]) for rep, costs in timed)
+        kernels.update((rep.check, costs["kernels"]) for rep, costs in timed)
         _write_artifacts(out_dir, name, reports)
         all_reports.extend(reports)
         for rep in reports:
             print(rep.summary_line())
     summary = _write_summary(out_dir, all_reports)
-    _write_metadata(out_dir, argv, wall_s, started)
+    _write_metadata(out_dir, argv, wall_s, kernels, started)
     if args.json_summary:
         print(json.dumps(summary, sort_keys=True, default=_json_fallback))
     return 0 if all(rep.passed for rep in all_reports) else 1

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import textwrap
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,33 @@ def test_run_metadata_times_every_check(tmp_path):
     assert "wall" not in summary
     for path in (out / "choi").iterdir():
         assert "wall" not in path.read_text()
+
+
+def test_run_metadata_counts_kernel_builds_per_check(tmp_path, monkeypatch):
+    # from an empty cache: eigen_relation builds the scale oracle's
+    # two-atom channel (residues 0 and 2) and t = 0.25; path_agreement adds
+    # t = 0.5; generator_scaling builds the four times its three z need
+    channels._ensure_scale.cache_clear()
+    monkeypatch.setattr(channels, "_kernels", OrderedDict())
+    out = tmp_path / "a"
+    assert main(["heatflow", "--out", str(out)]) == 0
+    meta = json.loads((out / "run_metadata.json").read_text())
+    counts = meta["check_kernels"]
+    assert sorted(counts) == sorted(meta["check_wall_s"])
+    builds = {check: c["builds"] for check, c in counts.items() if c["builds"]}
+    assert builds == {"eigen_relation": 2, "path_agreement": 1, "generator_scaling": 4}
+    assert counts["eigen_relation"]["residues_kept"] == 3
+    assert counts["generator_scaling"]["residues_kept"] == 4
+    assert counts["conservation"]["cache_hits"] > 0
+    for path in (out / "heatflow").iterdir():
+        assert "cache_hits" not in path.read_text()
+
+
+def test_path_agreement_reports_the_trace_it_renormalizes():
+    cfg = RunConfig(**{**_COMMON, **_DEFAULTS["heatflow"]})
+    report = cli.check_path_agreement(cfg)
+    drift = report.details["trace_renormalization_max"]
+    assert 0.0 < drift <= 1e-6
 
 
 def test_main_rejects_invalid_config(tmp_path, capsys):

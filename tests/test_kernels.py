@@ -268,18 +268,64 @@ def test_spectral_apply_matches_the_offset_loop(n, seed):
     assert_close(got, loop_apply_kernel(node_kernel(ch), a))
 
 
+def residue_kernel(kernel, n: int) -> np.ndarray:
+    """K[s + 2N - 2] for |s| <= 2N - 2 read back from the residue spectra:
+    offset s = 4j + r at position j mod N of circle r, plus the origin."""
+    s = np.arange(2 - 2 * n, 2 * n - 1)
+    out = np.full((len(s), n, n), kernel.origin)
+    for r, spec in zip(kernel.residues, kernel.spectra):
+        circle = np.moveaxis(np.fft.fft(spec, axis=-1) / n, -1, 0)
+        out[s % 4 == r] += circle[(s[s % 4 == r] - r) // 4 % n]
+    return out
+
+
 @pytest.mark.parametrize("n", [2, 8, 30, 40])
-def test_kernel_spectrum_is_the_kernel_on_a_circle_of_4n(n):
+def test_residue_spectra_are_the_kernel_on_circles_of_n(n):
     ch = asymmetric_channel(n, n)
-    spectrum = channels._channel_kernel(ch, 1e-6)
-    assert spectrum.size == 4 * n * n * n
-    assert not spectrum.flags.writeable
-    # back along the circle: offset s sits at s mod 4N, and the three
-    # positions between +(2N - 2) and -(2N - 2) stay empty
-    circle = np.moveaxis(np.fft.fft(spectrum, axis=-1) / (4 * n), -1, 0)
-    want = np.zeros_like(circle)
-    want[np.arange(2 - 2 * n, 2 * n - 1) % (4 * n)] = node_kernel(ch)
-    assert_close(circle, want)
+    kernel = channels._channel_kernel(ch, 1e-6)
+    assert kernel.residues == (0, 1, 2, 3)
+    assert kernel.spectra.shape == (4, n, n, n)
+    assert not kernel.spectra.flags.writeable
+    # every offset of a kept residue, from its own circle of N positions
+    assert_close(residue_kernel(kernel, n), node_kernel(ch))
+
+
+@pytest.mark.parametrize("t", [0.0125, 0.25])
+def test_heat_channel_keeps_one_residue_and_its_origin(t):
+    n = 24
+    ch = heat_channel(t, n)
+    kernel = channels._channel_kernel(ch, 1e-6)
+    assert kernel.residues == (0,)
+    assert kernel.spectra.shape == (1, n, n, n)
+    m = ch.mu.grid.points_per_axis // 2
+    assert kernel.origin == ch.mu.weights[m, m]
+    assert_close(residue_kernel(kernel, n), node_kernel(ch))
+
+
+@pytest.mark.parametrize("t", [0.0044, 0.25, 1.0, 16.0])
+def test_heat_channel_drops_only_the_unpaired_edge(t):
+    gauss = gaussian_measure(t, default_gaussian_grid(t)).weights
+    edge = float(gauss[0].sum() + gauss[1:, 0].sum())
+    assert edge <= 1e-9
+    kept = gauss.copy()
+    kept[0], kept[:, 0] = 0.0, 0.0
+    assert_close(heat_channel(t, 8).mu.weights, kept / (1.0 - edge))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 30), half=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_quarter_turn_symmetric_weights_keep_one_residue(n, half, seed):
+    # random weights summed over the four turns of the grid without its
+    # -L row and column, where the turns map nodes onto nodes
+    inner = np.random.default_rng(seed).normal(size=(2 * half - 1, 2 * half - 1, 2))
+    inner = inner @ np.array([1.0, 1j])
+    weights = np.zeros((2 * half, 2 * half), dtype=complex)
+    weights[1:, 1:] = sum(np.rot90(inner, q) for q in range(4))
+    ch = MeasureChannel(GridMeasure(GridSpec(half * 0.25, 2 * half), weights), n)
+    kernel = channels._channel_kernel(ch, 1e-6)
+    assert kernel.residues == (0,)
+    a = np.random.default_rng(seed + 1).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
+    assert_close(channels._apply_kernel(kernel, a), loop_apply_kernel(node_kernel(ch), a))
 
 
 # every node of an even grid: the unpaired -L row and column, the axes,
