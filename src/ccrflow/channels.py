@@ -5,14 +5,15 @@ displaced conjugations,
 
     phi_mu(A) = sum_cells mu(cell) * W_{c * cell} A W_{c * cell}^dagger ,
 
-with the conjugation scale c = 1/2: conjugating W_z by W_{c*zeta} multiplies
-it by e^{2i omega(c*zeta, z)}, so c = 1/2 makes the channel act on Weyl
-operators as pointwise multiplication by the symplectic transform of mu.
-(Strictly, +1/2 produces the transform of the reflected measure; every
-measure in this package's experiments is symmetric under z -> -z, for which
-the two agree.  The scale's magnitude is what the oracle run before the
-first quadrature or Choi block pins down: a two-atom measure would betray
-any other |c| through a wrong multiplier frequency.)
+with the conjugation scale c = 1/2: by the Weyl relations, conjugating W_z
+by W_{c*zeta} multiplies it by e^{2i omega(c*zeta, z)}, so c = 1/2 makes the
+channel act on Weyl operators as pointwise multiplication by the symplectic
+transform of mu.  (Strictly, +1/2 produces the transform of the reflected
+measure; every measure in this package's experiments is symmetric under
+z -> -z, for which the two agree.)  The scale is an identity, not a run-time
+value: the tests pin it on the quadrature and the Choi path, where a
+two-atom measure would betray any other |c| through a wrong multiplier
+frequency.
 
 The heat flow is the channel family of the Gaussian measures; its defining
 spectral action multiplies the operator transform by e^{-t|z|^2}.  Both
@@ -27,8 +28,8 @@ Applying K is a correlation along the offsets, so the channel caches its
 spectrum, one per residue s mod 4 on a circle of N offsets with the origin
 node apart; a heat channel keeps residue 0 alone (see _build_kernel).
 Quadrature runs one FFT pair per operand (see _apply_kernel), Choi blocks
-transform back to K, and equal channels share one build: a further
-operand costs O(N^4).
+transform back to K, and equal channels share one build while their kernel
+is among the two newest: a further operand costs O(N^4).
 
 A third engine, exact_heat, is exact: any leading window of the flow is a
 finite sum.  It serves the purity instruments and is the reference the
@@ -70,7 +71,6 @@ from .phase_space import (
     default_gaussian_grid,
     gaussian_measure,
     measure_from_atoms,
-    omega,
 )
 from .reports import ExperimentReport
 from .weyl_transform import (
@@ -178,9 +178,10 @@ def _masked_quadrature(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
     return np.where(keep, w, 0.0)
 
 
-# kernel spectra stay cached while together they hold at most 16 MB; the
-# newest always stays
-_KERNEL_CACHE_BYTES = 16 << 20
+# the two newest kernels stay cached: conservation reuses the two channels
+# path_agreement built, and generator_scaling's second z the first z's pair
+# of times
+_KERNELS_KEPT = 2
 _kernels: OrderedDict = OrderedDict()
 _kernel_counts = dict.fromkeys(("builds", "cache_hits", "residues_kept"), 0)  # since import
 # a residue r > 0 whose class sums are within this share of the largest is skipped
@@ -250,9 +251,7 @@ def _channel_kernel(ch: MeasureChannel, max_clipped: float) -> _Kernel:
     else:
         _kernel_counts["cache_hits"] += 1
     _kernels[key] = kernel
-    while len(_kernels) > 1 and (
-        sum(k.spectra.nbytes for k in _kernels.values()) > _KERNEL_CACHE_BYTES
-    ):
+    while len(_kernels) > _KERNELS_KEPT:
         _kernels.popitem(last=False)
     return kernel
 
@@ -294,43 +293,14 @@ def _apply_kernel(kernel: _Kernel, a: np.ndarray) -> np.ndarray:
     return _offset_scatter(np.einsum("ile,ile->ie", z, shifted)) + kernel.origin * a
 
 
-@lru_cache(maxsize=1)
-def _ensure_scale() -> None:
-    """Verify the conjugation scale on a symmetric two-atom measure.
-
-    mu = (delta_a + delta_{-a})/2 must act on W_z as multiplication by
-    cos(omega(z, a)).  A wrong scale magnitude shows up as a wrong
-    multiplier frequency; 2^{-1/2}, for instance, fails by ~40%.  The
-    oracle sums the conjugations through the channel kernel, below the
-    guards that call it, so it never re-enters itself.  The cache keeps
-    only a pass: a raise is not cached, so after a failure every guarded
-    call raises again.
-    """
-    n = 24
-    a = (0.5, 1.0)
-    ch = point_mass_channel([a, (-a[0], -a[1])], [0.5, 0.5], GridSpec(2.0, 8), n)
-    kernel = _channel_kernel(ch, 1e-6)
-    k = n // 2
-    worst = 0.0
-    for z in [(0.8, -0.3), (1.0, 0.0), (0.4, 0.9)]:
-        w = weyl_operator(z, n).matrix
-        out = _apply_kernel(kernel, w)
-        want = math.cos(omega(z, a)) * w
-        worst = max(worst, float(np.abs(out[:k, :k] - want[:k, :k]).max()))
-    if worst > 1e-8:
-        raise RuntimeError(
-            f"conjugation-scale oracle failed: multiplier defect {worst:.3e}"
-        )
-
-
 def apply_quadrature(
     ch: MeasureChannel, a: FockOperator, max_clipped: float = 1e-6
 ) -> FockOperator:
     """Deterministic cell-sum application of the measure channel, through
-    the channel's cached kernel (see _build_kernel)."""
+    the channel's cached kernel (see _build_kernel).  It builds no kernel
+    but that one, and no displacement matrix."""
     if a.dim != ch.truncation:
         raise ValueError("operator dimension does not match the channel truncation")
-    _ensure_scale()
     return FockOperator(_apply_kernel(_channel_kernel(ch, max_clipped), a.matrix))
 
 
@@ -559,12 +529,12 @@ def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:
     sum_{k,l} U[r, k] U[r', l] K[k, l, (i_r - j_r) - (i_r' - j_r')], with
     K the origin weight plus one forward FFT of each kept residue spectrum.
     Positive semidefinite exactly when the weights can be taken
-    nonnegative.  Like apply_quadrature, it relies on the conjugation-scale
-    oracle and rejects a measure that clips more than 1e-6 of its mass.
+    nonnegative.  Like apply_quadrature, it builds no kernel but the
+    channel's own and rejects a measure that clips more than 1e-6 of its
+    mass.
     """
     if n > ch.truncation // 4:
         raise ValueError("Choi block exceeds a quarter of the truncation")
-    _ensure_scale()
     cached = _channel_kernel(ch, 1e-6)
     circles = np.zeros((4, *cached.spectra.shape[1:]), dtype=complex)
     circles[list(cached.residues)] = np.fft.fft(cached.spectra, axis=-1) / ch.truncation

@@ -90,12 +90,6 @@ class FockOperator:
         out[: self.dim, : self.dim] = self.matrix
         return FockOperator(out)
 
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.matrix @ other.matrix)
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.matrix + other.matrix)
-
     def __sub__(self, other: "FockOperator") -> "FockOperator":
         return FockOperator(self.matrix - other.matrix)
 

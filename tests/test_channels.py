@@ -61,8 +61,9 @@ def test_heat_channel_acts_as_gaussian_multiplier():
 
 
 def test_two_atom_channel_multiplies_by_cosine():
-    # (delta_a + delta_{-a})/2 acts on W_z by cos(omega(z, a)); this pins the
-    # conjugation scale independently of the startup oracle's choices
+    # (delta_a + delta_{-a})/2 acts on W_z by cos(omega(z, a)): conjugating
+    # at a/2 multiplies W_z by e^{i omega(a, z)}, so this pins the
+    # conjugation scale 1/2 on the apply path (2^{-1/2} misses the frequency)
     n = 28
     a = (1.0, 0.5)
     ch = point_mass_channel([a, (-1.0, -0.5)], [0.5, 0.5], ATOM_GRID, n)
@@ -189,22 +190,18 @@ def test_choi_signed_witness_is_negative():
     assert float(np.linalg.eigvalsh(c).min()) < -0.01
 
 
-def test_wrong_conjugation_scale_fails_every_guarded_call(monkeypatch):
-    # the oracle caches only a pass, so a failure raises on each later call,
-    # from the Choi path as well as from quadrature
-    from ccrflow import channels
-
-    ch = heat_channel(0.5, 24)
-    channels._ensure_scale.cache_clear()
-    monkeypatch.setattr(channels, "CONJUGATION_SCALE", 2.0 ** -0.5)
-    try:
-        for _ in range(2):
-            with pytest.raises(RuntimeError, match="conjugation-scale"):
-                apply_quadrature(ch, FockOperator(np.eye(24, dtype=complex)))
-            with pytest.raises(RuntimeError, match="conjugation-scale"):
-                choi_matrix(ch, 4)
-    finally:
-        channels._ensure_scale.cache_clear()
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.5, -0.5)])
+def test_two_atom_choi_conjugates_at_half_the_atom(weights):
+    # the Choi path, read back from the kernel, sums the conjugations by
+    # W_{z/2} with the literal scale 1/2: 2^{-1/2} would miss by 0.18 or more
+    n, block = 24, 4
+    atoms = [(0.5, 1.0), (-0.5, -1.0)]
+    ch = point_mass_channel(atoms, list(weights), ATOM_GRID, n)
+    want = np.zeros((block * block, block * block), dtype=complex)
+    for (x, y), w in zip(atoms, weights):
+        v = weyl_operator((x / 2, y / 2), n).matrix[:block, :block].ravel(order="F")
+        want += w * np.outer(v, v.conj())
+    assert float(np.abs(choi_matrix(ch, block) - want).max()) <= 1e-12
 
 
 def test_choi_block_size_guard():

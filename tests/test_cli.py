@@ -170,10 +170,8 @@ def test_run_metadata_times_every_check(tmp_path):
 
 
 def test_run_metadata_counts_kernel_builds_per_check(tmp_path, monkeypatch):
-    # from an empty cache: eigen_relation builds the scale oracle's
-    # two-atom channel (residues 0 and 2) and t = 0.25; path_agreement adds
-    # t = 0.5; generator_scaling builds the four times its three z need
-    channels._ensure_scale.cache_clear()
+    # from an empty cache: eigen_relation builds t = 0.25; path_agreement
+    # adds t = 0.5; generator_scaling builds the four times its three z need
     monkeypatch.setattr(channels, "_kernels", OrderedDict())
     out = tmp_path / "a"
     assert main(["heatflow", "--out", str(out)]) == 0
@@ -181,8 +179,8 @@ def test_run_metadata_counts_kernel_builds_per_check(tmp_path, monkeypatch):
     counts = meta["check_kernels"]
     assert sorted(counts) == sorted(meta["check_wall_s"])
     builds = {check: c["builds"] for check, c in counts.items() if c["builds"]}
-    assert builds == {"eigen_relation": 2, "path_agreement": 1, "generator_scaling": 4}
-    assert counts["eigen_relation"]["residues_kept"] == 3
+    assert builds == {"eigen_relation": 1, "path_agreement": 1, "generator_scaling": 4}
+    assert counts["eigen_relation"]["residues_kept"] == 1
     assert counts["generator_scaling"]["residues_kept"] == 4
     assert counts["conservation"]["cache_hits"] > 0
     for path in (out / "heatflow").iterdir():

@@ -227,5 +227,4 @@ def test_operator_algebra_helpers():
     np.testing.assert_allclose(a.leading_block(3).matrix, m[:3, :3])
     np.testing.assert_allclose(a.embedded(8).matrix[:6, :6], m)
     assert a.embedded(8).matrix[7, 7] == 0.0
-    np.testing.assert_allclose((a @ a).matrix, m @ m)
     np.testing.assert_allclose((a - a.scaled(2.0)).matrix, -m)

@@ -141,13 +141,12 @@ def test_offset_scatter_undoes_the_gather(n, seed):
 
 def test_heatflow_builds_one_offset_table_per_truncation(tmp_path):
     # the gather and scatter read only the flat index, so the inverse's
-    # scatter at its block size builds no eigenvector table: N = 24 (the
-    # scale oracle), 30 and 40 (semigroup composition), none evicted
-    channels._ensure_scale.cache_clear()
+    # scatter at its block size builds no eigenvector table: N = 30 and 40
+    # (semigroup composition), none evicted
     fock._offset_layout.cache_clear()
     assert cli.main(["heatflow", "--times", "0.25,0.5", "--out", str(tmp_path)]) == 0
     info = fock._offset_layout.cache_info()
-    assert (info.misses, info.currsize) == (3, 3)
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 def test_zero_measure_gives_exactly_zero():
@@ -158,7 +157,6 @@ def test_zero_measure_gives_exactly_zero():
 
 
 def test_kernel_paths_build_no_displacement_matrix(monkeypatch):
-    channels._ensure_scale()  # the scale oracle builds its own three probes
     n = 24
     ch = heat_channel(0.25, n)
     a = FockOperator(random_matrix(n))
@@ -183,7 +181,6 @@ def test_kernel_paths_build_no_displacement_matrix(monkeypatch):
 
 
 def test_equal_channels_share_one_kernel_build(monkeypatch):
-    channels._ensure_scale()
     monkeypatch.setattr(channels, "_kernels", OrderedDict())
     builds = []
     original = channels._build_kernel
@@ -204,11 +201,10 @@ def test_equal_channels_share_one_kernel_build(monkeypatch):
 
 
 def test_path_agreement_builds_each_channel_once(monkeypatch):
-    # a cache that keeps only the newest spectrum, as from N = 51 on: the
-    # time-first loop still builds one channel per time (both times at
-    # N = 24 take one step, max_single_step(24) = 0.568)
-    channels._ensure_scale()
-    monkeypatch.setattr(channels, "_KERNEL_CACHE_BYTES", 1)
+    # a cache that keeps only the newest kernel: the time-first loop still
+    # builds one channel per time (both times at N = 24 take one step,
+    # max_single_step(24) = 0.568)
+    monkeypatch.setattr(channels, "_KERNELS_KEPT", 1)
     monkeypatch.setattr(channels, "_kernels", OrderedDict())
     builds = []
     original = channels._build_kernel
@@ -224,6 +220,29 @@ def test_path_agreement_builds_each_channel_once(monkeypatch):
     assert builds == [24, 24]
     assert [(row["state"], row["t"]) for row in report.curve] == [
         (i, t) for i in range(10) for t in (0.25, 0.5)]
+
+
+def test_cache_keeps_the_two_newest_kernels(monkeypatch):
+    monkeypatch.setattr(channels, "_kernels", OrderedDict())
+    builds = []
+    original = channels._build_kernel
+
+    def counting(*args):
+        builds.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(channels, "_build_kernel", counting)
+    n = 12
+    a = FockOperator(random_matrix(n))
+    chs = [heat_channel(t, n) for t in (0.1, 0.2, 0.3)]
+    for ch in chs:
+        apply_quadrature(ch, a)
+    kept = [key[-1] for key in channels._kernels]
+    assert kept == [channels._masked_quadrature(ch, 1e-6).tobytes() for ch in chs[1:]]
+    apply_quadrature(chs[2], a)
+    assert len(builds) == 3
+    apply_quadrature(chs[0], a)
+    assert len(builds) == 4
 
 
 def node_kernel(ch: MeasureChannel) -> np.ndarray:

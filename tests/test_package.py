@@ -161,3 +161,23 @@ def test_heatflow_runs_without_scipy(tmp_path):
     run = _fresh_python(code, tmp_path)
     assert run.returncode == 0, run.stdout + run.stderr
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["checks"]
+
+
+def test_first_quadrature_does_no_hidden_work(tmp_path):
+    # in a fresh process the first application builds its own channel's
+    # kernel and nothing else: no displacement matrix, no second kernel
+    code = (
+        "import ccrflow.channels as ch, ccrflow.fock as fock, numpy as np\n"
+        "calls = []\n"
+        "original = fock.displacement_batch\n"
+        "def counting(*args, **kwargs):\n"
+        "    calls.append(1)\n"
+        "    return original(*args, **kwargs)\n"
+        "fock.displacement_batch = counting\n"
+        "ch.apply_quadrature(ch.heat_channel(0.25, 12),\n"
+        "                    fock.FockOperator(np.eye(12, dtype=complex)))\n"
+        "print(ch._kernel_counts['builds'], len(calls))\n"
+    )
+    run = _fresh_python(code, tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "0"]
