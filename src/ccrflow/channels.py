@@ -23,7 +23,8 @@ here, and their agreement is one of the package's core checks.
 No quadrature builds a displacement matrix.  Through the eigensystem
 (lam, V) of Q (see weyl_transform), the cell sum factors, class by class of
 symmetric nodes, into one per-channel kernel K[k, l, s] over the matrix
-offsets s, laid out by fock._offset_layout as in both transform directions.
+offsets s, read through fock._offset_layout (a view of V, not a copy) as in
+both transform directions.
 Applying K is a correlation along the offsets, so the channel caches its
 spectrum, one per residue s mod 4 on a circle of N offsets with the origin
 node apart; a heat channel keeps residue 0 alone (see _build_kernel).
@@ -275,11 +276,13 @@ def _apply_kernel(kernel: _Kernel, a: np.ndarray) -> np.ndarray:
     residue spectra Chat_r (see _build_kernel).  M_d enters at position
     d + N - 1 and Y_e comes out there; the circle is long enough that no
     offset wraps onto another.  The FFT pair runs in place, so one array
-    of 4N N^2 entries is alive at a time.
+    of 4N N^2 entries is alive at a time.  Both products read the offset
+    layout along d, so the call takes one contiguous copy of its view:
+    N N (2N - 1) reals, freed on return.
     """
     n = a.shape[0]
     _, vec = _position_eigensystem(n)
-    shifted = _offset_layout(n)
+    shifted = np.ascontiguousarray(_offset_layout(n))
     m = _real_product(vec.T, shifted * _offset_gather(a)[:, None, :])  # M_d[k, l]
     y = np.fft.fft(m, n=4 * n, axis=-1)
     del m

@@ -4,7 +4,9 @@ Subcommands map to experiment families; each run writes one JSON (and,
 when a curve is attached, one CSV) artifact per check plus a summary.
 Artifacts are deterministic for a fixed config - timestamps and timings
 live only in a separate metadata file.  Exit status: 0 all checks passed,
-1 some check failed, 2 the config was invalid.
+1 some check failed, 2 the config was invalid (nothing is written) or a
+subcommand's numerics refused it (the summary and the metadata cover the
+subcommands that finished and record the error).
 """
 
 from __future__ import annotations
@@ -577,7 +579,7 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
         nu = _approximant(t, delta, grid)
         sample = _offband_sample(delta, rng)
         sup = max(float(np.abs(symplectic_ft_at(nu, sample)).max()),
-                  float(np.abs(symplectic_ft_lattice(nu)[off_band]).max()))
+                  float(np.abs(symplectic_ft_lattice(nu)).max(where=off_band, initial=0.0)))
         worst = max(worst, sup)
         curve.append({"t": t, "offband_sup": sup})
     support = _band_support(delta, grid)
@@ -783,7 +785,7 @@ def _write_artifacts(out_dir: Path, subcommand: str, reports) -> None:
         rep.save(target / rep.check)
 
 
-def _write_summary(out_dir: Path, reports) -> dict:
+def _write_summary(out_dir: Path, reports, error: dict | None) -> dict:
     summary = {
         "version": __version__,
         "checks": [
@@ -797,6 +799,8 @@ def _write_summary(out_dir: Path, reports) -> dict:
             for rep in reports
         ],
     }
+    if error:
+        summary["error"] = error
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2, default=_json_fallback) + "\n",
@@ -805,7 +809,18 @@ def _write_summary(out_dir: Path, reports) -> dict:
     return summary
 
 
-def _write_metadata(out_dir: Path, argv, wall_s: dict, kernels: dict, started: float) -> None:
+def _hugepage_mode() -> str | None:
+    """The bracketed transparent huge page mode, which moves peak RSS;
+    None where the kernel has no such setting."""
+    try:
+        text = Path("/sys/kernel/mm/transparent_hugepage/enabled").read_text()
+    except OSError:
+        return None
+    return text.partition("[")[2].partition("]")[0]
+
+
+def _write_metadata(out_dir: Path, argv, wall_s: dict, kernels: dict, started: float,
+                    error: dict | None) -> None:
     meta = {
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "argv": list(argv),
@@ -814,10 +829,13 @@ def _write_metadata(out_dir: Path, argv, wall_s: dict, kernels: dict, started: f
         "numpy": np.__version__,
         "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
         "thread_pins": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
+        "transparent_hugepage": _hugepage_mode(),
         "check_wall_s": wall_s,
         "check_kernels": kernels,
         "total_wall_s": time.perf_counter() - started,
     }
+    if error:
+        meta["error"] = error
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_metadata.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -859,16 +877,17 @@ def main(argv=None) -> int:
         print(f"ccrflow: invalid config: {exc}", file=sys.stderr)
         return 2
     out_dir = configs[names[0]].out_dir
-    all_reports, wall_s, kernels = [], {}, {}
+    all_reports, wall_s, kernels, error = [], {}, {}, None
     for name in names:
         try:
             timed = run_subcommand(name, configs[name])
         except ValueError as exc:
             # module preconditions double as config validation for the
             # parameters only the numerics can judge (truncation windows,
-            # budgets)
+            # budgets); what finished before keeps its summary
             print(f"ccrflow: {name}: {exc}", file=sys.stderr)
-            return 2
+            error = {"subcommand": name, "message": str(exc)}
+            break
         reports = [rep for rep, _ in timed]
         wall_s.update((rep.check, costs["wall_s"]) for rep, costs in timed)
         kernels.update((rep.check, costs["kernels"]) for rep, costs in timed)
@@ -876,10 +895,12 @@ def main(argv=None) -> int:
         all_reports.extend(reports)
         for rep in reports:
             print(rep.summary_line())
-    summary = _write_summary(out_dir, all_reports)
-    _write_metadata(out_dir, argv, wall_s, kernels, started)
+    summary = _write_summary(out_dir, all_reports, error)
+    _write_metadata(out_dir, argv, wall_s, kernels, started, error)
     if args.json_summary:
         print(json.dumps(summary, sort_keys=True, default=_json_fallback))
+    if error:
+        return 2
     return 0 if all(rep.passed for rep in all_reports) else 1
 
 

@@ -237,7 +237,9 @@ def _lattice_dft(values: np.ndarray) -> np.ndarray:
     (-1)**(a0 + a1): an rfft, a second pass on the half a0 <= M/2 only, and
     the exact Hermitian mirror F[-a0 % M, -a1 % M] = conj(F[a0, a1]).
     A zero column transforms to zero, so the rfft runs only over the band
-    of columns that holds a nonzero value (all of a dense table)."""
+    of columns that holds a nonzero value (all of a dense table).  It and
+    its callers finish in place: on the lemma grid an (M, M) table is
+    10 MB, and each second copy raises the process's peak memory."""
     m = values.shape[0]
     if m % 4 != 0:
         raise ValueError("centered DFT requires M divisible by 4")
@@ -246,7 +248,7 @@ def _lattice_dft(values: np.ndarray) -> np.ndarray:
     half = np.fft.rfft(values[:, band] * np.outer(alt, alt[band]), axis=0)
     if half.shape[1] < m:
         half = np.pad(half, ((0, 0), (band.start, m - band.stop)))
-    half = np.fft.ifft(half, axis=1, norm="forward")
+    np.fft.ifft(half, axis=1, norm="forward", out=half)
     out = np.empty((m, m), dtype=complex)
     np.multiply(half, np.outer(alt[: m // 2 + 1], alt), out=out[: m // 2 + 1])
     # row M - a0 mirrors row a0 = M/2 - 1..1; column 0 is its own mirror
@@ -276,7 +278,8 @@ def inverse_symplectic_lattice(
     # x(a)*eta*(b - M/2)/2 = (2*pi/M)(a - M/2)(b - M/2): centered DFT pairs.
     # on F.T, axis 0 (by) contracts to ax with sign -1, then bx to ay
     out = _real_parts(_lattice_dft, np.asarray(dual_values).T)
-    return out * (eta * eta / (16.0 * math.pi**2))
+    out *= eta * eta / (16.0 * math.pi**2)
+    return out
 
 
 def symplectic_ft_lattice(mu: GridMeasure) -> np.ndarray:
@@ -289,7 +292,7 @@ def symplectic_ft_lattice(mu: GridMeasure) -> np.ndarray:
     # F[bx, by] = sum_{ax, ay} w[ax, ay] e^{+i x(ax) zeta_y(by)/2} e^{-i zeta_x(bx) y(ay)/2}
     # ax contracts to by with sign +1, then ay to bx: for a real table the
     # signs flip under conjugation, and the result is F.T
-    return _real_parts(lambda w: _lattice_dft(w).conj(), mu.weights).T
+    return _real_parts(lambda w: np.conjugate(d := _lattice_dft(w), out=d), mu.weights).T
 
 
 def conjugate_lattice(grid: GridSpec) -> GridSpec:
@@ -499,8 +502,11 @@ def band_limited_approximant(
     r = _lattice_radius(grid)[inside]
     qhat = np.zeros(inside.shape)
     qhat[inside] = plateau_profile(delta)(r) * sqrt_density_ft(t, r)
-    w = np.abs(inverse_symplectic_lattice(qhat, grid)) ** 2 * grid.cell_area()
-    return GridMeasure(grid, w / w.sum())
+    w = np.abs(inverse_symplectic_lattice(qhat, grid))
+    np.square(w, out=w)
+    w *= grid.cell_area()
+    w /= w.sum()
+    return GridMeasure(grid, w)
 
 
 def default_lemma_grid(delta: float) -> GridSpec:

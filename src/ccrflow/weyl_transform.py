@@ -15,7 +15,8 @@ and (lam, V) the eigensystem of Q (see fock.displacement_batch),
     W_z[i, j] = e^{i th (i - j)} sum_k V_ik V_jk e^{i rho lam_k},
 
 so both sums separate into an offset d and an eigen-index k, through the
-one offset layout fock._offset_layout that the channel kernel shares.  The
+one offset layout fock._offset_layout that the channel kernel shares: a
+read-only view of V[i + d] on V padded with zero rows, read in place.  The
 nodes of a square-symmetry class (about an eighth of a grid) share a radius
 and sit at angles q pi/2 +- th_f, where e^{i th d} = i^{q d} e^{+-i th_f d}
 exactly, so both directions sum over classes, against class tables cached

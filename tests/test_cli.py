@@ -163,10 +163,18 @@ def test_run_metadata_times_every_check(tmp_path):
     assert meta["total_wall_s"] >= sum(meta["check_wall_s"].values())
     assert meta["blas"]["name"]
     assert all(key.endswith("_NUM_THREADS") for key in meta["thread_pins"])
-    # timings stay in the metadata, out of the reproducible artifacts
-    assert "wall" not in summary
+    # the huge page mode moves peak RSS; None where the kernel has none
+    thp = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+    if thp.exists():
+        assert f"[{meta['transparent_hugepage']}]" in thp.read_text()
+    else:
+        assert meta["transparent_hugepage"] is None
+    # timings and the machine stay in the metadata, out of the
+    # reproducible artifacts
+    assert "wall" not in summary and "hugepage" not in summary
     for path in (out / "choi").iterdir():
         assert "wall" not in path.read_text()
+        assert "hugepage" not in path.read_text()
 
 
 def test_run_metadata_counts_kernel_builds_per_check(tmp_path, monkeypatch):
@@ -198,6 +206,23 @@ def test_main_rejects_invalid_config(tmp_path, capsys):
     code = main(["choi", "--out", str(tmp_path), "--times", ""])
     assert code == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+def test_failed_subcommand_keeps_the_summary_of_those_that_finished(tmp_path, capsys):
+    # weyl-check passes; heatflow's first check then clips its quadrature
+    # mass at t = 4, after weyl-check's artifacts are on disk
+    out = tmp_path / "o"
+    assert main(["all", "--times", "4,8", "--out", str(out)]) == 2
+    assert "ccrflow: heatflow" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    meta = json.loads((out / "run_metadata.json").read_text())
+    names = [c["name"] for c in summary["checks"]]
+    assert sorted(names) == sorted({path.stem for path in (out / "weyl_check").iterdir()})
+    assert sorted(meta["check_wall_s"]) == sorted(names)
+    assert not (out / "heatflow").exists()
+    assert summary["error"] == meta["error"]
+    assert summary["error"]["subcommand"] == "heatflow"
+    assert "clipped mass" in summary["error"]["message"]
 
 
 def test_main_maps_numeric_preconditions_to_exit_2(tmp_path, capsys):

@@ -139,14 +139,22 @@ def test_offset_scatter_undoes_the_gather(n, seed):
     assert not fock._offset_layout(n).flags.writeable
 
 
-def test_heatflow_builds_one_offset_table_per_truncation(tmp_path):
-    # the gather and scatter read only the flat index, so the inverse's
-    # scatter at its block size builds no eigenvector table: N = 30 and 40
-    # (semigroup composition), none evicted
-    fock._offset_layout.cache_clear()
-    assert cli.main(["heatflow", "--times", "0.25,0.5", "--out", str(tmp_path)]) == 0
-    info = fock._offset_layout.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40))
+def test_offset_layout_is_a_view_of_the_eigenvectors(n):
+    # V[i + d, l] at [i, l, d + N - 1], zero where row i + d leaves V, read
+    # through one zero-padded copy of V: (3N - 2) N reals, not N N (2N - 1)
+    _, vec = fock._position_eigensystem(n)
+    want = np.zeros((n, n, 2 * n - 1))
+    for i in range(n):
+        for d in range(1 - n, n):
+            if 0 <= i + d < n:
+                want[i, :, d + n - 1] = vec[i + d]
+    got = fock._offset_layout(n)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert not got.flags.writeable
+    low, high = np.lib.array_utils.byte_bounds(got)
+    assert high - low <= (3 * n - 2) * n * got.itemsize
 
 
 def test_zero_measure_gives_exactly_zero():
