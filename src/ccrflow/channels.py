@@ -41,7 +41,7 @@ Truncation policy: quadrature nodes whose displacement c*zeta leaves the
 trustworthy window |z| <= sqrt(2N) are dropped, and the dropped measure
 mass must stay below a caller-visible tolerance (default 1e-6), keeping
 trace accounting honest.  Time steps large enough to violate that are
-split into substeps: see evolve_state.
+split into substeps: see _quadrature_flow.
 """
 
 from __future__ import annotations
@@ -358,13 +358,23 @@ def _substep_channel(t: float, n_levels: int) -> tuple[MeasureChannel, int]:
     return heat_channel(t / n_steps, n_levels), n_steps
 
 
+def _quadrature_flow(a: np.ndarray, t: float) -> tuple[np.ndarray, int]:
+    """The heat flow at time t of an N x N matrix by quadrature, and its
+    substep count: the substeps of _substep_channel (the measures convolve
+    exactly, so their composition is the flow at t), none at t = 0."""
+    if t == 0:
+        return a, 0
+    ch, n_steps = _substep_channel(t, a.shape[0])
+    for _ in range(n_steps):
+        a = apply_quadrature(ch, FockOperator(a)).matrix
+    return a, n_steps
+
+
 def evolve_state(params: HeatFlowParams, rho: DensityOperator, drifts=None) -> DensityOperator:
     """Predual heat-flow action on a state, by quadrature.
 
     The Gaussian measure is symmetric, so the state side uses the same
-    conjugation average.  Times beyond the single-step window are split
-    into equal substeps (the measures convolve exactly, so this is the same
-    channel), each on the default Gaussian grid of the substep time.
+    conjugation average, carried through the substeps of _quadrature_flow.
     The output is renormalized for trace drift up to 1e-6 (more raises;
     the drift is appended to ``drifts`` when given), hermitized, and
     validated as a state by DensityOperator, which rejects an eigenvalue
@@ -372,10 +382,7 @@ def evolve_state(params: HeatFlowParams, rho: DensityOperator, drifts=None) -> D
     """
     if params.t == 0:
         return rho
-    ch, n_steps = _substep_channel(params.t, rho.dim)
-    out = rho.matrix
-    for _ in range(n_steps):
-        out = apply_quadrature(ch, FockOperator(out)).matrix
+    out, _ = _quadrature_flow(rho.matrix, params.t)
     tr = float(np.real(np.trace(out)))
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"trace drift {abs(tr - 1.0):.3e} exceeds 1e-6")
@@ -502,8 +509,8 @@ def generator_check(z, n_levels: int, t_values) -> tuple[float, float]:
     first-order fit at t1.
     """
     t_values = sorted({float(t) for t in t_values})
-    if len(t_values) < 2:
-        raise ValueError("need at least two time values")
+    if len(t_values) < 2 or t_values[0] <= 0:
+        raise ValueError("need at least two time values, all positive")
     x, y = float(z[0]), float(z[1])
     zsq = x * x + y * y
     w = weyl_operator((x, y), n_levels).matrix
@@ -512,8 +519,7 @@ def generator_check(z, n_levels: int, t_values) -> tuple[float, float]:
     denom = float(np.real(np.vdot(wk, wk)))
     coeffs = []
     for t in t_values[:2]:
-        ch = heat_channel(t, n_levels)
-        diff = apply_quadrature(ch, FockOperator(w)).matrix[:k, :k] - wk
+        diff = _quadrature_flow(w, t)[0][:k, :k] - wk
         coeffs.append(complex(np.vdot(wk, diff)) / denom / t)
         if t == t_values[0]:
             resid = diff / t + zsq * wk
@@ -536,8 +542,8 @@ def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:
     channel's own and rejects a measure that clips more than 1e-6 of its
     mass.
     """
-    if n > ch.truncation // 4:
-        raise ValueError("Choi block exceeds a quarter of the truncation")
+    if not 1 <= n <= ch.truncation // 4:
+        raise ValueError(f"Choi block {n} must be 1 to a quarter of truncation {ch.truncation}")
     cached = _channel_kernel(ch, 1e-6)
     circles = np.zeros((4, *cached.spectra.shape[1:]), dtype=complex)
     circles[list(cached.residues)] = np.fft.fft(cached.spectra, axis=-1) / ch.truncation

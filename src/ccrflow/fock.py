@@ -189,13 +189,14 @@ def _offset_index(n: int) -> np.ndarray:
     return flat
 
 
+@lru_cache(maxsize=16)
 def _offset_layout(n: int) -> np.ndarray:
     """V[i + d, l] of Q's eigenvectors at [i, l, d + N - 1], laid out as
     _offset_index; zero where column i + d leaves the matrix.
 
     A read-only (N, N, 2N - 1) window view of V padded with N - 1 zero rows
-    on each side: it holds (3N - 2) N reals, 0.4 MB at N = 128 and 1.6 MB
-    at N = 256, where a gathered copy would hold N N (2N - 1)."""
+    on each side, built once per N: it holds (3N - 2) N reals, 0.4 MB at
+    N = 128 and 1.6 MB at N = 256, where a gathered copy holds N N (2N - 1)."""
     _, vec = _position_eigensystem(n)
     padded = np.pad(vec, ((n - 1, n - 1), (0, 0)))
     return np.lib.stride_tricks.sliding_window_view(padded, 2 * n - 1, axis=0)

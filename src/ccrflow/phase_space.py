@@ -68,15 +68,14 @@ def _coords(z) -> tuple[float, float]:
     return float(x), float(y)
 
 
-def omega(z1, z2) -> float:
+def omega(z1, z2):
     """Symplectic form omega(z1, z2) = (x2*y1 - x1*y2) / 2.
 
-    Accepts any (x, y) pair.  Bilinear, antisymmetric, and normalized so
-    that omega((1, 0), (0, 1)) = -1/2.
+    Accepts (x, y) pairs or broadcastable arrays of them, shape (..., 2).
+    Bilinear, antisymmetric, and normalized so that omega((1, 0), (0, 1)) = -1/2.
     """
-    x1, y1 = _coords(z1)
-    x2, y2 = _coords(z2)
-    return 0.5 * (x2 * y1 - x1 * y2)
+    z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
+    return 0.5 * (z2[..., 0] * z1[..., 1] - z1[..., 0] * z2[..., 1])
 
 
 @dataclass(frozen=True)

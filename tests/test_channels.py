@@ -167,6 +167,8 @@ def test_generator_check_edge_cases():
         generator_check((1.0, 0.0), 16, (0.05,))
     with pytest.raises(ValueError, match="two time"):
         generator_check((1.0, 0.0), 16, (0.05, 0.05))
+    with pytest.raises(ValueError, match="positive"):  # t = 0 has no difference quotient
+        generator_check((1.0, 0.0), 16, (0.0, 0.05))
 
 
 def test_choi_identity_channel_is_rank_one():
@@ -208,6 +210,13 @@ def test_choi_block_size_guard():
     ch = heat_channel(0.5, 24)
     with pytest.raises(ValueError, match="quarter"):
         choi_matrix(ch, 7)
+
+
+def test_choi_refuses_an_empty_block():
+    # below N = 4 the Choi checks' block min(4, N // 4) holds no level; the
+    # refusal names the block and the truncation, not an empty reduction
+    with pytest.raises(ValueError, match=r"Choi block 0 .* truncation 3"):
+        choi_matrix(heat_channel(0.25, 3), 0)
 
 
 def test_cb_distance_bound_holds_and_vanishes_at_equality():

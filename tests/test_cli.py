@@ -209,33 +209,54 @@ def test_main_rejects_invalid_config(tmp_path, capsys):
 
 
 def test_failed_subcommand_keeps_the_summary_of_those_that_finished(tmp_path, capsys):
-    # weyl-check passes; heatflow's first check then clips its quadrature
-    # mass at t = 4, after weyl-check's artifacts are on disk
+    # weyl-check, heatflow, choi and lemma37 pass at N = 28; purity then
+    # finds its budget infeasible (1.51502 > 1.5), after their artifacts
+    # are on disk
     out = tmp_path / "o"
-    assert main(["all", "--times", "4,8", "--out", str(out)]) == 2
-    assert "ccrflow: heatflow" in capsys.readouterr().err
+    assert main(["all", "--truncation", "28", "--out", str(out)]) == 2
+    assert "ccrflow: purity" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     meta = json.loads((out / "run_metadata.json").read_text())
     names = [c["name"] for c in summary["checks"]]
-    assert sorted(names) == sorted({path.stem for path in (out / "weyl_check").iterdir()})
+    finished = ("weyl_check", "heatflow", "choi", "lemma37")
+    assert sorted(names) == sorted({path.stem for sub in finished
+                                    for path in (out / sub).iterdir()})
     assert sorted(meta["check_wall_s"]) == sorted(names)
-    assert not (out / "heatflow").exists()
+    assert not (out / "purity").exists()
     assert summary["error"] == meta["error"]
-    assert summary["error"]["subcommand"] == "heatflow"
-    assert "clipped mass" in summary["error"]["message"]
+    assert summary["error"]["subcommand"] == "purity"
+    assert "exceeds the budget" in summary["error"]["message"]
 
 
 def test_main_maps_numeric_preconditions_to_exit_2(tmp_path, capsys):
-    # a grid only the numerics can reject: valid shape, but its first time
-    # clips the Gaussian quadrature mass of eigen_relation's single step
-    code = main([
-        "heatflow", "--out", str(tmp_path), "--truncation", "8",
-        "--times", "4.0,8.0",
-    ])
+    # a config only the numerics can reject: valid shape, but beurling's
+    # 47 constraints outnumber the 25 degrees of freedom of N = 5
+    code = main(["beurling", "--out", str(tmp_path), "--truncation", "5"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "ccrflow: heatflow" in err
-    assert "clipped mass" in err
+    assert "ccrflow: beurling" in err
+    assert "47 constraints" in err
+
+
+def test_heatflow_runs_the_identity_time(tmp_path):
+    # t = 0 is the identity: every check runs it, with no substep to build
+    assert main(["heatflow", "--out", str(tmp_path), "--times", "0,0.25"]) == 0
+    rep = json.loads((tmp_path / "heatflow" / "eigen_relation.json").read_text())
+    assert rep["params"]["substeps"] == 0
+
+
+def test_heatflow_long_times_get_a_verdict_not_a_refusal(tmp_path):
+    # t = 1.5 exceeds max_single_step(30) = 0.71: eigen_relation runs three
+    # substeps, as evolve_state does, and misses its bound (6.1e-3 > 1e-3)
+    # where a single step used to clip mass and exit 2
+    assert main(["heatflow", "--out", str(tmp_path), "--times", "1.5,2"]) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    verdicts = {c["name"]: c["pass"] for c in summary["checks"]}
+    assert verdicts == {"eigen_relation": False, "path_agreement": True,
+                        "conservation": True, "semigroup_tv": True,
+                        "semigroup_composition": True, "generator_scaling": True}
+    eigen = next(c for c in summary["checks"] if c["name"] == "eigen_relation")
+    assert eigen["params"]["substeps"] == 3
 
 
 def test_conservation_substeps_times_past_one_quadrature_step(tmp_path):

@@ -153,6 +153,7 @@ def test_offset_layout_is_a_view_of_the_eigenvectors(n):
     got = fock._offset_layout(n)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert not got.flags.writeable
+    assert fock._offset_layout(n) is got  # built once per truncation
     low, high = np.lib.array_utils.byte_bounds(got)
     assert high - low <= (3 * n - 2) * n * got.itemsize
 

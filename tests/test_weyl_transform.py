@@ -15,6 +15,7 @@ from ccrflow import (
     displacement_batch,
     inverse_transform,
     number_state,
+    omega,
     reliable_levels,
     riemann_lebesgue_profile,
     trace_norm,
@@ -73,9 +74,8 @@ def test_conjugation_twists_transform_by_plane_wave():
     wa = displacement_batch(avec[None, :], n)[0]
     conj = FockOperator(wa @ a_op.matrix @ wa.conj().T)
     pts = RNG.normal(size=(30, 2))
-    omega = 0.5 * (pts[:, 0] * avec[1] - avec[0] * pts[:, 1])
     got = char_values(conj, pts)
-    want = np.exp(-2j * omega) * char_values(a_op, pts)
+    want = np.exp(-2j * omega(avec, pts)) * char_values(a_op, pts)
     np.testing.assert_allclose(got, want, atol=1e-9)
 
 
