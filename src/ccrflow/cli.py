@@ -565,7 +565,8 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
     """The surrogate's transform is dead off the delta disk, at every lattice node."""
     delta = cfg.delta
     grid = default_lemma_grid(delta)
-    off_band = _lattice_radius(grid) >= delta
+    radius = _lattice_radius(grid)
+    off_band = radius >= delta
     rng = np.random.default_rng(cfg.seed + 4)
     worst = 0.0
     curve = []
@@ -576,7 +577,7 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
                   float(np.abs(symplectic_ft_lattice(nu)).max(where=off_band, initial=0.0)))
         worst = max(worst, sup)
         curve.append({"t": t, "offband_sup": sup})
-    support = _band_support(delta, grid)
+    support = _band_support(delta, radius)
     band = _column_band(support.T)  # q_hat enters the inverse transposed
     return ExperimentReport(
         check="lemma_band_limit",

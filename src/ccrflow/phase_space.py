@@ -18,8 +18,8 @@ unless a routine explicitly opts in.  Each transform has one real engine,
 and a complex table goes through it twice, as its real part plus i times
 its imaginary part.  Off the lattice the engine folds each axis about its
 node 0 onto the half axis (cos rows meet even parts, sin rows odd parts);
-on the lattice it is a real FFT through the Hermitian half whose first
-pass skips the zero columns outside a table's band.
+on the lattice it fills the Hermitian half and mirrors it, forward by a
+real FFT, inverse by products over the table's block of nonzero values.
 
 Grid convention: a ``GridSpec`` with half-width L and M points per axis
 places nodes at -L + k*h for k = 0..M-1 with h = 2L/M, covering
@@ -229,34 +229,61 @@ def _column_band(values: np.ndarray) -> slice:
     return slice(cols[0], cols[-1] + 1) if len(cols) else slice(0, 0)
 
 
-def _lattice_dft(values: np.ndarray) -> np.ndarray:
-    """Centered DFT, out[a] = sum_b exp(s*2j*pi*(a - M/2)*(b - M/2)/M) v[b],
-    of a real (M, M) table, s = -1 along axis 0 then s = +1 along axis 1.
-    With M divisible by 4 that is a plain 2-D DFT between checkerboards
-    (-1)**(a0 + a1): an rfft, a second pass on the half a0 <= M/2 only, and
-    the exact Hermitian mirror F[-a0 % M, -a1 % M] = conj(F[a0, a1]).
-    A zero column transforms to zero, so the rfft runs only over the band
-    of columns that holds a nonzero value (all of a dense table).  It and
-    its callers finish in place: on the lemma grid an (M, M) table is
-    10 MB, and each second copy raises the process's peak memory."""
-    m = values.shape[0]
-    if m % 4 != 0:
-        raise ValueError("centered DFT requires M divisible by 4")
-    alt = (-1.0) ** np.arange(m)
-    band = _column_band(values)
-    half = np.fft.rfft(values[:, band] * np.outer(alt, alt[band]), axis=0)
-    if half.shape[1] < m:
-        half = np.pad(half, ((0, 0), (band.start, m - band.stop)))
-    np.fft.ifft(half, axis=1, norm="forward", out=half)
-    out = np.empty((m, m), dtype=complex)
-    np.multiply(half, np.outer(alt[: m // 2 + 1], alt), out=out[: m // 2 + 1])
-    # row M - a0 mirrors row a0 = M/2 - 1..1; column 0 is its own mirror
-    low = out[m // 2 - 1:0:-1]
+def _mirror_half(out: np.ndarray) -> np.ndarray:
+    """Rows a0 > M/2 of a real table's centered DFT, in place: F[-a0, -a1] = conj(F[a0, a1])."""
+    m = out.shape[0]
+    low = out[m // 2 - 1:0:-1]  # rows M/2 - 1..1; column 0 is its own mirror
     np.conjugate(low[:, 0], out=out[m // 2 + 1:, 0])
     np.conjugate(low[:, :0:-1], out=out[m // 2 + 1:, 1:])
     edge = [0, m // 2]  # the rows that are their own mirror
     out[edge] = 0.5 * (out[edge] + out[edge][:, -np.arange(m) % m].conj())
     return out
+
+
+def _lattice_dft(values: np.ndarray) -> np.ndarray:
+    """Centered DFT, out[a] = sum_b exp(s*2j*pi*(a - M/2)*(b - M/2)/M) v[b],
+    of a real (M, M) table, s = -1 along axis 0 then s = +1 along axis 1.
+    With M divisible by 4 that is a plain 2-D DFT between checkerboards
+    (-1)**(a0 + a1): an rfft, a second pass on the half a0 <= M/2 and the
+    mirror.  It and its callers work in place: a 10 MB lemma table copied adds to peak memory."""
+    m = values.shape[0]
+    if m % 4 != 0:
+        raise ValueError("centered DFT requires M divisible by 4")
+    alt = (-1.0) ** np.arange(m)
+    half = np.fft.rfft(values * np.outer(alt, alt), axis=0)
+    np.fft.ifft(half, axis=1, norm="forward", out=half)
+    out = np.empty((m, m), dtype=complex)
+    np.multiply(half, np.outer(alt[: m // 2 + 1], alt), out=out[: m // 2 + 1])
+    return _mirror_half(out)
+
+
+@lru_cache(maxsize=2)
+def _unit_roots(m: int) -> np.ndarray:
+    """Read-only exp(2j*pi*k/M), k = 0..M-1: each angle is folded into the
+    first octant, then carried back by an exact swap and quarter turn."""
+    if m % 4 != 0:
+        raise ValueError("centered DFT requires M divisible by 4")
+    quarter, k = np.divmod(np.arange(m), m // 4)
+    swap = 8 * k > m
+    roots = np.exp(2j * math.pi * np.where(swap, m // 4 - k, k) / m)
+    roots = np.where(swap, 1j * roots.conj(), roots) * np.array([1, 1j, -1, -1j])[quarter]
+    roots.setflags(write=False)
+    return roots
+
+
+def _centered_phases(m: int, a: np.ndarray, b: np.ndarray, sign: int) -> np.ndarray:
+    """exp(sign*2j*pi*(a - M/2)*(b - M/2)/M) on the index sets a x b."""
+    return _unit_roots(m)[sign * np.multiply.outer(a - m // 2, b - m // 2) % m]
+
+
+def _block_dft(values: np.ndarray) -> np.ndarray:
+    """_lattice_dft by products over a real table's nonzero block, rows a0 <= M/2."""
+    rows, cols = _column_band(values.T), _column_band(values)
+    k = np.arange(m := values.shape[0])
+    out = np.empty((m, m), dtype=complex)
+    np.matmul(_centered_phases(m, k[: m // 2 + 1], k[rows], -1) @ values[rows, cols],
+              _centered_phases(m, k[cols], k, 1), out=out[: m // 2 + 1])
+    return _mirror_half(out)
 
 
 def inverse_symplectic_lattice(
@@ -270,13 +297,15 @@ def inverse_symplectic_lattice(
     output are (M, M) tables; the result approximates
 
         f(z) = (1/(16*pi^2)) * integral exp(-i*omega(zeta, z)) F(zeta) dzeta.
-    """
+
+    Two products over the b_r x b_c block that holds the nonzero values cost
+    O(M*b_r*b_c + M^2*b_c/2); a dense table is still exact, at O(M^3)."""
     m = grid.points_per_axis
     eta = 4.0 * math.pi / (m * grid.h)
     # f[ax, ay] = sum_{bx, by} F[bx, by] e^{-i x(ax) zeta_y(by)/2} e^{+i zeta_x(bx) y(ay)/2}
     # x(a)*eta*(b - M/2)/2 = (2*pi/M)(a - M/2)(b - M/2): centered DFT pairs.
     # on F.T, axis 0 (by) contracts to ax with sign -1, then bx to ay
-    out = _real_parts(_lattice_dft, np.asarray(dual_values).T)
+    out = _real_parts(_block_dft, np.asarray(dual_values).T)
     out *= eta * eta / (16.0 * math.pi**2)
     return out
 
@@ -301,12 +330,9 @@ def conjugate_lattice(grid: GridSpec) -> GridSpec:
     return GridSpec(half_width=eta * m / 2.0, points_per_axis=m)
 
 
-@lru_cache(maxsize=1)
 def _lattice_radius(grid: GridSpec) -> np.ndarray:
-    """Read-only |zeta| at every node of conjugate_lattice(grid)."""
-    r = np.hypot(*conjugate_lattice(grid).mesh())
-    r.setflags(write=False)
-    return r
+    """|zeta| at every node of conjugate_lattice(grid)."""
+    return np.hypot(*conjugate_lattice(grid).mesh())
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +447,10 @@ def _bump_profile(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_support(delta: float, grid: GridSpec) -> np.ndarray:
-    """Conjugate-lattice nodes of ``grid`` inside disk_r + moll_r = 7*delta/16
-    (plateau_profile's float expression), beyond which the profile is 0."""
-    return _lattice_radius(grid) < 3.0 * delta / 8.0 + delta / 16.0
+def _band_support(delta: float, radius: np.ndarray) -> np.ndarray:
+    """Dual radii inside disk_r + moll_r = 7*delta/16 (plateau_profile's
+    float expression), beyond which the profile is 0."""
+    return radius < 3.0 * delta / 8.0 + delta / 16.0
 
 
 def plateau_profile(delta: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -477,12 +503,12 @@ def band_limited_approximant(
 
     Construction: the real q_hat = (plateau profile) * (transform of f_t),
     evaluated on the conjugate-lattice nodes of ``grid`` inside
-    |zeta| < 7*delta/16, off which the profile is exactly 0; q = inverse
-    transform of q_hat; the measure has real cell weights h^2*|q|^2,
-    rescaled to unit mass.  Its transform is a lattice autocorrelation
-    supported inside |zeta| <= 7*delta/8,
-    strictly inside the delta disk; off-lattice leakage is bounded by the
-    (tiny) mass of q*q-bar beyond the grid edge.
+    |zeta| < 7*delta/16 (a box around 0 holds them), off which the profile
+    is exactly 0; q = inverse transform of q_hat; the measure has real cell
+    weights h^2*|q|^2, rescaled to unit mass.  Its transform is a lattice
+    autocorrelation supported inside |zeta| <= 7*delta/8, strictly inside
+    the delta disk; off-lattice leakage is bounded by the (tiny) mass of
+    q*q-bar beyond the grid edge.
 
     As t grows the measure tracks the Gaussian: total_variation of the
     difference decays once t*delta^2 is large.
@@ -497,10 +523,13 @@ def band_limited_approximant(
             "grid too small: conjugate lattice spacing "
             f"{eta:.4g} must resolve delta/16 = {delta / 16.0:.4g}"
         )
-    inside = _band_support(delta, grid)
-    r = _lattice_radius(grid)[inside]
-    qhat = np.zeros(inside.shape)
-    qhat[inside] = plateau_profile(delta)(r) * sqrt_density_ft(t, r)
+    m, k = grid.points_per_axis, math.ceil(7.0 * delta / 16.0 / eta) + 1
+    box = slice(max(m // 2 - k, 0), m // 2 + k + 1)  # the (2k+1)^2 nodes around 0
+    axis = conjugate_lattice(grid).axis()[box]
+    r = np.hypot(axis[:, None], axis[None, :])
+    inside = _band_support(delta, r)
+    qhat = np.zeros((m, m))
+    qhat[box, box][inside] = plateau_profile(delta)(r[inside]) * sqrt_density_ft(t, r[inside])
     w = np.abs(inverse_symplectic_lattice(qhat, grid))
     np.square(w, out=w)
     w *= grid.cell_area()

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccrflow import channels, cli
+from ccrflow import channels, cli, phase_space
 from ccrflow.cli import (
     ConfigError,
     RunConfig,
@@ -415,20 +415,29 @@ def test_lemma_checks_share_one_approximant_per_time(monkeypatch):
 
 
 def test_band_limit_counts_the_columns_the_dual_band_transforms(monkeypatch):
-    widths = []
-    original = np.fft.rfft
+    widths, phases = [], []
+    rfft, centered_phases = np.fft.rfft, phase_space._centered_phases
 
-    def recording(a, *args, **kwargs):
+    def recording_rfft(a, *args, **kwargs):
         widths.append(a.shape[1])
-        return original(a, *args, **kwargs)
+        return rfft(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfft", recording)
+    def recording_phases(m, a, b, sign):
+        phases.append((len(a), len(b)))
+        return centered_phases(m, a, b, sign)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    monkeypatch.setattr(phase_space, "_centered_phases", recording_phases)
     cli._approximants.clear()
     rep = cli.check_lemma_band_limit(resolve_config("lemma37", make_args(times="1")))
     cli._approximants.clear()
-    # one approximant (its q_hat band) and one dense lattice transform
+    # the approximant's inverse contracts one 27 x 27 block (the half lattice
+    # against its rows, its columns against the whole lattice), and the one
+    # rfft is the dense forward transform of the approximant
+    m = rep.params["grid_points"]
     assert rep.details["dual_band_columns"] == 27
-    assert sorted(widths) == [27, rep.params["grid_points"]]
+    assert phases == [(m // 2 + 1, 27), (27, m)]
+    assert widths == [m]
 
 
 # What each subcommand's checks read of the run configuration.

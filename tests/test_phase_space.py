@@ -334,15 +334,47 @@ def test_real_dual_values_round_trip_through_the_inverse(m):
     np.testing.assert_allclose(back.reshape(m, m), values, atol=1e-10)
 
 
+def banded_tables(rng, m):
+    """Real tables nonzero on one block each: off center, a single row, a
+    single column, and row 0 and column 0 (the -L edge, which has no mirror)."""
+    tables = []
+    for rows, cols in [(slice(2, 5), slice(m // 2 + 1, m - 1)), (5, slice(None)),
+                       (slice(None), m - 3), (0, slice(1, m // 2)), (slice(None), 0)]:
+        w = np.zeros((m, m))
+        w[rows, cols] = rng.standard_normal(w[rows, cols].shape)
+        tables.append(w)
+    return tables
+
+
 @pytest.mark.parametrize("m", [12, 16, 20, 808])
 def test_real_lattice_transforms_are_exactly_hermitian(m):
     rng = np.random.default_rng(200 + m)
     grid = GridSpec(half_width=0.25 * m, points_per_axis=m)
-    w = rng.standard_normal((m, m))
     mirror = -np.arange(m) % m
-    for table in (symplectic_ft_lattice(GridMeasure(grid, w)),
-                  inverse_symplectic_lattice(w, grid)):
-        np.testing.assert_array_equal(table[mirror][:, mirror], table.conj())
+    for w in [rng.standard_normal((m, m))] + banded_tables(rng, m):
+        for table in (symplectic_ft_lattice(GridMeasure(grid, w)),
+                      inverse_symplectic_lattice(w, grid)):
+            np.testing.assert_array_equal(table[mirror][:, mirror], table.conj())
+
+
+@pytest.mark.parametrize("m", [12, 16, 20])
+def test_block_inverse_matches_the_naive_sum_on_banded_tables(m):
+    rng = np.random.default_rng(400 + m)
+    grid = GridSpec(half_width=0.25 * m, points_per_axis=m)
+    tables = banded_tables(rng, m)
+    for w in tables + [tables[0] - 2j * tables[3]]:
+        np.testing.assert_allclose(inverse_symplectic_lattice(w, grid),
+                                   naive_inverse(w, grid), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [12, 16, 20, 440, 808])
+def test_unit_roots_are_within_an_epsilon_of_extended_precision(m):
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    angle = 2 * pi * np.arange(m, dtype=np.longdouble) / m
+    roots = phase_space._unit_roots(m)
+    eps = np.finfo(float).eps
+    assert np.abs(roots.real - np.cos(angle)).max() <= eps
+    assert np.abs(roots.imag - np.sin(angle)).max() <= eps
 
 
 def test_mixed_weights_split_into_real_and_imaginary_parts():
@@ -395,14 +427,16 @@ def reference_centered_dft(values, axis, sign):
     return alt * core
 
 
+def reference_qhat(t, delta, grid):
+    """The approximant's q_hat, evaluated on the whole conjugate lattice."""
+    r = np.hypot(*conjugate_lattice(grid).mesh())
+    return plateau_profile(delta)(r.ravel()).reshape(r.shape) * sqrt_density_ft(t, r)
+
+
 def reference_approximant(t, delta, grid):
     """band_limited_approximant by complex FFTs over the whole lattice."""
-    lattice = conjugate_lattice(grid)
-    zx, zy = lattice.mesh()
-    r = np.hypot(zx, zy)
-    ghat = plateau_profile(delta)(r.ravel()).reshape(r.shape)
-    qhat = ghat * sqrt_density_ft(t, r)
-    eta = lattice.h
+    qhat = reference_qhat(t, delta, grid)
+    eta = conjugate_lattice(grid).h
     tmp = reference_centered_dft(qhat, axis=1, sign=-1)
     q = reference_centered_dft(tmp, axis=0, sign=+1).T * (eta * eta / (16.0 * math.pi**2))
     w = np.abs(q) ** 2 * grid.cell_area()
@@ -412,9 +446,9 @@ def reference_approximant(t, delta, grid):
 @pytest.mark.parametrize("t", [1.0, 4.0, 16.0])
 def test_band_limited_approximant_matches_the_complex_construction(t):
     # the lattice spacing 4*pi/220 = 0.057 resolves delta/16 at delta = 1.
-    # Two FFT orders differ by rounding: 1.0-1.3e-15 of the largest weight
-    # here, while each lies 0.8-5e-15 from an extended-precision direct sum,
-    # so the tolerance is 8 float64 epsilons
+    # The block product and the complex FFTs differ by rounding: up to 6.1
+    # float64 epsilons of the largest weight here, while each lies within
+    # 4.1 of an extended-precision direct sum, so the tolerance is 8 epsilons
     grid = GridSpec(110.0, 440)
     got = band_limited_approximant(t, 1.0, grid).weights
     want = reference_approximant(t, 1.0, grid)
@@ -423,7 +457,7 @@ def test_band_limited_approximant_matches_the_complex_construction(t):
 
 
 # ---------------------------------------------------------------------------
-# The folded off-lattice transform, the band-trimmed lattice DFT and the
+# The folded off-lattice transform, the approximant's support box and the
 # separable Gaussian
 # ---------------------------------------------------------------------------
 
@@ -474,29 +508,21 @@ def test_folded_transform_on_the_lemma_grid_is_exact_to_roundoff():
     assert gap <= 1e-15
 
 
-def dense_passes(monkeypatch):
-    """Make _lattice_dft transform every column, as for a dense table."""
-    monkeypatch.setattr(phase_space, "_column_band", lambda v: slice(0, v.shape[1]))
+@pytest.mark.parametrize("grid", [default_lemma_grid(1.0), GridSpec(110.0, 440),
+                                  GridSpec(110.0, 8)])
+def test_approximant_support_box_is_the_full_table_qhat_bitwise(grid, monkeypatch):
+    # GridSpec(110, 8): the lattice half-width 0.23 is inside the support
+    # disk, so the box is the whole lattice
+    seen = []
+    inverse = phase_space.inverse_symplectic_lattice
 
+    def spy(values, g):
+        seen.append(values.copy())
+        return inverse(values, g)
 
-@pytest.mark.parametrize("m", [16, 808])
-@pytest.mark.parametrize("lo, hi", [(0, 3), (-4, None), (7, 8), (0, None)])
-def test_band_trimmed_dft_equals_the_dense_passes_bitwise(m, lo, hi, monkeypatch):
-    rng = np.random.default_rng(m)
-    values = np.zeros((m, m))
-    values[:, lo:hi] = rng.standard_normal(values[:, lo:hi].shape)
-    values[: m // 4] = 0.0  # zero rows inside the band change nothing
-    trimmed = phase_space._lattice_dft(values)
-    dense_passes(monkeypatch)
-    np.testing.assert_array_equal(trimmed, phase_space._lattice_dft(values))
-
-
-@pytest.mark.parametrize("t", [1.0, 16.0])
-def test_approximant_weights_are_bitwise_those_of_the_dense_passes(t, monkeypatch):
-    grid = GridSpec(110.0, 440)
-    trimmed = band_limited_approximant(t, 1.0, grid).weights
-    dense_passes(monkeypatch)
-    np.testing.assert_array_equal(trimmed, band_limited_approximant(t, 1.0, grid).weights)
+    monkeypatch.setattr(phase_space, "inverse_symplectic_lattice", spy)
+    band_limited_approximant(4.0, 1.0, grid)
+    np.testing.assert_array_equal(seen[0], reference_qhat(4.0, 1.0, grid))
 
 
 def test_all_zero_tables_transform_to_zero():
