@@ -26,8 +26,8 @@ symmetric nodes, into one per-channel kernel K[k, l, s] over the matrix
 offsets s, read through fock._offset_layout (a view of V, not a copy) as in
 both transform directions.
 Applying K is a correlation along the offsets, so the channel caches its
-spectrum, one per residue s mod 4 on a circle of N offsets with the origin
-node apart; a heat channel keeps residue 0 alone (see _build_kernel).
+spectrum on one circle, the origin node apart: N positions for a heat
+channel, 4N for a measure without quarter-turn symmetry (see _build_kernel).
 Quadrature runs one FFT pair per operand (see _apply_kernel), Choi blocks
 transform back to K, and equal channels share one build while their kernel
 is among the two newest: a further operand costs O(N^4).
@@ -185,70 +185,67 @@ def _masked_quadrature(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
 _KERNELS_KEPT = 2
 _kernels: OrderedDict = OrderedDict()
 _kernel_counts = dict.fromkeys(("builds", "cache_hits", "residues_kept"), 0)  # since import
-# a residue r > 0 whose class sums are within this share of the largest is skipped
-_RESIDUE_FLOOR = 1e-14
+# class sums off s = 0 (mod 4) within _RESIDUE_FLOOR of the largest are roundoff;
+# a channel loses at most _MAX_CLIPPED of its mass to the trust window by default
+_RESIDUE_FLOOR, _MAX_CLIPPED = 1e-14, 1e-6
 
 
 class _Kernel(NamedTuple):
-    """A channel kernel: the origin node's weight, the kept residues
-    r = s mod 4 and their read-only spectra [residue, k, l, position]."""
+    """A channel kernel: the origin node's weight and the read-only spectrum
+    [k, l, position] on one circle of L = N or 4N positions (L / N residues s mod 4)."""
 
     origin: complex
-    residues: tuple
-    spectra: np.ndarray
+    spectrum: np.ndarray
 
 
 def _build_kernel(weights: np.ndarray, grid: GridSpec, n: int) -> _Kernel:
-    """Spectra along s of the channel kernel
+    """Spectrum along s of the channel kernel
     K[k, l, s] = sum_p w_p e^{i th_p s} e^{i rho_p (lam_k - lam_l)},
     |s| <= 2N - 2, with rho_p(cos th_p, sin th_p) = CONJUGATION_SCALE z_p
     for grid node z_p and (lam, V) the eigensystem of Q.
 
     The origin node has no angle and W_0 = I: its weight w_0 sits on every
-    offset, so it is kept apart as the term w_0 A.  The other offsets split
-    by residue r = s mod 4: s = 4j + r takes at most N values of j, so
-    Chat_r = N ifft_j(K[4j + r]), j at position j mod N, never aliases.
-    The four quarter turns of a node (W_{Rz} = e^{i pi N/2} W_z e^{-i pi N/2})
-    sum to a factor 1 + i^s + i^{2s} + i^{3s}, so a quarter-turn-symmetric
-    measure keeps r = 0 alone: a residue whose class sums D[f, s] of
-    fock._lattice_classes are roundoff (_RESIDUE_FLOOR) is skipped.  The
-    transform meets D before the pairs e^{i rho_f (lam_k - lam_l)}, so the
-    build is one N^2 x RN product per class for R kept residues.
-
-    Each kept residue holds N N^2 complex entries: 0.43 MB at N = 30, 34 MB at N = 128.
+    offset, so it is kept apart as the term w_0 A.  The other offsets lie at
+    s mod 4N on a circle of 4N positions, which never aliases.  The four
+    quarter turns of a node (W_{Rz} = e^{i pi N/2} W_z e^{-i pi N/2}) sum to
+    a factor 1 + i^s + i^{2s} + i^{3s}, so where the class sums D[f, s] of
+    fock._lattice_classes are roundoff (_RESIDUE_FLOOR) off s = 0 (mod 4),
+    as for a quarter-turn-symmetric measure, the circle keeps s = 4j alone,
+    at j mod N.  The spectrum, L ifft along the circle's L positions, meets
+    D before the pairs e^{i rho_f (lam_k - lam_l)}, so the build is one
+    N^2 x L product per class.  It holds L N^2 complex entries: 0.43 MB at
+    N = 30 and 34 MB at N = 128 for a heat channel.
     """
     phase, expo, cls, flip, quarter = _lattice_classes(
         grid.points_per_axis, CONJUGATION_SCALE * grid.h, n, 2 * n - 2)
     sums = _class_sums(weights, cls, flip, quarter, phase)
     # class 0 is the origin; sums hold s = -(2N - 2)..2N - 2 in order
     origin, sums, expo = complex(sums[0, 0]), sums[1:], expo[1:]
-    s = np.arange(2 - 2 * n, 2 * n - 1)
-    circles = np.zeros((len(sums), 4, n), dtype=complex)
-    circles[:, s % 4, s // 4 % n] = sums  # s = 4j + r at position j mod N of circle r
-    floor = _RESIDUE_FLOOR * np.abs(circles).max()
-    residues = [r for r in range(4) if r == 0 or np.abs(circles[:, r]).max() > floor]
-    spectra = (n * np.fft.ifft(circles[:, residues], axis=-1)).reshape(len(sums), -1)
-    kernel = np.zeros((spectra.shape[1], n * n), dtype=complex)
+    circle = np.zeros((len(sums), 4 * n), dtype=complex)
+    circle[:, np.arange(2 - 2 * n, 2 * n - 1) % (4 * n)] = sums
+    if np.abs(circle.reshape(-1, n, 4)[:, :, 1:]).max() <= _RESIDUE_FLOOR * np.abs(circle).max():
+        circle = circle[:, ::4]
+    spectrum = circle.shape[1] * np.fft.ifft(circle, axis=-1)
+    kernel = np.zeros((spectrum.shape[1], n * n), dtype=complex)
     for sl in _node_slices(len(expo), n * n):
         pairs = (expo[sl, :, None] * expo[sl, None, :].conj()).reshape(-1, n * n)
-        kernel += spectra[sl].T @ pairs
-    kernel = np.ascontiguousarray(kernel.reshape(-1, n, n * n).transpose(0, 2, 1))
-    kernel = kernel.reshape(-1, n, n, n)
+        kernel += spectrum[sl].T @ pairs
+    kernel = np.ascontiguousarray(kernel.T).reshape(n, n, -1)
     kernel.setflags(write=False)
-    return _Kernel(origin, tuple(residues), kernel)
+    return _Kernel(origin, kernel)
 
 
 def _channel_kernel(ch: MeasureChannel, max_clipped: float) -> _Kernel:
     """The kernel of the channel's masked quadrature, built once per
-    content (truncation, grid, conjugation scale and weights), so equal
-    channels share one build."""
+    content (truncation, grid and weights), so equal channels share one
+    build."""
     weights = _masked_quadrature(ch, max_clipped)
-    key = (ch.truncation, ch.mu.grid, CONJUGATION_SCALE, weights.tobytes())
+    key = (ch.truncation, ch.mu.grid, weights.tobytes())
     kernel = _kernels.pop(key, None)
     if kernel is None:
         kernel = _build_kernel(weights, ch.mu.grid, ch.truncation)
         _kernel_counts["builds"] += 1
-        _kernel_counts["residues_kept"] += len(kernel.residues)
+        _kernel_counts["residues_kept"] += kernel.spectrum.shape[-1] // ch.truncation
     else:
         _kernel_counts["cache_hits"] += 1
     _kernels[key] = kernel
@@ -271,14 +268,13 @@ def _apply_kernel(kernel: _Kernel, a: np.ndarray) -> np.ndarray:
     With A_d the offset-d part of A (entries A[i, i+d]) and M_d = V^T A_d V,
     the output's offset-e part is the offset-e part of V Y_e V^T, where
     Y_e = sum_d M_d * K[:, :, d - e] elementwise.  That is a correlation
-    along the offsets, so Y = ifft(fft(M) * Khat) on a circle of 4N, where
-    Khat[q N + b] = sum_r e^{i pi r (q + b / N) / 2} Chat_r[b] for the kept
-    residue spectra Chat_r (see _build_kernel).  M_d enters at position
-    d + N - 1 and Y_e comes out there; the circle is long enough that no
-    offset wraps onto another.  The FFT pair runs in place, so one array
-    of 4N N^2 entries is alive at a time.  Both products read the offset
-    layout along d, so the call takes one contiguous copy of its view:
-    N N (2N - 1) reals, freed on return.
+    along the offsets, so Y = ifft(fft(M) * Khat) on a circle of 4N, with
+    Khat the kernel's spectrum repeated 4N / L times (see _build_kernel).
+    M_d enters at position d + N - 1 and Y_e comes out there; the circle is
+    long enough that no offset wraps onto another.  The FFT pair runs in
+    place, so one array of 4N N^2 entries is alive at a time.  Both products
+    read the offset layout along d, so the call takes one contiguous copy of
+    its view: N N (2N - 1) reals, freed on return.
     """
     n = a.shape[0]
     _, vec = _position_eigensystem(n)
@@ -286,18 +282,15 @@ def _apply_kernel(kernel: _Kernel, a: np.ndarray) -> np.ndarray:
     m = _real_product(vec.T, shifted * _offset_gather(a)[:, None, :])  # M_d[k, l]
     y = np.fft.fft(m, n=4 * n, axis=-1)
     del m
-    quarters, b = y.reshape(n, n, 4, n), np.arange(n) / n
-    for q in range(4):
-        terms = [spec if r == 0 else spec * np.exp(0.5j * np.pi * r * (q + b))
-                 for r, spec in zip(kernel.residues, kernel.spectra)]
-        quarters[:, :, q] *= sum(terms[1:], terms[0])
+    repeats = y.reshape(n, n, 4 * n // kernel.spectrum.shape[-1], -1)  # a view of y
+    repeats *= kernel.spectrum[:, :, None, :]
     np.fft.ifft(y, axis=-1, out=y)
     z = _real_product(vec, y[:, :, : 2 * n - 1])              # (V Y_e)[i, l]
     return _offset_scatter(np.einsum("ile,ile->ie", z, shifted)) + kernel.origin * a
 
 
 def apply_quadrature(
-    ch: MeasureChannel, a: FockOperator, max_clipped: float = 1e-6
+    ch: MeasureChannel, a: FockOperator, max_clipped: float = _MAX_CLIPPED
 ) -> FockOperator:
     """Deterministic cell-sum application of the measure channel, through
     the channel's cached kernel (see _build_kernel).  It builds no kernel
@@ -352,9 +345,11 @@ def max_single_step(n_levels: int) -> float:
 
 
 def _substep_channel(t: float, n_levels: int) -> tuple[MeasureChannel, int]:
-    """heat_channel of the equal substeps that carry time t > 0 at truncation
-    N, each within max_single_step(N), and their count."""
-    n_steps = max(1, int(math.ceil(t / max_single_step(n_levels))))
+    """heat_channel of the equal substeps, each within max_single_step(N), that carry
+    time t at truncation N, and their count: none at t = 0, of the identity."""
+    n_steps = int(math.ceil(t / max_single_step(n_levels)))
+    if n_steps == 0:
+        return point_mass_channel([(0.0, 0.0)], [1.0], GridSpec(1.0, 2), n_levels), 0
     return heat_channel(t / n_steps, n_levels), n_steps
 
 
@@ -362,8 +357,6 @@ def _quadrature_flow(a: np.ndarray, t: float) -> tuple[np.ndarray, int]:
     """The heat flow at time t of an N x N matrix by quadrature, and its
     substep count: the substeps of _substep_channel (the measures convolve
     exactly, so their composition is the flow at t), none at t = 0."""
-    if t == 0:
-        return a, 0
     ch, n_steps = _substep_channel(t, a.shape[0])
     for _ in range(n_steps):
         a = apply_quadrature(ch, FockOperator(a)).matrix
@@ -536,19 +529,20 @@ def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:
     the displacement unitary, read off the channel kernel: with
     U[(i, j), k] = V_ik V_jk, entry (r, r') is
     sum_{k,l} U[r, k] U[r', l] K[k, l, (i_r - j_r) - (i_r' - j_r')], with
-    K the origin weight plus one forward FFT of each kept residue spectrum.
-    Positive semidefinite exactly when the weights can be taken
-    nonnegative.  Like apply_quadrature, it builds no kernel but the
-    channel's own and rejects a measure that clips more than 1e-6 of its
-    mass.
+    K the origin weight plus the forward FFT of the kernel's spectrum at
+    s mod 4N (see _build_kernel).  Positive semidefinite exactly when the
+    weights can be taken nonnegative.  Like apply_quadrature, it builds no
+    kernel but the channel's own and rejects a measure that clips more
+    than _MAX_CLIPPED of its mass.
     """
     if not 1 <= n <= ch.truncation // 4:
         raise ValueError(f"Choi block {n} must be 1 to a quarter of truncation {ch.truncation}")
-    cached = _channel_kernel(ch, 1e-6)
-    circles = np.zeros((4, *cached.spectra.shape[1:]), dtype=complex)
-    circles[list(cached.residues)] = np.fft.fft(cached.spectra, axis=-1) / ch.truncation
+    cached, size = _channel_kernel(ch, _MAX_CLIPPED), 4 * ch.truncation
+    circle = np.zeros((size, ch.truncation, ch.truncation), dtype=complex)
+    length = cached.spectrum.shape[-1]
+    circle[:: size // length] = np.moveaxis(np.fft.fft(cached.spectrum), -1, 0) / length
     s = np.arange(2 - 2 * n, 2 * n - 1)  # K[s], |s| <= 2n - 2, at s + 2n - 2
-    kernel = cached.origin + circles[s % 4, :, :, s // 4 % ch.truncation]
+    kernel = cached.origin + circle[s % size]
     _, vec = _position_eigensystem(ch.truncation)
     j, i = np.divmod(np.arange(n * n), n)  # column-major: r = j n + i
     u = vec[i] * vec[j]
@@ -575,7 +569,7 @@ def cb_distance_bound(
     diff = mu - nu  # raises unless the grids agree
     tv = diff.total_variation()
     ch = MeasureChannel(diff, n_levels)
-    clip_tol = math.inf if allow_clipping else 1e-6
+    clip_tol = math.inf if allow_clipping else _MAX_CLIPPED
     ratios = []
     for a in probes:
         out = apply_quadrature(ch, a, max_clipped=clip_tol)

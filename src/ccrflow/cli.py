@@ -52,7 +52,7 @@ from .phase_space import (
     GridSpec,
     _band_support,
     _column_band,
-    _lattice_radius,
+    _lattice_box,
     band_limited_approximant,
     convolve,
     default_gaussian_grid,
@@ -248,6 +248,10 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
     if args.out is not None:
         _apply_section(merged, {"out": args.out}, "on the command line", None)
     cfg = RunConfig(**merged)
+    # at t = 0 the Gaussian is a point mass: lemma37 approximates every time, purity its last
+    if 0 in {"lemma37": cfg.times, "purity": cfg.times[-1:]}.get(subcommand, ()):
+        raise ConfigError(f"{subcommand} cannot take t = 0: no band-limited probability "
+                          "measure approximates a point mass (TV distance 2)")
     # a probe the truncation cannot hold fails here, before any check runs
     for spec in cfg.probes if subcommand in _SETTINGS["probes"][2] else ():
         try:
@@ -383,7 +387,7 @@ def check_path_agreement(cfg: RunConfig) -> ExperimentReport:
         passed=bool(worst <= 2e-3),
         details={"quadrature_exact_gap_max": max(r["quadrature_exact_gap"] for r in curve),
                  "spectral_exact_gap_max": max(r["spectral_exact_gap"] for r in curve),
-                 "trace_renormalization_max": max(drifts)},
+                 "trace_renormalization_max": max(drifts, default=0.0)},
         curve=curve,
     )
 
@@ -565,20 +569,20 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
     """The surrogate's transform is dead off the delta disk, at every lattice node."""
     delta = cfg.delta
     grid = default_lemma_grid(delta)
-    radius = _lattice_radius(grid)
-    off_band = radius >= delta
+    disk, radius = _lattice_box(grid, delta)  # every node with |zeta| < delta
     rng = np.random.default_rng(cfg.seed + 4)
     worst = 0.0
     curve = []
     for t in cfg.times:
         nu = _approximant(t, delta, grid)
         sample = _offband_sample(delta, rng)
-        sup = max(float(np.abs(symplectic_ft_at(nu, sample)).max()),
-                  float(np.abs(symplectic_ft_lattice(nu)).max(where=off_band, initial=0.0)))
+        lattice = np.abs(symplectic_ft_lattice(nu))
+        lattice[disk, disk][radius < delta] = 0.0
+        sup = max(float(np.abs(symplectic_ft_at(nu, sample)).max()), float(lattice.max()))
         worst = max(worst, sup)
         curve.append({"t": t, "offband_sup": sup})
-    support = _band_support(delta, radius)
-    band = _column_band(support.T)  # q_hat enters the inverse transposed
+    support = _band_support(delta, _lattice_box(grid, 7.0 * delta / 16.0)[1])
+    band = _column_band(support)  # symmetric: q_hat's columns are its rows
     return ExperimentReport(
         check="lemma_band_limit",
         params={"delta": delta, "times": list(cfg.times),
@@ -587,7 +591,7 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
         measured=float(worst),
         bound=1e-6,
         passed=bool(worst <= 1e-6),
-        details={"offband_lattice_nodes": int(off_band.sum()),
+        details={"offband_lattice_nodes": grid.points_per_axis ** 2 - int((radius < delta).sum()),
                  "offlattice_points_per_time": len(sample),
                  "qhat_support_nodes": int(support.sum()),
                  "dual_band_columns": int(band.stop - band.start)},

@@ -330,9 +330,14 @@ def conjugate_lattice(grid: GridSpec) -> GridSpec:
     return GridSpec(half_width=eta * m / 2.0, points_per_axis=m)
 
 
-def _lattice_radius(grid: GridSpec) -> np.ndarray:
-    """|zeta| at every node of conjugate_lattice(grid)."""
-    return np.hypot(*conjugate_lattice(grid).mesh())
+def _lattice_box(grid: GridSpec, radius: float) -> tuple[slice, np.ndarray]:
+    """The centered box of conjugate_lattice(grid), clipped to the lattice,
+    that holds every node within ``radius`` of 0, and |zeta| on it."""
+    lattice = conjugate_lattice(grid)
+    m, k = lattice.points_per_axis, math.ceil(radius / lattice.h) + 1
+    box = slice(max(m // 2 - k, 0), m // 2 + k + 1)
+    axis = lattice.axis()[box]
+    return box, np.hypot(axis[:, None], axis[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +528,9 @@ def band_limited_approximant(
             "grid too small: conjugate lattice spacing "
             f"{eta:.4g} must resolve delta/16 = {delta / 16.0:.4g}"
         )
-    m, k = grid.points_per_axis, math.ceil(7.0 * delta / 16.0 / eta) + 1
-    box = slice(max(m // 2 - k, 0), m // 2 + k + 1)  # the (2k+1)^2 nodes around 0
-    axis = conjugate_lattice(grid).axis()[box]
-    r = np.hypot(axis[:, None], axis[None, :])
+    box, r = _lattice_box(grid, 7.0 * delta / 16.0)
     inside = _band_support(delta, r)
-    qhat = np.zeros((m, m))
+    qhat = np.zeros((grid.points_per_axis,) * 2)
     qhat[box, box][inside] = plateau_profile(delta)(r[inside]) * sqrt_density_ft(t, r[inside])
     w = np.abs(inverse_symplectic_lattice(qhat, grid))
     np.square(w, out=w)

@@ -139,6 +139,35 @@ def test_choi_checks_a_long_time_on_its_substep_channel(tmp_path):
     assert rep["pass"] is True
 
 
+def test_choi_checks_the_identity_time(tmp_path):
+    # t = 0 is the identity channel: its Choi block is the rank-one
+    # projector onto the vectorized identity, eigenvalues 0 and the block 4
+    out = tmp_path / "artifacts"
+    assert main(["choi", "--times", "0", "--out", str(out)]) == 0
+    rep = json.loads((out / "choi" / "choi_positivity.json").read_text())
+    assert rep["params"]["substeps"] == 0
+    assert rep["pass"] is True
+    assert abs(rep["details"]["max_eigenvalue"] - 4.0) <= 1e-12
+
+
+@pytest.mark.parametrize("sub,times", [("lemma37", "0,1"), ("purity", "0"),
+                                       ("all", "0")])
+def test_approximant_families_refuse_the_identity_time_at_config(tmp_path, capsys,
+                                                                 sub, times):
+    # no band-limited probability measure approximates the point mass at
+    # t = 0, so the refusal comes before any family writes an artifact
+    out = tmp_path / "o"
+    assert main([sub, "--times", times, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "t = 0" in err
+    assert not out.exists()
+
+
+def test_purity_reads_t_0_before_its_last_time():
+    cfg = resolve_config("purity", make_args(times="0,1"))
+    assert cfg.times == (0.0, 1.0)
+
+
 def test_main_artifacts_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["choi", "--out", str(out1)]) == 0
@@ -239,10 +268,15 @@ def test_main_maps_numeric_preconditions_to_exit_2(tmp_path, capsys):
 
 
 def test_heatflow_runs_the_identity_time(tmp_path):
-    # t = 0 is the identity: every check runs it, with no substep to build
-    assert main(["heatflow", "--out", str(tmp_path), "--times", "0,0.25"]) == 0
-    rep = json.loads((tmp_path / "heatflow" / "eigen_relation.json").read_text())
-    assert rep["params"]["substeps"] == 0
+    # t = 0 is the identity: every check runs it, with no substep to build,
+    # and alone it renormalizes no trace
+    for times in ("0,0.25", "0"):
+        out = tmp_path / times
+        assert main(["heatflow", "--out", str(out), "--times", times]) == 0
+        rep = json.loads((out / "heatflow" / "eigen_relation.json").read_text())
+        assert rep["params"]["substeps"] == 0
+    agreement = json.loads((out / "heatflow" / "path_agreement.json").read_text())
+    assert agreement["details"]["trace_renormalization_max"] == 0.0
 
 
 def test_heatflow_long_times_get_a_verdict_not_a_refusal(tmp_path):
@@ -436,6 +470,9 @@ def test_band_limit_counts_the_columns_the_dual_band_transforms(monkeypatch):
     # rfft is the dense forward transform of the approximant
     m = rep.params["grid_points"]
     assert rep.details["dual_band_columns"] == 27
+    # read off the boxes around the band and the delta disk, as on the lattice
+    assert rep.details["qhat_support_nodes"] == 609
+    assert rep.details["offband_lattice_nodes"] == 649_659
     assert phases == [(m // 2 + 1, 27), (27, m)]
     assert widths == [m]
 

@@ -58,9 +58,9 @@ def asymmetric_channel(n: int, seed: int) -> MeasureChannel:
 def make_channel(kind: str, n: int) -> MeasureChannel:
     if kind == "heat":
         return heat_channel(0.1, n)
-    if kind == "signed_atoms":
-        return point_mass_channel([(0.5, 1.0), (-0.5, -1.0)], [0.5, -0.5],
-                                  ATOM_GRID, n)
+    if kind in ("signed_atoms", "even_atoms"):
+        return point_mass_channel([(0.5, 1.0), (-0.5, -1.0)],
+                                  [0.5, -0.5 if kind == "signed_atoms" else 0.5], ATOM_GRID, n)
     return asymmetric_channel(n, 5)
 
 
@@ -296,38 +296,44 @@ def test_spectral_apply_matches_the_offset_loop(n, seed):
     assert_close(got, loop_apply_kernel(node_kernel(ch), a))
 
 
-def residue_kernel(kernel, n: int) -> np.ndarray:
-    """K[s + 2N - 2] for |s| <= 2N - 2 read back from the residue spectra:
-    offset s = 4j + r at position j mod N of circle r, plus the origin."""
+def circle_kernel(kernel, n: int) -> np.ndarray:
+    """K[s + 2N - 2] for |s| <= 2N - 2 summed straight from the 4N-point
+    spectrum _apply_kernel multiplies by: the one spectrum, repeated until
+    it fills 4N positions, plus the origin."""
+    khat = np.tile(kernel.spectrum, 4 * n // kernel.spectrum.shape[-1])
     s = np.arange(2 - 2 * n, 2 * n - 1)
-    out = np.full((len(s), n, n), kernel.origin)
-    for r, spec in zip(kernel.residues, kernel.spectra):
-        circle = np.moveaxis(np.fft.fft(spec, axis=-1) / n, -1, 0)
-        out[s % 4 == r] += circle[(s[s % 4 == r] - r) // 4 % n]
-    return out
+    dft = np.exp(-2j * np.pi * np.outer(s, np.arange(4 * n)) / (4 * n)) / (4 * n)
+    return kernel.origin + np.einsum("sp,klp->skl", dft, khat)
 
 
-@pytest.mark.parametrize("n", [2, 8, 30, 40])
-def test_residue_spectra_are_the_kernel_on_circles_of_n(n):
-    ch = asymmetric_channel(n, n)
+@pytest.mark.parametrize("kind,n", [
+    ("asymmetric_complex", 2), ("asymmetric_complex", 8), ("asymmetric_complex", 30),
+    ("asymmetric_complex", 40),
+    # a pair at +-z0, odd and even under z -> -z, but not quarter-turn
+    # symmetric: the odd offsets live, and the even s = 2 (mod 4)
+    ("signed_atoms", 24), ("even_atoms", 24),
+])
+def test_general_measures_take_the_circle_of_4n(kind, n):
+    ch = make_channel(kind, n)
     kernel = channels._channel_kernel(ch, 1e-6)
-    assert kernel.residues == (0, 1, 2, 3)
-    assert kernel.spectra.shape == (4, n, n, n)
-    assert not kernel.spectra.flags.writeable
-    # every offset of a kept residue, from its own circle of N positions
-    assert_close(residue_kernel(kernel, n), node_kernel(ch))
+    assert kernel.spectrum.shape == (n, n, 4 * n)
+    assert not kernel.spectrum.flags.writeable
+    assert_close(circle_kernel(kernel, n), node_kernel(ch))
+    a = random_matrix(n)
+    assert_close(channels._apply_kernel(kernel, a), loop_apply_kernel(node_kernel(ch), a))
 
 
 @pytest.mark.parametrize("t", [0.0125, 0.25])
 def test_heat_channel_keeps_one_residue_and_its_origin(t):
+    # s = 4j alone, at position j of a circle of N
     n = 24
     ch = heat_channel(t, n)
     kernel = channels._channel_kernel(ch, 1e-6)
-    assert kernel.residues == (0,)
-    assert kernel.spectra.shape == (1, n, n, n)
+    assert kernel.spectrum.shape == (n, n, n)
+    assert not kernel.spectrum.flags.writeable
     m = ch.mu.grid.points_per_axis // 2
     assert kernel.origin == ch.mu.weights[m, m]
-    assert_close(residue_kernel(kernel, n), node_kernel(ch))
+    assert_close(circle_kernel(kernel, n), node_kernel(ch))
 
 
 @pytest.mark.parametrize("t", [0.0044, 0.25, 1.0, 16.0])
@@ -351,7 +357,7 @@ def test_quarter_turn_symmetric_weights_keep_one_residue(n, half, seed):
     weights[1:, 1:] = sum(np.rot90(inner, q) for q in range(4))
     ch = MeasureChannel(GridMeasure(GridSpec(half * 0.25, 2 * half), weights), n)
     kernel = channels._channel_kernel(ch, 1e-6)
-    assert kernel.residues == (0,)
+    assert kernel.spectrum.shape == (n, n, n)
     a = np.random.default_rng(seed + 1).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
     assert_close(channels._apply_kernel(kernel, a), loop_apply_kernel(node_kernel(ch), a))
 

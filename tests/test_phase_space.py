@@ -242,6 +242,16 @@ def _small_lemma_grid(delta):
     return GridSpec(half_width=half, points_per_axis=m)
 
 
+@pytest.mark.parametrize("radius", [0.3, 7.0 / 16.0, 10.0, 50.0])
+def test_lattice_box_holds_every_node_within_its_radius(radius):
+    # the radius 50 box is wider than the lattice (half-width 31.4): clipped
+    grid = GridSpec(4.0, 40)
+    box, r = phase_space._lattice_box(grid, radius)
+    full = np.hypot(*conjugate_lattice(grid).mesh())
+    np.testing.assert_array_equal(r, full[box, box])
+    assert (r <= radius).sum() == (full <= radius).sum()
+
+
 def test_band_limited_approximant_is_probability():
     delta = 8.0
     grid = _small_lemma_grid(delta)
