@@ -28,9 +28,9 @@ both transform directions.
 Applying K is a correlation along the offsets, so the channel caches its
 spectrum on one circle, the origin node apart: N positions for a heat
 channel, 4N for a measure without quarter-turn symmetry (see _build_kernel).
-Quadrature runs one FFT pair per operand (see _apply_kernel), Choi blocks
-transform back to K, and equal channels share one build while their kernel
-is among the two newest: a further operand costs O(N^4).
+Quadrature runs one FFT pair per operand (see _apply_kernel), and equal
+channels share one build while their kernel is among the two newest: a
+further operand costs O(N^4).  Choi blocks sum their nodes (see choi_matrix).
 
 A third engine, exact_heat, is exact: any leading window of the flow is a
 finite sum.  It serves the purity instruments and is the reference the
@@ -63,6 +63,7 @@ from .fock import (
     _offset_gather,
     _offset_layout,
     _offset_scatter,
+    _polar,
     _position_eigensystem,
     weyl_operator,
 )
@@ -523,33 +524,27 @@ def generator_check(z, n_levels: int, t_values) -> tuple[float, float]:
 
 
 def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:
-    """Choi matrix of the channel compressed to the leading n-block.
-
-    Built as sum_p w_p v_p v_p^dagger with v_p the vectorized n-block of
-    the displacement unitary, read off the channel kernel: with
-    U[(i, j), k] = V_ik V_jk, entry (r, r') is
-    sum_{k,l} U[r, k] U[r', l] K[k, l, (i_r - j_r) - (i_r' - j_r')], with
-    K the origin weight plus the forward FFT of the kernel's spectrum at
-    s mod 4N (see _build_kernel).  Positive semidefinite exactly when the
-    weights can be taken nonnegative.  Like apply_quadrature, it builds no
-    kernel but the channel's own and rejects a measure that clips more
-    than _MAX_CLIPPED of its mass.
+    """Choi matrix of the channel compressed to the leading n-block:
+    sum_p w_p v_p v_p^dagger over the nodes _masked_quadrature keeps (it
+    rejects a measure that clips more than _MAX_CLIPPED of its mass), with
+    v_p[j n + i] = e^{i th_p (i - j)} sum_k V_ik V_jk e^{i rho_p lam_k} the
+    vectorized n-block of W at CONJUGATION_SCALE z_p = rho_p(cos th_p, sin th_p)
+    and (lam, V) the eigensystem of Q: O(P n^2 N) for P nodes, and no kernel.
+    Positive semidefinite exactly when the weights can be taken nonnegative.
     """
     if not 1 <= n <= ch.truncation // 4:
         raise ValueError(f"Choi block {n} must be 1 to a quarter of truncation {ch.truncation}")
-    cached, size = _channel_kernel(ch, _MAX_CLIPPED), 4 * ch.truncation
-    circle = np.zeros((size, ch.truncation, ch.truncation), dtype=complex)
-    length = cached.spectrum.shape[-1]
-    circle[:: size // length] = np.moveaxis(np.fft.fft(cached.spectrum), -1, 0) / length
-    s = np.arange(2 - 2 * n, 2 * n - 1)  # K[s], |s| <= 2n - 2, at s + 2n - 2
-    kernel = cached.origin + circle[s % size]
-    _, vec = _position_eigensystem(ch.truncation)
+    weights = _masked_quadrature(ch, _MAX_CLIPPED)
+    nodes = np.flatnonzero(weights)
+    xs, ys = ch.mu.grid.mesh()
+    rho, theta = _polar(CONJUGATION_SCALE * np.column_stack([xs.ravel(), ys.ravel()])[nodes])
+    lam, vec = _position_eigensystem(ch.truncation)
     j, i = np.divmod(np.arange(n * n), n)  # column-major: r = j n + i
     u = vec[i] * vec[j]
-    offset = i - j
-    c = np.empty((n * n, n * n), dtype=complex)
-    for r in range(n * n):
-        c[r] = np.einsum("qkl,k,ql->q", kernel[offset[r] - offset + 2 * n - 2], u[r], u)
+    c = np.zeros((n * n, n * n), dtype=complex)
+    for sl in _node_slices(len(nodes), ch.truncation):
+        v = np.exp(1j * theta[sl, None] * (i - j)) * (np.exp(1j * rho[sl, None] * lam) @ u.T)
+        c += (weights[nodes[sl], None] * v).T @ v.conj()
     return c
 
 

@@ -252,6 +252,10 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
     if 0 in {"lemma37": cfg.times, "purity": cfg.times[-1:]}.get(subcommand, ()):
         raise ConfigError(f"{subcommand} cannot take t = 0: no band-limited probability "
                           "measure approximates a point mass (TV distance 2)")
+    # below N = 8 the Choi block min(4, N // 4) has one level: the witness's pair sums to 0
+    if subcommand == "choi" and cfg.truncation < 8:
+        raise ConfigError("choi needs truncation at least 8 for a two-level Choi block, "
+                          f"got {cfg.truncation}")
     # a probe the truncation cannot hold fails here, before any check runs
     for spec in cfg.probes if subcommand in _SETTINGS["probes"][2] else ():
         try:
@@ -659,7 +663,7 @@ def check_purity_decay(cfg: RunConfig) -> ExperimentReport:
     d = [row["distance"] for row in rows]
     start_err = abs(d[0] - 2.0) if cfg.times[0] == 0 else 0.0
     decreasing = all(b < a for a, b in zip(d, d[1:]))
-    inside = [dist for tt, dist in zip(cfg.times, d) if tt <= 10.0]
+    inside = [dist for tt, dist in zip(cfg.times, d) if 0 < tt <= 10.0]
     final = inside[-1] if inside else d[-1]
     return ExperimentReport(
         check="purity_decay",

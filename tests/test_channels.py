@@ -194,7 +194,7 @@ def test_choi_signed_witness_is_negative():
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.5, -0.5)])
 def test_two_atom_choi_conjugates_at_half_the_atom(weights):
-    # the Choi path, read back from the kernel, sums the conjugations by
+    # the Choi path, summed node by node from Q's eigensystem, conjugates by
     # W_{z/2} with the literal scale 1/2: 2^{-1/2} would miss by 0.18 or more
     n, block = 24, 4
     atoms = [(0.5, 1.0), (-0.5, -1.0)]

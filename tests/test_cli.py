@@ -163,6 +163,30 @@ def test_approximant_families_refuse_the_identity_time_at_config(tmp_path, capsy
     assert not out.exists()
 
 
+def test_choi_refuses_a_one_level_block_at_config(tmp_path, capsys):
+    # below N = 8 the block min(4, N // 4) has one level, where the witness's
+    # balanced pair of atoms gives a zero Choi scalar; N = 8 has two levels
+    out = tmp_path / "o"
+    assert main(["choi", "--truncation", "7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "two-level Choi block" in err
+    assert not out.exists()
+    assert main(["choi", "--truncation", "8", "--out", str(out)]) == 0
+    rep = json.loads((out / "choi" / "choi_witness.json").read_text())
+    assert rep["params"]["block"] == 2
+    assert rep["measured"] == pytest.approx(-0.626, abs=1e-3)
+
+
+def test_purity_decay_reads_the_last_time_past_t_0(tmp_path):
+    # d(0) = 2 by definition; with no time in (0, 10] the verdict reads the
+    # last time, d(16) = 0.0226, and not the start
+    out = tmp_path / "o"
+    assert main(["purity", "--times", "0,16", "--out", str(out)]) == 0
+    rep = json.loads((out / "purity" / "purity_decay.json").read_text())
+    assert rep["pass"] is True
+    assert rep["measured"] == pytest.approx(0.0226, abs=1e-4)
+
+
 def test_purity_reads_t_0_before_its_last_time():
     cfg = resolve_config("purity", make_args(times="0,1"))
     assert cfg.times == (0.0, 1.0)

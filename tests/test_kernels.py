@@ -1,10 +1,11 @@
 """The eigensystem kernels against their cell-by-cell definitions.
 
-Quadrature, Choi blocks and both transform directions are computed through
-the eigensystem of Q without building a displacement matrix, summed over
-the symmetry classes of the square lattice.  The references here do build
-the matrices, with the public displacement_batch, and sum the definitions
-node by node.
+Quadrature and both transform directions are computed through the
+eigensystem of Q without building a displacement matrix, summed over the
+symmetry classes of the square lattice; Choi blocks sum the quadrature's
+nodes through the same eigensystem, with no kernel.  The references here
+do build the matrices, with the public displacement_batch, and sum the
+definitions node by node.
 """
 
 import math
@@ -187,6 +188,17 @@ def test_kernel_paths_build_no_displacement_matrix(monkeypatch):
     assert built == []
     weyl_operator((0.1, 0.2), n)  # the counter does see a Weyl operator
     assert built == [1]
+
+
+@pytest.mark.parametrize("kind", ["heat", "witness"])
+def test_choi_builds_and_reads_no_kernel(kind):
+    # a Choi block sums its nodes directly: no build, no cache hit
+    n = 24
+    ch = (heat_channel(0.5, n) if kind == "heat" else
+          point_mass_channel([(0.5, 1.0), (-0.5, -1.0)], [0.5, -0.5], ATOM_GRID, n))
+    before = dict(channels._kernel_counts)
+    choi_matrix(ch, 4)
+    assert channels._kernel_counts == before
 
 
 def test_equal_channels_share_one_kernel_build(monkeypatch):

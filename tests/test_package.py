@@ -157,6 +157,12 @@ def test_quadrature_flow_has_one_path():
         ("cli", "check_eigen_relation"), ("cli", "check_conservation")}
 
 
+def test_channel_kernel_has_one_reader():
+    # Choi blocks sum the quadrature's nodes directly, so the kernel's
+    # circle layout concerns the apply alone
+    assert _src_callers("_channel_kernel") == {("channels", "apply_quadrature")}
+
+
 def _is_public_function_of(module, name: str) -> bool:
     fn = getattr(module, name, None)
     return (not name.startswith("_") and inspect.isfunction(fn)
