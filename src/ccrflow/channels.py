@@ -28,9 +28,9 @@ both transform directions.
 Applying K is a correlation along the offsets, so the channel caches its
 spectrum on one circle, the origin node apart: N positions for a heat
 channel, 4N for a measure without quarter-turn symmetry (see _build_kernel).
-Quadrature runs one FFT pair per operand (see _apply_kernel), and equal
-channels share one build while their kernel is among the two newest: a
-further operand costs O(N^4).  Choi blocks sum their nodes (see choi_matrix).
+An operand costs O(N^4), one FFT pair per residue group of its offsets (see
+_apply_kernel), and equal channels share one build while their kernel is
+among the two newest.  Choi blocks sum their nodes (see choi_matrix).
 
 A third engine, exact_heat, is exact: any leading window of the flow is a
 finite sum.  It serves the purity instruments and is the reference the
@@ -185,7 +185,7 @@ def _masked_quadrature(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
 # of times
 _KERNELS_KEPT = 2
 _kernels: OrderedDict = OrderedDict()
-_kernel_counts = dict.fromkeys(("builds", "cache_hits", "residues_kept"), 0)  # since import
+_kernel_counts = dict.fromkeys("builds cache_hits residues_kept groups".split(), 0)  # since import
 # class sums off s = 0 (mod 4) within _RESIDUE_FLOOR of the largest are roundoff;
 # a channel loses at most _MAX_CLIPPED of its mass to the trust window by default
 _RESIDUE_FLOOR, _MAX_CLIPPED = 1e-14, 1e-6
@@ -197,6 +197,19 @@ class _Kernel(NamedTuple):
 
     origin: complex
     spectrum: np.ndarray
+
+
+def _kernel_spectrum(weights: np.ndarray, grid: GridSpec, n: int) -> tuple:
+    """_build_kernel's origin weight, e^{i rho_f lam_k} off the origin and spectrum."""
+    phase, expo, cls, flip, quarter = _lattice_classes(
+        grid.points_per_axis, CONJUGATION_SCALE * grid.h, n, 2 * n - 2)
+    sums = _class_sums(weights, cls, flip, quarter, phase)
+    # class 0 is the origin; sums hold s = -(2N - 2)..2N - 2 in order
+    circle = np.zeros((len(sums) - 1, 4 * n), dtype=complex)
+    circle[:, np.arange(2 - 2 * n, 2 * n - 1) % (4 * n)] = sums[1:]
+    if np.abs(circle.reshape(-1, n, 4)[:, :, 1:]).max() <= _RESIDUE_FLOOR * np.abs(circle).max():
+        circle = circle[:, ::4]
+    return complex(sums[0, 0]), expo[1:], circle.shape[1] * np.fft.ifft(circle, axis=-1)
 
 
 def _build_kernel(weights: np.ndarray, grid: GridSpec, n: int) -> _Kernel:
@@ -215,22 +228,15 @@ def _build_kernel(weights: np.ndarray, grid: GridSpec, n: int) -> _Kernel:
     at j mod N.  The spectrum, L ifft along the circle's L positions, meets
     D before the pairs e^{i rho_f (lam_k - lam_l)}, so the build is one
     N^2 x L product per class.  It holds L N^2 complex entries: 0.43 MB at
-    N = 30 and 34 MB at N = 128 for a heat channel.
+    N = 30 and 34 MB at N = 128 for a heat channel.  The class tables die
+    before the pairs loop, so beside the spectrum and the kernel the build
+    holds one chunk of pairs: 2^19 complex entries at most (_TABLE_ENTRIES).
     """
-    phase, expo, cls, flip, quarter = _lattice_classes(
-        grid.points_per_axis, CONJUGATION_SCALE * grid.h, n, 2 * n - 2)
-    sums = _class_sums(weights, cls, flip, quarter, phase)
-    # class 0 is the origin; sums hold s = -(2N - 2)..2N - 2 in order
-    origin, sums, expo = complex(sums[0, 0]), sums[1:], expo[1:]
-    circle = np.zeros((len(sums), 4 * n), dtype=complex)
-    circle[:, np.arange(2 - 2 * n, 2 * n - 1) % (4 * n)] = sums
-    if np.abs(circle.reshape(-1, n, 4)[:, :, 1:]).max() <= _RESIDUE_FLOOR * np.abs(circle).max():
-        circle = circle[:, ::4]
-    spectrum = circle.shape[1] * np.fft.ifft(circle, axis=-1)
+    origin, expo, spectrum = _kernel_spectrum(weights, grid, n)
     kernel = np.zeros((spectrum.shape[1], n * n), dtype=complex)
     for sl in _node_slices(len(expo), n * n):
-        pairs = (expo[sl, :, None] * expo[sl, None, :].conj()).reshape(-1, n * n)
-        kernel += spectrum[sl].T @ pairs
+        kernel += spectrum[sl].T @ (
+            expo[sl, :, None] * expo[sl, None, :].conj()).reshape(-1, n * n)
     kernel = np.ascontiguousarray(kernel.T).reshape(n, n, -1)
     kernel.setflags(write=False)
     return _Kernel(origin, kernel)
@@ -268,26 +274,32 @@ def _apply_kernel(kernel: _Kernel, a: np.ndarray) -> np.ndarray:
 
     With A_d the offset-d part of A (entries A[i, i+d]) and M_d = V^T A_d V,
     the output's offset-e part is the offset-e part of V Y_e V^T, where
-    Y_e = sum_d M_d * K[:, :, d - e] elementwise.  That is a correlation
-    along the offsets, so Y = ifft(fft(M) * Khat) on a circle of 4N, with
-    Khat the kernel's spectrum repeated 4N / L times (see _build_kernel).
-    M_d enters at position d + N - 1 and Y_e comes out there; the circle is
-    long enough that no offset wraps onto another.  The FFT pair runs in
-    place, so one array of 4N N^2 entries is alive at a time.  Both products
-    read the offset layout along d, so the call takes one contiguous copy of
-    its view: N N (2N - 1) reals, freed on return.
+    Y_e = sum_d M_d * K[:, :, d - e] elementwise: a correlation along the
+    offsets, with M_d and Y_e at position p = d + N - 1.  K lives on
+    s = 0 (mod G), G = 4N / L (see _build_kernel), so the positions p = r
+    (mod G) form G residue groups that never meet: one of 2N - 1 on the
+    circle of 4N for a general measure, four of at most ceil((2N - 1) / 4)
+    on the circle of N for a heat channel (a prime-length FFT at N = 31).
+    No offset wraps.  Each group gathers its own layout columns and runs
+    one product, one FFT pair times the spectrum, in place, and one product:
+    one array of L N^2 complex entries is alive at a time.
     """
     n = a.shape[0]
     _, vec = _position_eigensystem(n)
-    shifted = np.ascontiguousarray(_offset_layout(n))
-    m = _real_product(vec.T, shifted * _offset_gather(a)[:, None, :])  # M_d[k, l]
-    y = np.fft.fft(m, n=4 * n, axis=-1)
-    del m
-    repeats = y.reshape(n, n, 4 * n // kernel.spectrum.shape[-1], -1)  # a view of y
-    repeats *= kernel.spectrum[:, :, None, :]
-    np.fft.ifft(y, axis=-1, out=y)
-    z = _real_product(vec, y[:, :, : 2 * n - 1])              # (V Y_e)[i, l]
-    return _offset_scatter(np.einsum("ile,ile->ie", z, shifted)) + kernel.origin * a
+    size = kernel.spectrum.shape[-1]
+    groups = 4 * n // size
+    entries = _offset_gather(a)
+    out = np.empty_like(entries)
+    for r in range(groups):
+        cols = np.ascontiguousarray(_offset_layout(n)[:, :, r::groups])
+        y = np.fft.fft(_real_product(vec.T, cols * entries[:, None, r::groups]), n=size, axis=-1)
+        y *= kernel.spectrum
+        np.fft.ifft(y, axis=-1, out=y)
+        z = _real_product(vec, y[:, :, : cols.shape[-1]])  # (V Y_e)[i, l]
+        out[:, r::groups] = np.einsum("ile,ile->ie", z, cols)
+        del y, z  # one group's arrays alive at a time
+    _kernel_counts["groups"] += groups
+    return _offset_scatter(out) + kernel.origin * a
 
 
 def apply_quadrature(

@@ -22,6 +22,11 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 
 from . import __version__
@@ -765,8 +770,8 @@ _RUNNERS = {
 
 
 def run_subcommand(subcommand: str, cfg: RunConfig) -> list[tuple[ExperimentReport, dict]]:
-    """Each check's report with its costs: wall time in seconds, and kernel
-    builds, cache hits and residues kept, which depend on what ran before."""
+    """Each check's report with its costs: wall time in seconds, and the
+    _kernel_counts it adds, which depend on what ran before."""
     out = []
     try:
         for fn in _RUNNERS[subcommand]:
@@ -836,6 +841,8 @@ def _write_metadata(out_dir: Path, argv, wall_s: dict, kernels: dict, started: f
         "check_wall_s": wall_s,
         "check_kernels": kernels,
         "total_wall_s": time.perf_counter() - started,
+        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+                        if resource else None),
     }
     if error:
         meta["error"] = error

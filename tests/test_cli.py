@@ -205,7 +205,7 @@ def test_main_artifacts_are_deterministic(tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
-def test_run_metadata_times_every_check(tmp_path):
+def test_run_metadata_times_every_check(tmp_path, monkeypatch):
     out = tmp_path / "a"
     assert main(["choi", "--out", str(out)]) == 0
     meta = json.loads((out / "run_metadata.json").read_text())
@@ -216,6 +216,7 @@ def test_run_metadata_times_every_check(tmp_path):
     assert meta["total_wall_s"] >= sum(meta["check_wall_s"].values())
     assert meta["blas"]["name"]
     assert all(key.endswith("_NUM_THREADS") for key in meta["thread_pins"])
+    assert meta["peak_rss_mb"] > 0
     # the huge page mode moves peak RSS; None where the kernel has none
     thp = Path("/sys/kernel/mm/transparent_hugepage/enabled")
     if thp.exists():
@@ -224,10 +225,12 @@ def test_run_metadata_times_every_check(tmp_path):
         assert meta["transparent_hugepage"] is None
     # timings and the machine stay in the metadata, out of the
     # reproducible artifacts
-    assert "wall" not in summary and "hugepage" not in summary
-    for path in (out / "choi").iterdir():
-        assert "wall" not in path.read_text()
-        assert "hugepage" not in path.read_text()
+    for text in (summary, *(path.read_text() for path in (out / "choi").iterdir())):
+        assert "wall" not in text and "hugepage" not in text and "peak_rss" not in text
+    # no peak memory where the resource module is missing
+    monkeypatch.setattr(cli, "resource", None)
+    assert main(["choi", "--out", str(tmp_path / "b")]) == 0
+    assert json.loads((tmp_path / "b" / "run_metadata.json").read_text())["peak_rss_mb"] is None
 
 
 def test_run_metadata_counts_kernel_builds_per_check(tmp_path, monkeypatch):
@@ -244,8 +247,14 @@ def test_run_metadata_counts_kernel_builds_per_check(tmp_path, monkeypatch):
     assert counts["eigen_relation"]["residues_kept"] == 1
     assert counts["generator_scaling"]["residues_kept"] == 4
     assert counts["conservation"]["cache_hits"] > 0
+    # each apply is one build or one cache hit, and a heat apply runs four
+    # residue groups
+    groups = {check: c["groups"] for check, c in counts.items() if c["groups"]}
+    assert groups == {"eigen_relation": 40, "path_agreement": 120, "conservation": 24,
+                      "generator_scaling": 24}
+    assert all(c["groups"] == 4 * (c["builds"] + c["cache_hits"]) for c in counts.values())
     for path in (out / "heatflow").iterdir():
-        assert "cache_hits" not in path.read_text()
+        assert "cache_hits" not in path.read_text() and "groups" not in path.read_text()
 
 
 def test_path_agreement_reports_the_trace_it_renormalizes():

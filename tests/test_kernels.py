@@ -9,6 +9,7 @@ definitions node by node.
 """
 
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -24,6 +25,7 @@ from ccrflow import (
     MeasureChannel,
     apply_quadrature,
     apply_spectral,
+    cauchy_measure,
     char_function,
     char_values,
     choi_matrix,
@@ -81,7 +83,9 @@ def assert_close(got: np.ndarray, want: np.ndarray, rel: float = 1e-12) -> None:
     assert float(np.abs(got - want).max()) <= rel * float(np.abs(want).max())
 
 
-@pytest.mark.parametrize("n", [8, 24, 40])
+# odd N mirror the heat channel's residue groups otherwise: group 3 on
+# group 1, where even N mirror group 2 on group 0
+@pytest.mark.parametrize("n", [8, 9, 24, 31, 40])
 @pytest.mark.parametrize("kind", MEASURES)
 def test_quadrature_matches_the_conjugation_sum(kind, n):
     ch = make_channel(kind, n)
@@ -266,6 +270,45 @@ def test_cache_keeps_the_two_newest_kernels(monkeypatch):
     assert len(builds) == 4
 
 
+def test_kernel_build_holds_one_pairs_chunk():
+    # the class tables die before the pairs loop and each chunk of pairs
+    # dies with its product, so the traced peak (10.4 MB) stays below two
+    # chunks
+    n = 30
+    ch = heat_channel(0.5, n)
+    weights = channels._masked_quadrature(ch, 1e-6)
+    fock._position_eigensystem(n)  # cached before the trace
+    tracemalloc.start()
+    try:
+        kernel = channels._build_kernel(weights, ch.mu.grid, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.spectrum.nbytes == n**3 * 16
+    assert peak < 2 * fock._TABLE_ENTRIES * 16
+
+
+@pytest.mark.parametrize("kind,groups", [("cauchy", 1), ("signed_atoms", 1), ("heat", 4)])
+def test_apply_runs_one_fft_pair_per_residue_group(kind, groups, monkeypatch):
+    # a general measure runs one group on the circle of 4N, a heat channel
+    # four on the circle of N
+    n = 24
+    ch = (MeasureChannel(cauchy_measure(0.01, GridSpec(8.0, 64)), n) if kind == "cauchy"
+          else make_channel(kind, n))
+    lengths = []
+    original = np.fft.fft
+
+    def counting(x, n=None, axis=-1):
+        lengths.append(n)
+        return original(x, n=n, axis=axis)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    before = channels._kernel_counts["groups"]
+    apply_quadrature(ch, FockOperator(random_matrix(n)))
+    assert lengths == [4 * n // groups] * groups
+    assert channels._kernel_counts["groups"] - before == groups
+
+
 def node_kernel(ch: MeasureChannel) -> np.ndarray:
     """K[s + 2N - 2, k, l] = sum_p w_p e^{i th_p s} e^{i rho_p (lam_k - lam_l)}
     for |s| <= 2N - 2, node by node over the conjugation nodes."""
@@ -309,9 +352,8 @@ def test_spectral_apply_matches_the_offset_loop(n, seed):
 
 
 def circle_kernel(kernel, n: int) -> np.ndarray:
-    """K[s + 2N - 2] for |s| <= 2N - 2 summed straight from the 4N-point
-    spectrum _apply_kernel multiplies by: the one spectrum, repeated until
-    it fills 4N positions, plus the origin."""
+    """K[s + 2N - 2] for |s| <= 2N - 2 summed straight from the kernel's
+    spectrum, repeated until it fills the circle of 4N, plus the origin."""
     khat = np.tile(kernel.spectrum, 4 * n // kernel.spectrum.shape[-1])
     s = np.arange(2 - 2 * n, 2 * n - 1)
     dft = np.exp(-2j * np.pi * np.outer(s, np.arange(4 * n)) / (4 * n)) / (4 * n)
