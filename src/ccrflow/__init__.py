@@ -65,7 +65,7 @@ from .purity import (
     certified_bound,
     decay_curve,
 )
-from .reports import ExperimentReport, load_report
+from .reports import Condition, ExperimentReport, load_report
 
 __version__ = "0.1.0"
 
@@ -84,6 +84,6 @@ __all__ = [
     "point_mass_channel", "spectral_levels",
     "absorbing_state_probe",
     "band_annihilated_distance", "certified_bound", "decay_curve",
-    "ExperimentReport", "load_report",
+    "Condition", "ExperimentReport", "load_report",
     "__version__",
 ]

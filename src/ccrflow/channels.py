@@ -74,7 +74,7 @@ from .phase_space import (
     gaussian_measure,
     measure_from_atoms,
 )
-from .reports import ExperimentReport
+from .reports import Condition, ExperimentReport
 from .weyl_transform import (
     CharFunction,
     char_function,
@@ -583,13 +583,10 @@ def cb_distance_bound(
         gap = float(np.linalg.norm(out.matrix, 2))
         anorm = float(np.linalg.norm(a.matrix, 2))
         ratios.append(gap / (tv * anorm) if tv > 0 and anorm > 0 else 0.0)
-    measured = float(max(ratios)) if ratios else 0.0
     return ExperimentReport(
         check="cb_distance_bound",
         params={"n_levels": n_levels, "n_probes": len(ratios),
                 "total_variation": tv},
-        measured=measured,
-        bound=1.0 + 1e-6,
-        passed=bool(measured <= 1.0 + 1e-6),
+        conditions=(Condition("max_ratio", max(ratios, default=0.0), "<=", 1.0 + 1e-6),),
         details={"ratios": [float(r) for r in ratios]},
     )

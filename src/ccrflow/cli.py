@@ -76,7 +76,7 @@ from .purity import (
     decay_curve,
     DEFAULT_TIME_GRID,
 )
-from .reports import ExperimentReport, _json_fallback
+from .reports import Condition, ExperimentReport, _json_fallback
 from .weyl_transform import riemann_lebesgue_profile
 
 SUBCOMMANDS = ("weyl-check", "heatflow", "choi", "lemma37", "purity", "beurling")
@@ -273,6 +273,12 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
 # --------------------------------------------------------------------------
 # individual checks; each returns an ExperimentReport
 
+def _rise(name: str, values, sense: str, bound: float) -> tuple[Condition, ...]:
+    """The largest step between consecutive values, held against bound; none without a pair."""
+    steps = [b - a for a, b in zip(values, values[1:])]
+    return (Condition(name, max(steps), sense, bound),) if steps else ()
+
+
 def _disk_points(rng: np.random.Generator, count: int, radius: float = 1.0) -> np.ndarray:
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
     th = rng.uniform(0.0, 2.0 * math.pi, count)
@@ -298,9 +304,8 @@ def check_weyl_relations(cfg: RunConfig) -> ExperimentReport:
         check="weyl_relations",
         params={"truncation": n, "pairs": len(z1), "max_radius": 1.0,
                 "basis_states": n_cols, "seed": cfg.seed},
-        measured=defect,
-        bound=1e-6,
-        passed=bool(defect <= 1e-6 and unit_defect <= 1e-6),
+        conditions=(Condition("composition_defect", defect, "<=", 1e-6),
+                    Condition("unitarity_defect", unit_defect, "<=", 1e-6)),
         details={"unitarity_defect": unit_defect},
     )
 
@@ -317,9 +322,8 @@ def check_riemann_lebesgue(cfg: RunConfig) -> ExperimentReport:
     return ExperimentReport(
         check="riemann_lebesgue",
         params={"truncation": n, "radii": radii},
-        measured=float(dev),
-        bound=1e-4,
-        passed=bool(dev <= 1e-4 and tail <= 0.01),
+        conditions=(Condition("max_deviation", dev, "<=", 1e-4),
+                    Condition("tail_max_beyond_4p3", tail, "<=", 0.01)),
         details={"tail_max_beyond_4p3": float(tail)},
         curve=[{"radius": r, "ring_max": p, "reference": q}
                for r, p, q in zip(radii, profile, reference)],
@@ -347,9 +351,7 @@ def check_eigen_relation(cfg: RunConfig) -> ExperimentReport:
     return ExperimentReport(
         check="eigen_relation",
         params={"truncation": n, "t": t, "block": k, "substeps": steps, "seed": cfg.seed + 1},
-        measured=float(worst),
-        bound=1e-3,
-        passed=bool(worst <= 1e-3),
+        conditions=(Condition("max_rel_error", worst, "<=", 1e-3),),
         curve=curve,
     )
 
@@ -391,9 +393,7 @@ def check_path_agreement(cfg: RunConfig) -> ExperimentReport:
         check="path_agreement",
         params={"truncation": n, "times": list(cfg.times), "states": len(states),
                 "block": k, "seed": cfg.seed + 2},
-        measured=float(worst),
-        bound=2e-3,
-        passed=bool(worst <= 2e-3),
+        conditions=(Condition("max_trace_norm_gap", worst, "<=", 2e-3),),
         details={"quadrature_exact_gap_max": max(r["quadrature_exact_gap"] for r in curve),
                  "spectral_exact_gap_max": max(r["spectral_exact_gap"] for r in curve),
                  "trace_renormalization_max": max(drifts, default=0.0)},
@@ -420,9 +420,7 @@ def check_conservation(cfg: RunConfig) -> ExperimentReport:
         check="conservation",
         params={"truncation": n, "times": list(cfg.times), "block": block,
                 "seed": cfg.seed + 3},
-        measured=float(worst),
-        bound=1e-6,
-        passed=bool(worst <= 1e-6),
+        conditions=(Condition("max_drift", worst, "<=", 1e-6),),
         curve=curve,
     )
 
@@ -437,9 +435,7 @@ def check_semigroup_tv(cfg: RunConfig) -> ExperimentReport:
         check="semigroup_tv",
         params={"t": 1.0, "grid_half_width": conv.grid.half_width,
                 "grid_points": conv.grid.points_per_axis},
-        measured=float(tv),
-        bound=1e-3,
-        passed=bool(tv <= 1e-3),
+        conditions=(Condition("total_variation", tv, "<=", 1e-3),),
     )
 
 
@@ -460,9 +456,7 @@ def check_semigroup_composition(cfg: RunConfig) -> ExperimentReport:
     return ExperimentReport(
         check="semigroup_composition",
         params={"truncation": n, "s": s, "t": t},
-        measured=float(worst),
-        bound=2e-3,
-        passed=bool(worst <= 2e-3),
+        conditions=(Condition("max_trace_norm_gap", worst, "<=", 2e-3),),
         curve=curve,
     )
 
@@ -474,32 +468,24 @@ def check_generator_scaling(cfg: RunConfig) -> ExperimentReport:
     zs = [(1.0, 0.0), (0.6, 0.8), (1.2, 0.5)]
     # the first-order defect is ~ t |z|^4 / 2, so shrink times accordingly;
     # the Richardson step reads two times
-    fits = [
+    coeffs, residuals = map(list, zip(*(
         generator_check(z, n, tuple(t / (z[0] ** 2 + z[1] ** 2) ** 2 for t in base))
-        for z in zs
-    ]
-    coeffs = [c for c, _ in fits]
-    residuals = [r for _, r in fits]
+        for z in zs)))
     targets = [-(x * x + y * y) for x, y in zs]
     rel_devs = [abs(c - g) / abs(g) for c, g in zip(coeffs, targets)]
     primary_err = abs(coeffs[0] - (-1.0))
-    curve = []
-    for z, c, g, dev in zip(zs, coeffs, targets, rel_devs):
-        curve.append({"zx": z[0], "zy": z[1], "coefficient": c,
-                      "target": g, "rel_dev": float(dev)})
-    passed = bool(primary_err <= 1e-2 and max(rel_devs) <= 2e-2
-                  and all(r <= 1e-2 for r in residuals))
     return ExperimentReport(
         check="generator_scaling",
         params={"truncation": n, "base_t_values": list(base),
                 "z_values": [list(z) for z in zs]},
-        measured=float(max(rel_devs)),
-        bound=2e-2,
-        passed=passed,
+        conditions=(Condition("max_rel_dev", max(rel_devs), "<=", 2e-2),
+                    Condition("unit_z_abs_error", primary_err, "<=", 1e-2),
+                    Condition("max_fd_residual", max(residuals), "<=", 1e-2)),
         details={"coefficient_at_unit_z": coeffs[0],
                  "unit_z_abs_error": float(primary_err),
                  "fd_residuals": residuals},
-        curve=curve,
+        curve=[{"zx": z[0], "zy": z[1], "coefficient": c, "target": g, "rel_dev": float(dev)}
+               for z, c, g, dev in zip(zs, coeffs, targets, rel_devs)],
     )
 
 
@@ -520,9 +506,7 @@ def check_choi_positivity(cfg: RunConfig) -> ExperimentReport:
     return ExperimentReport(
         check="choi_positivity",
         params={"truncation": n, "t": t, "block": block, "substeps": steps},
-        measured=float(eigs.min()),
-        bound=-1e-8,
-        passed=bool(eigs.min() >= -1e-8),
+        conditions=(Condition("min_eigenvalue", eigs.min(), ">=", -1e-8),),
         details={"max_eigenvalue": float(eigs.max())},
     )
 
@@ -540,9 +524,7 @@ def check_choi_witness(cfg: RunConfig) -> ExperimentReport:
     return ExperimentReport(
         check="choi_witness",
         params={"truncation": n, "z0": list(z0), "block": block},
-        measured=float(eigs.min()),
-        bound=-0.01,
-        passed=bool(eigs.min() <= -0.01),
+        conditions=(Condition("min_eigenvalue", eigs.min(), "<=", -0.01),),
         details={"max_eigenvalue": float(eigs.max())},
     )
 
@@ -597,9 +579,7 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
         params={"delta": delta, "times": list(cfg.times),
                 "grid_half_width": grid.half_width,
                 "grid_points": grid.points_per_axis, "seed": cfg.seed + 4},
-        measured=float(worst),
-        bound=1e-6,
-        passed=bool(worst <= 1e-6),
+        conditions=(Condition("offband_sup_max", worst, "<=", 1e-6),),
         details={"offband_lattice_nodes": grid.points_per_axis ** 2 - int((radius < delta).sum()),
                  "offlattice_points_per_time": len(sample),
                  "qhat_support_nodes": int(support.sum()),
@@ -612,22 +592,16 @@ def check_lemma_tv_sweep(cfg: RunConfig) -> ExperimentReport:
     """Distance from the Gaussian decays along the time sweep."""
     delta = cfg.delta
     grid = default_lemma_grid(delta)
-    tvs = []
-    for t in cfg.times:
-        nu = _approximant(t, delta, grid)
-        mu = gaussian_measure(t, grid)
-        tvs.append(float((mu - nu).total_variation()))
-    decreasing = all(b < a for a, b in zip(tvs, tvs[1:]))
-    final = tvs[-1]
+    tvs = [float((gaussian_measure(t, grid) - _approximant(t, delta, grid)).total_variation())
+           for t in cfg.times]
+    rise = _rise("max_tv_rise", tvs, "<", 0.0)
     return ExperimentReport(
         check="lemma_tv_sweep",
         params={"delta": delta, "times": list(cfg.times),
                 "grid_half_width": grid.half_width,
                 "grid_points": grid.points_per_axis},
-        measured=float(final),
-        bound=0.05,
-        passed=bool(decreasing and final <= 0.05),
-        details={"tv_values": tvs, "strictly_decreasing": decreasing,
+        conditions=(Condition("final_tv", tvs[-1], "<=", 0.05), *rise),
+        details={"tv_values": tvs, "strictly_decreasing": all(c.passed for c in rise),
                  "grid_nodes": grid.points_per_axis ** 2},
         curve=[{"t": t, "tv": v} for t, v in zip(cfg.times, tvs)],
     )
@@ -655,9 +629,7 @@ def check_lemma_ft_formula(cfg: RunConfig) -> ExperimentReport:
         check="lemma_ft_formula",
         params={"t": t, "grid_half_width": grid.half_width, "grid_points": m,
                 "sample_points": len(pts), "seed": cfg.seed + 5},
-        measured=rel,
-        bound=1e-6,
-        passed=bool(rel <= 1e-6),
+        conditions=(Condition("max_rel_error", rel, "<=", 1e-6),),
     )
 
 
@@ -667,17 +639,16 @@ def check_purity_decay(cfg: RunConfig) -> ExperimentReport:
     rows = decay_curve(number_state(0, n), number_state(1, n), cfg.times)
     d = [row["distance"] for row in rows]
     start_err = abs(d[0] - 2.0) if cfg.times[0] == 0 else 0.0
-    decreasing = all(b < a for a, b in zip(d, d[1:]))
+    rise = _rise("max_distance_rise", d, "<", 0.0)
     inside = [dist for tt, dist in zip(cfg.times, d) if 0 < tt <= 10.0]
     final = inside[-1] if inside else d[-1]
     return ExperimentReport(
         check="purity_decay",
         params={"truncation": n, "times": list(cfg.times)},
-        measured=float(final),
-        bound=0.2,
-        passed=bool(start_err <= 1e-8 and decreasing and final < 0.2),
+        conditions=(Condition("final_distance", final, "<", 0.2),
+                    Condition("initial_distance_error", start_err, "<=", 1e-8), *rise),
         details={"initial_distance_error": float(start_err),
-                 "strictly_decreasing": decreasing},
+                 "strictly_decreasing": all(c.passed for c in rise)},
         curve=list(rows),
     )
 
@@ -712,21 +683,21 @@ def check_beurling_monotonicity(cfg: RunConfig) -> ExperimentReport:
     rows = []
     for eps in eps_sorted:
         d, b = band_annihilated_distance(a, eps, constraint_grid(eps), rcond=1e-6)
-        hs = float(np.linalg.norm(a.matrix - b.matrix))
         rows.append({"epsilon": eps, "trace_norm_distance": float(d),
-                     "hs_distance": hs})
+                     "hs_distance": float(np.linalg.norm(a.matrix - b.matrix))})
     ds = [r["trace_norm_distance"] for r in rows]
     hss = [r["hs_distance"] for r in rows]
-    mono_tr = all(x >= y - 1e-9 for x, y in zip(ds, ds[1:]))
-    mono_hs = all(x >= y - 1e-9 for x, y in zip(hss, hss[1:]))
+    rise_tr = _rise("max_trace_norm_rise", ds, "<=", 1e-9)
+    rise_hs = _rise("max_hs_rise", hss, "<=", 1e-9)
     return ExperimentReport(
         check="beurling_monotonicity",
         params={"truncation": n, "epsilons": list(eps_sorted),
                 "seed": cfg.seed + 6, "rcond": 1e-6},
-        measured=float(ds[-1]),
-        bound=float(ds[0]),
-        passed=bool(mono_tr and mono_hs),
-        details={"trace_norm_monotone": mono_tr, "hs_monotone": mono_hs},
+        conditions=rise_tr + rise_hs,
+        measured=ds[-1],
+        bound=ds[0],
+        details={"trace_norm_monotone": all(c.passed for c in rise_tr),
+                 "hs_monotone": all(c.passed for c in rise_hs)},
         curve=rows,
     )
 
@@ -748,9 +719,7 @@ def check_beurling_trace_bound(cfg: RunConfig) -> ExperimentReport:
         check="beurling_trace_bound",
         params={"truncation": n, "epsilons": sorted(cfg.epsilons, reverse=True),
                 "seed": cfg.seed + 7, "rcond": 1e-6},
-        measured=float(least),
-        bound=1.0 - 1e-6,
-        passed=bool(least >= 1.0 - 1e-6),
+        conditions=(Condition("min_trace_norm_distance", least, ">=", 1.0 - 1e-6),),
         curve=rows,
     )
 
@@ -794,18 +763,11 @@ def _write_artifacts(out_dir: Path, subcommand: str, reports) -> None:
 
 
 def _write_summary(out_dir: Path, reports, error: dict | None) -> dict:
+    keys = ("params", "measured", "bound", "pass")  # of each report's own JSON
     summary = {
         "version": __version__,
-        "checks": [
-            {
-                "name": rep.check,
-                "params": rep.params,
-                "measured": rep.measured,
-                "bound": rep.bound,
-                "pass": bool(rep.passed),
-            }
-            for rep in reports
-        ],
+        "checks": [{"name": d["check"], **{k: d[k] for k in keys}}
+                   for d in map(ExperimentReport.to_dict, reports)],
     }
     if error:
         summary["error"] = error

@@ -48,7 +48,7 @@ from .phase_space import (
     gaussian_measure,
     symplectic_ft_at,
 )
-from .reports import ExperimentReport
+from .reports import Condition, ExperimentReport
 from .weyl_transform import char_values
 
 __all__ = [
@@ -230,9 +230,8 @@ def certified_bound(
     return ExperimentReport(
         check="purity_certificate",
         params={"truncation": n, "t": float(t), "delta": float(delta), "epsilon": float(epsilon)},
-        measured=measured,
-        bound=bound,
-        passed=bool(bound - measured > 0 and abs(inner) <= 1e-8),
+        conditions=(Condition("distance", measured, "<", bound),
+                    Condition("pairing_inner_product", abs(inner), "<=", 1e-8)),
         details={"epsilon": float(epsilon), "term1": term1, "term2": term2,
                  "term3": 0.0, "measured": measured, "bound": bound,
                  "slack": bound - measured, "details": receipts},
@@ -285,9 +284,8 @@ def absorbing_state_probe(times, probes) -> ExperimentReport:
         check="absorbing_state_probe",
         params={"times": times, "n_probes": len(probes),
                 "n_directions": len(ring)},
-        measured=worst,
-        bound=1e-3,
-        passed=bool(worst <= 1e-3 and not stale),
+        conditions=(Condition("max_deviation", worst, "<=", 1e-3),
+                    Condition("time_independent_probe_count", len(stale), "<=", 0)),
         details={"time_independent_probes": stale},
         curve=curve,
     )

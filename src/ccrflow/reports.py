@@ -1,31 +1,67 @@
 """Structured results for experiment-style checks.
 
-A report records what was measured, the bound it was held against, and the
-verdict, in a JSON shape shared by the library and the command line:
-``{check, params, measured, bound, pass, details}``.  Curve-style outputs
-(one dict per row) go to a companion CSV.  Serialization is deterministic:
-sorted keys, no timestamps.
+A report's verdict is the conjunction of its named conditions, each a
+measured number held against a bound in one sense: ``<=``, ``<`` or ``>=``.
+The JSON shape is shared by the library and the command line:
+``{check, params, measured, bound, pass, conditions, details}``, with each
+condition as ``{name, measured, sense, bound, pass}``.  ``measured`` and
+``bound`` are the headline, by default the first condition's.  Curve-style
+outputs (one dict per row) go to a companion CSV.  Serialization is
+deterministic: sorted keys, no timestamps.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
-__all__ = ["ExperimentReport", "load_report"]
+__all__ = ["Condition", "ExperimentReport", "load_report"]
+
+_SENSES = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+
+
+class Condition(NamedTuple):
+    """One part of a verdict: it holds when ``measured sense bound``."""
+    name: str
+    measured: float
+    sense: str
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(_SENSES[self.sense](self.measured, self.bound))
+
+    def to_dict(self) -> dict:
+        return {**self._asdict(), "pass": self.passed}
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """Passes when every condition holds; a report without one states its
+    headline and passes."""
     check: str
     params: dict
-    measured: float
-    bound: float
-    passed: bool
+    conditions: tuple[Condition, ...]
     details: dict = field(default_factory=dict)
     curve: list[dict] | None = None
+    measured: float | None = None
+    bound: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "conditions", tuple(self.conditions))
+        if any(c.sense not in _SENSES for c in self.conditions):
+            raise ValueError(f"a condition's sense is one of {list(_SENSES)}")
+        for key in ("measured", "bound"):  # the headline defaults to the first condition's
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, getattr(self.conditions[0], key))
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.conditions)
 
     def to_dict(self) -> dict:
         return {
@@ -34,6 +70,7 @@ class ExperimentReport:
             "measured": self.measured,
             "bound": self.bound,
             "pass": self.passed,
+            "conditions": [c.to_dict() for c in self.conditions],
             "details": self.details,
         }
 
@@ -55,11 +92,14 @@ class ExperimentReport:
                     writer.writerow({k: _csv_cell(row[k]) for k in cols})
 
     def summary_line(self) -> str:
+        """The verdict with its first failing condition, else its first one."""
         verdict = "PASS" if self.passed else "FAIL"
-        return (
-            f"[{verdict}] {self.check}: measured {self.measured:.6g} "
-            f"vs bound {self.bound:.6g}"
-        )
+        shown = [c for c in self.conditions if not c.passed] or self.conditions
+        if not shown:  # no condition: the headline
+            return (f"[{verdict}] {self.check}: measured {self.measured:.6g} "
+                    f"vs bound {self.bound:.6g}")
+        name, measured, sense, bound = shown[0]
+        return f"[{verdict}] {self.check}: {name} {measured:.6g} vs bound {sense} {bound:.6g}"
 
 
 def _json_fallback(obj):
@@ -80,8 +120,8 @@ def load_report(base) -> ExperimentReport:
     return ExperimentReport(
         check=data["check"],
         params=data["params"],
+        conditions=[Condition(*map(c.get, Condition._fields)) for c in data["conditions"]],
+        details=data.get("details", {}),
         measured=float(data["measured"]),
         bound=float(data["bound"]),
-        passed=bool(data["pass"]),
-        details=data.get("details", {}),
     )

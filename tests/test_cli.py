@@ -312,11 +312,14 @@ def test_heatflow_runs_the_identity_time(tmp_path):
     assert agreement["details"]["trace_renormalization_max"] == 0.0
 
 
-def test_heatflow_long_times_get_a_verdict_not_a_refusal(tmp_path):
+def test_heatflow_long_times_get_a_verdict_not_a_refusal(tmp_path, capsys):
     # t = 1.5 exceeds max_single_step(30) = 0.71: eigen_relation runs three
     # substeps, as evolve_state does, and misses its bound (6.1e-3 > 1e-3)
     # where a single step used to clip mass and exit 2
     assert main(["heatflow", "--out", str(tmp_path), "--times", "1.5,2"]) == 1
+    line = next(x for x in capsys.readouterr().out.splitlines() if "eigen_relation" in x)
+    assert line.startswith("[FAIL] eigen_relation: max_rel_error 0.00")
+    assert line.endswith(" vs bound <= 0.001")
     summary = json.loads((tmp_path / "summary.json").read_text())
     verdicts = {c["name"]: c["pass"] for c in summary["checks"]}
     assert verdicts == {"eigen_relation": False, "path_agreement": True,
@@ -345,6 +348,54 @@ def test_main_reports_honest_failure_with_exit_1(tmp_path, capsys):
     verdicts = {c["name"]: c["pass"] for c in summary["checks"]}
     assert verdicts["lemma_tv_sweep"] is False
     assert verdicts["lemma_band_limit"] is True
+
+
+def test_every_verdict_is_the_conjunction_of_its_conditions(tmp_path):
+    senses = {"<=": lambda m, b: m <= b, "<": lambda m, b: m < b, ">=": lambda m, b: m >= b}
+    assert main(["all", "--out", str(tmp_path)]) == 0
+    artifacts = [p for p in tmp_path.rglob("*.json")
+                 if p.name not in ("summary.json", "run_metadata.json")]
+    assert len(artifacts) == 18
+    for path in artifacts:
+        rep = json.loads(path.read_text())
+        assert rep["pass"] == all(c["pass"] for c in rep["conditions"]), path.name
+        for c in rep["conditions"]:
+            assert set(c) == {"name", "measured", "sense", "bound", "pass"}
+            assert c["pass"] == senses[c["sense"]](c["measured"], c["bound"]), c
+            assert math.isfinite(c["measured"]) and math.isfinite(c["bound"]), c
+
+
+def test_one_point_grids_keep_their_verdicts(tmp_path, capsys):
+    # one time or one epsilon leaves no consecutive pair to be monotone over:
+    # each check is still decided by the rest of its verdict
+    def run(name, *argv):
+        out = tmp_path / name
+        code = main([name, "--out", str(out), *argv])
+        summary = json.loads((out / "summary.json").read_text())
+        return code, {c["name"]: c for c in summary["checks"]}
+
+    code, checks = run("lemma37", "--times", "1")
+    assert code == 1
+    assert {k: c["pass"] for k, c in checks.items()} == {
+        "lemma_band_limit": True, "lemma_tv_sweep": False, "lemma_ft_formula": True}
+    sweep = json.loads((tmp_path / "lemma37" / "lemma37" / "lemma_tv_sweep.json").read_text())
+    assert sweep["details"]["strictly_decreasing"] is True
+    assert sweep["measured"] > sweep["bound"] == 0.05  # the final TV alone fails
+
+    code, checks = run("purity", "--times", "8")
+    assert code == 0
+    assert all(c["pass"] for c in checks.values()) and len(checks) == 3
+    decay = json.loads((tmp_path / "purity" / "purity" / "purity_decay.json").read_text())
+    assert decay["details"]["strictly_decreasing"] is True
+
+    cfg_file = tmp_path / "one_epsilon.ini"
+    cfg_file.write_text("[beurling]\nepsilons = 1\n")
+    code, checks = run("beurling", "--config", str(cfg_file))
+    assert code == 0
+    mono = checks["beurling_monotonicity"]
+    assert mono["pass"] and mono["measured"] == mono["bound"]
+    assert checks["beurling_trace_bound"]["pass"]
+    assert "[PASS] beurling_monotonicity: measured " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("spec", ["number:-1", "number:99"])

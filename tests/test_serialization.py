@@ -7,16 +7,17 @@ exactly, so the equality checks below are bitwise, not approximate.
 
 import json
 
-from ccrflow import ExperimentReport, certified_bound, load_report, number_state
+import pytest
+
+from ccrflow import Condition, ExperimentReport, certified_bound, load_report, number_state
 
 
 def test_report_round_trip_and_csv(tmp_path):
     rep = ExperimentReport(
         check="demo",
         params={"n": 3, "t": 0.1},
-        measured=1.2345678901234567e-5,
-        bound=1e-3,
-        passed=True,
+        conditions=(Condition("error", 1.2345678901234567e-5, "<=", 1e-3),
+                    Condition("floor", 0.75, ">=", 0.5)),
         details={"note": "fine"},
         curve=[{"t": 0.0, "v": 2.0}, {"t": 1.0, "v": 0.5}],
     )
@@ -24,24 +25,50 @@ def test_report_round_trip_and_csv(tmp_path):
     back = load_report(tmp_path / "demo")
     assert back.check == rep.check
     assert back.params == rep.params
-    assert back.measured == rep.measured
-    assert back.bound == rep.bound
-    assert back.passed == rep.passed
+    assert back.measured == rep.measured == 1.2345678901234567e-5
+    assert back.bound == rep.bound == 1e-3
+    assert back.conditions == rep.conditions
+    assert back.passed == rep.passed is True
     assert back.details == rep.details
     csv_text = (tmp_path / "demo.csv").read_text().splitlines()
     assert csv_text[0] == "t,v"
     assert csv_text[1] == "0,2"
     json_data = json.loads((tmp_path / "demo.json").read_text())
     assert json_data["pass"] is True
-    assert set(json_data) == {"check", "params", "measured", "bound", "pass", "details"}
+    assert set(json_data) == {"check", "params", "measured", "bound", "pass", "conditions",
+                              "details"}
+    assert json_data["conditions"] == [
+        {"name": "error", "measured": 1.2345678901234567e-5, "sense": "<=", "bound": 1e-3,
+         "pass": True},
+        {"name": "floor", "measured": 0.75, "sense": ">=", "bound": 0.5, "pass": True},
+    ]
 
 
 def test_report_summary_line():
-    rep = ExperimentReport("demo", {}, 0.5, 1.0, True)
-    line = rep.summary_line()
-    assert line.startswith("[PASS] demo:")
-    bad = ExperimentReport("demo", {}, 2.0, 1.0, False)
+    rep = ExperimentReport("demo", {}, (Condition("gap", 0.5, "<=", 1.0),))
+    assert rep.summary_line() == "[PASS] demo: gap 0.5 vs bound <= 1"
+    bad = ExperimentReport("demo", {}, (Condition("gap", 2.0, "<=", 1.0),))
     assert bad.summary_line().startswith("[FAIL]")
+
+
+def test_verdict_names_its_first_failing_condition():
+    conditions = (Condition("composition_defect", 1e-9, "<=", 1e-6),
+                  Condition("unitarity_defect", 3e-6, "<=", 1e-6),
+                  Condition("floor", 0.5, ">=", 1.0))
+    rep = ExperimentReport("weyl", {}, conditions)
+    assert rep.passed is False
+    assert (rep.measured, rep.bound) == (1e-9, 1e-6)  # the headline is the first condition
+    assert rep.summary_line() == "[FAIL] weyl: unitarity_defect 3e-06 vs bound <= 1e-06"
+    assert ExperimentReport("weyl", {}, conditions[:1]).summary_line() == (
+        "[PASS] weyl: composition_defect 1e-09 vs bound <= 1e-06")
+    # without a condition a report passes and prints the headline it states
+    bare = ExperimentReport("mono", {}, (), measured=2.0, bound=3.0)
+    assert bare.passed is True
+    assert bare.summary_line() == "[PASS] mono: measured 2 vs bound 3"
+    with pytest.raises(ValueError, match="sense"):
+        ExperimentReport("demo", {}, (Condition("gap", 1.0, ">", 0.0),))
+    with pytest.raises(TypeError):
+        ExperimentReport("demo", {}, conditions, passed=True)
 
 
 def test_certificate_json(tmp_path):
