@@ -185,7 +185,7 @@ def _masked_quadrature(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
 # of times
 _KERNELS_KEPT = 2
 _kernels: OrderedDict = OrderedDict()
-_kernel_counts = dict.fromkeys("builds cache_hits residues_kept groups".split(), 0)  # since import
+_kernel_counts = dict.fromkeys("builds cache_hits groups".split(), 0)  # since import
 # class sums off s = 0 (mod 4) within _RESIDUE_FLOOR of the largest are roundoff;
 # a channel loses at most _MAX_CLIPPED of its mass to the trust window by default
 _RESIDUE_FLOOR, _MAX_CLIPPED = 1e-14, 1e-6
@@ -252,7 +252,6 @@ def _channel_kernel(ch: MeasureChannel, max_clipped: float) -> _Kernel:
     if kernel is None:
         kernel = _build_kernel(weights, ch.mu.grid, ch.truncation)
         _kernel_counts["builds"] += 1
-        _kernel_counts["residues_kept"] += kernel.spectrum.shape[-1] // ch.truncation
     else:
         _kernel_counts["cache_hits"] += 1
     _kernels[key] = kernel
@@ -467,6 +466,7 @@ def exact_heat(a: np.ndarray, t: float, n_out: int) -> np.ndarray:
     shared by operands on as many levels.  phi_t preserves the trace, so
     the window misses tr a - tr exact_heat(a, t, n_out) of it.
     """
+    HeatFlowParams(t)  # t finite and nonnegative
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     if t == 0:

@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 try:
@@ -32,6 +33,7 @@ import numpy as np
 from . import __version__
 from .channels import (
     HeatFlowParams,
+    MeasureChannel,
     _kernel_counts,
     _quadrature_flow,
     _substep_channel,
@@ -55,8 +57,7 @@ from .fock import (
 from .phase_space import (
     GridMeasure,
     GridSpec,
-    _band_support,
-    _column_band,
+    _approximant_band,
     _lattice_box,
     band_limited_approximant,
     convolve,
@@ -257,7 +258,7 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
     if 0 in {"lemma37": cfg.times, "purity": cfg.times[-1:]}.get(subcommand, ()):
         raise ConfigError(f"{subcommand} cannot take t = 0: no band-limited probability "
                           "measure approximates a point mass (TV distance 2)")
-    # below N = 8 the Choi block min(4, N // 4) has one level: the witness's pair sums to 0
+    # below N = 8 the Choi block (see _choi_report) has one level: the witness's pair sums to 0
     if subcommand == "choi" and cfg.truncation < 8:
         raise ConfigError("choi needs truncation at least 8 for a two-level Choi block, "
                           f"got {cfg.truncation}")
@@ -489,6 +490,20 @@ def check_generator_scaling(cfg: RunConfig) -> ExperimentReport:
     )
 
 
+def _choi_report(check: str, ch: MeasureChannel, params: dict, sense: str,
+                 bound: float) -> ExperimentReport:
+    """The least eigenvalue of ``ch``'s Choi block, on a quarter of its
+    levels and at most four, held against bound in sense."""
+    block = min(4, ch.truncation // 4)
+    eigs = np.linalg.eigvalsh(choi_matrix(ch, block))
+    return ExperimentReport(
+        check=check,
+        params={"truncation": ch.truncation, "block": block, **params},
+        conditions=(Condition("min_eigenvalue", eigs.min(), sense, bound),),
+        details={"max_eigenvalue": float(eigs.max())},
+    )
+
+
 def check_choi_positivity(cfg: RunConfig) -> ExperimentReport:
     """Choi block of the Gaussian channel is positive semidefinite.
 
@@ -497,36 +512,18 @@ def check_choi_positivity(cfg: RunConfig) -> ExperimentReport:
     substeps, and a composition of completely positive maps is completely
     positive.
     """
-    n = cfg.truncation
     t = cfg.times[0]
-    ch, steps = _substep_channel(t, n)
-    block = min(4, n // 4)
-    c = choi_matrix(ch, block)
-    eigs = np.linalg.eigvalsh(c)
-    return ExperimentReport(
-        check="choi_positivity",
-        params={"truncation": n, "t": t, "block": block, "substeps": steps},
-        conditions=(Condition("min_eigenvalue", eigs.min(), ">=", -1e-8),),
-        details={"max_eigenvalue": float(eigs.max())},
-    )
+    ch, steps = _substep_channel(t, cfg.truncation)
+    return _choi_report("choi_positivity", ch, {"t": t, "substeps": steps}, ">=", -1e-8)
 
 
 def check_choi_witness(cfg: RunConfig) -> ExperimentReport:
     """A signed measure produces a genuinely non-positive Choi block."""
-    n = cfg.truncation
     grid = GridSpec(half_width=2.0, points_per_axis=8)
     z0 = (0.5, 1.0)
     zs = np.array([z0, (-z0[0], -z0[1])])
-    mu_signed = point_mass_channel(zs, [0.5, -0.5], grid, n)
-    block = min(4, n // 4)
-    c = choi_matrix(mu_signed, block)
-    eigs = np.linalg.eigvalsh(c)
-    return ExperimentReport(
-        check="choi_witness",
-        params={"truncation": n, "z0": list(z0), "block": block},
-        conditions=(Condition("min_eigenvalue", eigs.min(), "<=", -0.01),),
-        details={"max_eigenvalue": float(eigs.max())},
-    )
+    mu_signed = point_mass_channel(zs, [0.5, -0.5], grid, cfg.truncation)
+    return _choi_report("choi_witness", mu_signed, {"z0": list(z0)}, "<=", -0.01)
 
 
 def _offband_sample(delta: float, rng: np.random.Generator) -> np.ndarray:
@@ -540,20 +537,13 @@ def _offband_sample(delta: float, rng: np.random.Generator) -> np.ndarray:
     return np.vstack([pts, ring])
 
 
-# band-limited approximants by (t, delta, grid), kept for one subcommand run:
-# both lemma checks read the same ones
-_approximants: dict[tuple, GridMeasure] = {}
-
-
+@lru_cache(maxsize=None)  # cleared after each subcommand run: both lemma checks read these
 def _approximant(t: float, delta: float, grid: GridSpec) -> GridMeasure:
     """band_limited_approximant(t, delta, grid), built once per run, with
     read-only weights."""
-    key = (t, delta, grid)
-    if key not in _approximants:
-        nu = band_limited_approximant(t, delta, grid)
-        nu.weights.setflags(write=False)
-        _approximants[key] = nu
-    return _approximants[key]
+    nu = band_limited_approximant(t, delta, grid)
+    nu.weights.setflags(write=False)
+    return nu
 
 
 def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
@@ -572,8 +562,7 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
         sup = max(float(np.abs(symplectic_ft_at(nu, sample)).max()), float(lattice.max()))
         worst = max(worst, sup)
         curve.append({"t": t, "offband_sup": sup})
-    support = _band_support(delta, _lattice_box(grid, 7.0 * delta / 16.0)[1])
-    band = _column_band(support)  # symmetric: q_hat's columns are its rows
+    support = _approximant_band(grid, delta)[2]  # a disk: as many contiguous columns as rows
     return ExperimentReport(
         check="lemma_band_limit",
         params={"delta": delta, "times": list(cfg.times),
@@ -583,7 +572,7 @@ def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
         details={"offband_lattice_nodes": grid.points_per_axis ** 2 - int((radius < delta).sum()),
                  "offlattice_points_per_time": len(sample),
                  "qhat_support_nodes": int(support.sum()),
-                 "dual_band_columns": int(band.stop - band.start)},
+                 "dual_band_columns": int(support.any(axis=0).sum())},
         curve=curve,
     )
 
@@ -666,36 +655,40 @@ def check_absorbing_probe(cfg: RunConfig) -> ExperimentReport:
     return absorbing_state_probe((0.0, 1.0, 2.0), probes)
 
 
-def check_beurling_monotonicity(cfg: RunConfig) -> ExperimentReport:
-    """Band-annihilated distance shrinks with the disk, for trace-zero input.
+# Both Beurling checks solve at numerical rank: displacement rows on a disk
+# are severely ill-conditioned, and machine-rank projections bury the
+# trend under noise directions.
+_BEURLING_RCOND = 1e-6
 
-    Solved at numerical rank (cutoff 1e-6): displacement rows on a disk
-    are severely ill-conditioned and machine-rank projections bury the
-    trend under noise directions.
-    """
-    n = cfg.truncation
-    rng = np.random.default_rng(cfg.seed + 6)
+
+def _beurling_sweep(n: int, epsilons, seed: int, traceless: bool) -> list[dict]:
+    """A random Hermitian N x N operand, traceless or of unit trace, and its
+    band-annihilated distances over the epsilons, largest first."""
+    rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = m + m.conj().T
-    m = m - np.trace(m).real / n * np.eye(n)
+    m = m - np.trace(m).real / n * np.eye(n) if traceless else m / np.trace(m).real
     a = FockOperator(m)
-    eps_sorted = tuple(sorted(cfg.epsilons, reverse=True))
     rows = []
-    for eps in eps_sorted:
-        d, b = band_annihilated_distance(a, eps, constraint_grid(eps), rcond=1e-6)
+    for eps in sorted(epsilons, reverse=True):
+        d, b = band_annihilated_distance(a, eps, constraint_grid(eps), rcond=_BEURLING_RCOND)
         rows.append({"epsilon": eps, "trace_norm_distance": float(d),
                      "hs_distance": float(np.linalg.norm(a.matrix - b.matrix))})
+    return rows
+
+
+def check_beurling_monotonicity(cfg: RunConfig) -> ExperimentReport:
+    """Band-annihilated distance shrinks with the disk, for trace-zero input."""
+    rows = _beurling_sweep(cfg.truncation, cfg.epsilons, cfg.seed + 6, traceless=True)
     ds = [r["trace_norm_distance"] for r in rows]
-    hss = [r["hs_distance"] for r in rows]
     rise_tr = _rise("max_trace_norm_rise", ds, "<=", 1e-9)
-    rise_hs = _rise("max_hs_rise", hss, "<=", 1e-9)
+    rise_hs = _rise("max_hs_rise", [r["hs_distance"] for r in rows], "<=", 1e-9)
     return ExperimentReport(
         check="beurling_monotonicity",
-        params={"truncation": n, "epsilons": list(eps_sorted),
-                "seed": cfg.seed + 6, "rcond": 1e-6},
-        conditions=rise_tr + rise_hs,
-        measured=ds[-1],
-        bound=ds[0],
+        params={"truncation": cfg.truncation, "epsilons": [r["epsilon"] for r in rows],
+                "seed": cfg.seed + 6, "rcond": _BEURLING_RCOND},
+        conditions=(Condition("final_trace_norm_distance", ds[-1], "<=", ds[0]),
+                    *rise_tr, *rise_hs),
         details={"trace_norm_monotone": all(c.passed for c in rise_tr),
                  "hs_monotone": all(c.passed for c in rise_hs)},
         curve=rows,
@@ -704,23 +697,14 @@ def check_beurling_monotonicity(cfg: RunConfig) -> ExperimentReport:
 
 def check_beurling_trace_bound(cfg: RunConfig) -> ExperimentReport:
     """Unit-trace inputs stay at distance at least one from the band."""
-    n = cfg.truncation
-    rng = np.random.default_rng(cfg.seed + 7)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = m + m.conj().T
-    m = m / np.trace(m).real
-    a = FockOperator(m)
-    rows = []
-    for eps in sorted(cfg.epsilons, reverse=True):
-        d, _ = band_annihilated_distance(a, eps, constraint_grid(eps), rcond=1e-6)
-        rows.append({"epsilon": eps, "trace_norm_distance": float(d)})
-    least = min(r["trace_norm_distance"] for r in rows)
+    rows = _beurling_sweep(cfg.truncation, cfg.epsilons, cfg.seed + 7, traceless=False)
     return ExperimentReport(
         check="beurling_trace_bound",
-        params={"truncation": n, "epsilons": sorted(cfg.epsilons, reverse=True),
-                "seed": cfg.seed + 7, "rcond": 1e-6},
-        conditions=(Condition("min_trace_norm_distance", least, ">=", 1.0 - 1e-6),),
-        curve=rows,
+        params={"truncation": cfg.truncation, "epsilons": [r["epsilon"] for r in rows],
+                "seed": cfg.seed + 7, "rcond": _BEURLING_RCOND},
+        conditions=(Condition("min_trace_norm_distance",
+                              min(r["trace_norm_distance"] for r in rows), ">=", 1.0 - 1e-6),),
+        curve=[{k: r[k] for k in ("epsilon", "trace_norm_distance")} for r in rows],
     )
 
 
@@ -749,7 +733,7 @@ def run_subcommand(subcommand: str, cfg: RunConfig) -> list[tuple[ExperimentRepo
             out.append((report, {"wall_s": time.perf_counter() - start, "kernels": {
                 key: _kernel_counts[key] - count for key, count in before.items()}}))
     finally:
-        _approximants.clear()
+        _approximant.cache_clear()
     return out
 
 

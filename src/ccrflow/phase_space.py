@@ -358,13 +358,12 @@ def convolve(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     m1, m2 = mu.grid.points_per_axis, nu.grid.points_per_axis
     shape = (m1 + m2 - 1,) * 2
     full = np.fft.ifft2(np.fft.fft2(mu.weights, shape) * np.fft.fft2(nu.weights, shape))
+    if not (np.iscomplexobj(mu.weights) or np.iscomplexobj(nu.weights)):
+        full = full.real  # real tables keep float64 weights
     # index k <-> coordinate -(L1+L2) + k*h, k = 0..m1+m2-2; pad to even M.
-    m_out = m1 + m2
     big = GridSpec(half_width=mu.grid.half_width + nu.grid.half_width,
-                   points_per_axis=m_out)
-    weights = np.zeros((m_out, m_out), dtype=complex)
-    weights[: m1 + m2 - 1, : m1 + m2 - 1] = full
-    return GridMeasure(big, weights)
+                   points_per_axis=m1 + m2)
+    return GridMeasure(big, np.pad(full, (0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +451,12 @@ def _bump_profile(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_support(delta: float, radius: np.ndarray) -> np.ndarray:
-    """Dual radii inside disk_r + moll_r = 7*delta/16 (plateau_profile's
-    float expression), beyond which the profile is 0."""
-    return radius < 3.0 * delta / 8.0 + delta / 16.0
+def _approximant_band(grid: GridSpec, delta: float) -> tuple[slice, np.ndarray, np.ndarray]:
+    """The box of conjugate_lattice(grid) around |zeta| < 7*delta/16, |zeta|
+    on it, and its nodes inside disk_r + moll_r (plateau_profile's float
+    expression), beyond which the profile is 0: where q_hat may be nonzero."""
+    box, radius = _lattice_box(grid, 7.0 * delta / 16.0)
+    return box, radius, radius < 3.0 * delta / 8.0 + delta / 16.0
 
 
 def plateau_profile(delta: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -528,8 +529,7 @@ def band_limited_approximant(
             "grid too small: conjugate lattice spacing "
             f"{eta:.4g} must resolve delta/16 = {delta / 16.0:.4g}"
         )
-    box, r = _lattice_box(grid, 7.0 * delta / 16.0)
-    inside = _band_support(delta, r)
+    box, r, inside = _approximant_band(grid, delta)
     qhat = np.zeros((grid.points_per_axis,) * 2)
     qhat[box, box][inside] = plateau_profile(delta)(r[inside]) * sqrt_density_ft(t, r[inside])
     w = np.abs(inverse_symplectic_lattice(qhat, grid))

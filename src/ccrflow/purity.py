@@ -133,7 +133,7 @@ def band_annihilated_distance(
     ill-conditioned, so for noisy dense inputs a numerical-rank policy
     around 1e-6 gives a far more stable distance profile.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if grid.h > epsilon / 4 + 1e-12:
         raise ValueError(

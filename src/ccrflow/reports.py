@@ -4,8 +4,9 @@ A report's verdict is the conjunction of its named conditions, each a
 measured number held against a bound in one sense: ``<=``, ``<`` or ``>=``.
 The JSON shape is shared by the library and the command line:
 ``{check, params, measured, bound, pass, conditions, details}``, with each
-condition as ``{name, measured, sense, bound, pass}``.  ``measured`` and
-``bound`` are the headline, by default the first condition's.  Curve-style
+condition as ``{name, measured, sense, bound, pass}``.  A report has at
+least one condition, and its headline ``measured`` and ``bound`` are the
+first one's.  Curve-style
 outputs (one dict per row) go to a companion CSV.  Serialization is
 deterministic: sorted keys, no timestamps.
 """
@@ -41,23 +42,27 @@ class Condition(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Passes when every condition holds; a report without one states its
-    headline and passes."""
+    """Passes when every condition holds; its headline is the first one."""
     check: str
     params: dict
     conditions: tuple[Condition, ...]
     details: dict = field(default_factory=dict)
     curve: list[dict] | None = None
-    measured: float | None = None
-    bound: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "conditions", tuple(self.conditions))
+        if not self.conditions:
+            raise ValueError("a report needs at least one condition")
         if any(c.sense not in _SENSES for c in self.conditions):
             raise ValueError(f"a condition's sense is one of {list(_SENSES)}")
-        for key in ("measured", "bound"):  # the headline defaults to the first condition's
-            if getattr(self, key) is None:
-                object.__setattr__(self, key, getattr(self.conditions[0], key))
+
+    @property
+    def measured(self) -> float:
+        return self.conditions[0].measured
+
+    @property
+    def bound(self) -> float:
+        return self.conditions[0].bound
 
     @property
     def passed(self) -> bool:
@@ -94,11 +99,8 @@ class ExperimentReport:
     def summary_line(self) -> str:
         """The verdict with its first failing condition, else its first one."""
         verdict = "PASS" if self.passed else "FAIL"
-        shown = [c for c in self.conditions if not c.passed] or self.conditions
-        if not shown:  # no condition: the headline
-            return (f"[{verdict}] {self.check}: measured {self.measured:.6g} "
-                    f"vs bound {self.bound:.6g}")
-        name, measured, sense, bound = shown[0]
+        name, measured, sense, bound = next(
+            (c for c in self.conditions if not c.passed), self.conditions[0])
         return f"[{verdict}] {self.check}: {name} {measured:.6g} vs bound {sense} {bound:.6g}"
 
 
@@ -122,6 +124,4 @@ def load_report(base) -> ExperimentReport:
         params=data["params"],
         conditions=[Condition(*map(c.get, Condition._fields)) for c in data["conditions"]],
         details=data.get("details", {}),
-        measured=float(data["measured"]),
-        bound=float(data["bound"]),
     )

@@ -115,7 +115,7 @@ def char_values(a: FockOperator, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     radius = np.hypot(pts[:, 0], pts[:, 1]).max(initial=0.0)
     limit = trust_radius(a.dim)
-    if radius > limit + 1e-9:
+    if not radius <= limit + 1e-9:
         raise ValueError(
             f"point radius {radius:.3f} exceeds the trustworthy window "
             f"{limit:.3f} for dimension {a.dim}"

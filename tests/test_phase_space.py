@@ -155,19 +155,22 @@ def test_convolution_semigroup_total_variation():
 
 
 def test_convolve_matches_the_cell_sum():
-    # unequal sizes on one spacing, complex weights without symmetry
+    # unequal sizes on one spacing, weights without symmetry: a complex
+    # pair, and a real one, which convolves to float64 weights
     rng = np.random.default_rng(8)
     small, large = GridSpec(2.0, 8), GridSpec(3.0, 12)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    b = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    conv = convolve(GridMeasure(small, a), GridMeasure(large, b))
-    want = np.zeros((20, 20), dtype=complex)
-    for i in range(8):
-        for j in range(8):
-            want[i:i + 12, j:j + 12] += a[i, j] * b
-    assert conv.grid == GridSpec(5.0, 20)
-    err = float(np.abs(conv.weights - want).max())
-    assert err <= 1e-12 * float(np.abs(want).max())
+    for imag in (1j, 0.0):
+        a = rng.normal(size=(8, 8)) + imag * rng.normal(size=(8, 8))
+        b = rng.normal(size=(12, 12)) + imag * rng.normal(size=(12, 12))
+        conv = convolve(GridMeasure(small, a), GridMeasure(large, b))
+        assert conv.weights.dtype == np.result_type(a, b)
+        want = np.zeros((20, 20), dtype=complex)
+        for i in range(8):
+            for j in range(8):
+                want[i:i + 12, j:j + 12] += a[i, j] * b
+        assert conv.grid == GridSpec(5.0, 20)
+        err = float(np.abs(conv.weights - want).max())
+        assert err <= 1e-12 * float(np.abs(want).max())
 
 
 def test_convolve_incompatible_spacing_rejected():

@@ -11,7 +11,9 @@ from ccrflow import (
     absorbing_state_probe,
     band_annihilated_distance,
     certified_bound,
+    char_values,
     decay_curve,
+    exact_heat,
     number_state,
     trace_norm,
 )
@@ -144,6 +146,20 @@ def test_band_annihilated_guards():
         band_annihilated_distance(a, 2.0, GridSpec(1.0, 8))
     with pytest.raises(ValueError, match="degrees of freedom"):
         band_annihilated_distance(a, 1.0, GridSpec(1.0, 40))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: band_annihilated_distance(FockOperator(np.eye(6) / 6), math.nan, GridSpec(1, 8)),
+     "epsilon must be positive"),
+    (lambda: char_values(number_state(0, 8).op, [(math.nan, 0.0)]), "trustworthy window"),
+    (lambda: exact_heat(np.eye(4), math.nan, 4), "finite and nonnegative"),
+    (lambda: exact_heat(np.eye(4), math.inf, 4), "finite and nonnegative"),
+], ids=["band_annihilated_distance", "char_values", "exact_heat_nan", "exact_heat_inf"])
+def test_nan_fails_the_guards(call, match):
+    # a NaN compares False both ways, so each guard is written to pass only
+    # what it accepts
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_certificate_on_small_fock_pair():

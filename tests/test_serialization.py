@@ -61,10 +61,11 @@ def test_verdict_names_its_first_failing_condition():
     assert rep.summary_line() == "[FAIL] weyl: unitarity_defect 3e-06 vs bound <= 1e-06"
     assert ExperimentReport("weyl", {}, conditions[:1]).summary_line() == (
         "[PASS] weyl: composition_defect 1e-09 vs bound <= 1e-06")
-    # without a condition a report passes and prints the headline it states
-    bare = ExperimentReport("mono", {}, (), measured=2.0, bound=3.0)
-    assert bare.passed is True
-    assert bare.summary_line() == "[PASS] mono: measured 2 vs bound 3"
+    # a verdict needs a condition, and the headline is read, never stated
+    with pytest.raises(ValueError, match="at least one condition"):
+        ExperimentReport("mono", {}, ())
+    with pytest.raises(TypeError):
+        ExperimentReport("weyl", {}, conditions, measured=2.0, bound=3.0)
     with pytest.raises(ValueError, match="sense"):
         ExperimentReport("demo", {}, (Condition("gap", 1.0, ">", 0.0),))
     with pytest.raises(TypeError):
