@@ -468,6 +468,10 @@ def exact_heat(a: np.ndarray, t: float, n_out: int) -> np.ndarray:
     """
     HeatFlowParams(t)  # t finite and nonnegative
     a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"a must be a square matrix, got shape {a.shape}")
+    if n_out < 1:
+        raise ValueError(f"n_out must be at least 1, got {n_out}")
     n = a.shape[0]
     if t == 0:
         return np.pad(a[:n_out, :n_out], (0, max(n_out - n, 0)))
@@ -515,8 +519,8 @@ def generator_check(z, n_levels: int, t_values) -> tuple[float, float]:
     first-order fit at t1.
     """
     t_values = sorted({float(t) for t in t_values})
-    if len(t_values) < 2 or t_values[0] <= 0:
-        raise ValueError("need at least two time values, all positive")
+    if len(t_values) < 2 or not all(0 < t < math.inf for t in t_values):
+        raise ValueError("need at least two time values, all positive and finite")
     x, y = float(z[0]), float(z[1])
     zsq = x * x + y * y
     w = weyl_operator((x, y), n_levels).matrix

@@ -77,7 +77,7 @@ from .purity import (
     decay_curve,
     DEFAULT_TIME_GRID,
 )
-from .reports import Condition, ExperimentReport, _json_fallback
+from .reports import Condition, ExperimentReport, _json_fallback, _write_json
 from .weyl_transform import riemann_lebesgue_profile
 
 SUBCOMMANDS = ("weyl-check", "heatflow", "choi", "lemma37", "purity", "beurling")
@@ -111,8 +111,8 @@ class RunConfig:
             raise ConfigError("times must be strictly increasing")
         if not 0 < self.delta < 100:
             raise ConfigError(f"delta must lie in (0, 100), got {self.delta!r}")
-        if len(self.epsilons) == 0 or any(not (e > 0) for e in self.epsilons):
-            raise ConfigError("epsilons must be positive")
+        if len(self.epsilons) == 0 or any(not (0 < e < math.inf) for e in self.epsilons):
+            raise ConfigError("epsilons must be positive and finite")
         if not (math.isfinite(self.budget) and self.budget > 0):
             raise ConfigError(f"budget must be a positive number, got {self.budget!r}")
         if len(self.probes) == 0:
@@ -307,7 +307,6 @@ def check_weyl_relations(cfg: RunConfig) -> ExperimentReport:
                 "basis_states": n_cols, "seed": cfg.seed},
         conditions=(Condition("composition_defect", defect, "<=", 1e-6),
                     Condition("unitarity_defect", unit_defect, "<=", 1e-6)),
-        details={"unitarity_defect": unit_defect},
     )
 
 
@@ -325,7 +324,6 @@ def check_riemann_lebesgue(cfg: RunConfig) -> ExperimentReport:
         params={"truncation": n, "radii": radii},
         conditions=(Condition("max_deviation", dev, "<=", 1e-4),
                     Condition("tail_max_beyond_4p3", tail, "<=", 0.01)),
-        details={"tail_max_beyond_4p3": float(tail)},
         curve=[{"radius": r, "ring_max": p, "reference": q}
                for r, p, q in zip(radii, profile, reference)],
     )
@@ -474,17 +472,14 @@ def check_generator_scaling(cfg: RunConfig) -> ExperimentReport:
         for z in zs)))
     targets = [-(x * x + y * y) for x, y in zs]
     rel_devs = [abs(c - g) / abs(g) for c, g in zip(coeffs, targets)]
-    primary_err = abs(coeffs[0] - (-1.0))
     return ExperimentReport(
         check="generator_scaling",
         params={"truncation": n, "base_t_values": list(base),
                 "z_values": [list(z) for z in zs]},
         conditions=(Condition("max_rel_dev", max(rel_devs), "<=", 2e-2),
-                    Condition("unit_z_abs_error", primary_err, "<=", 1e-2),
+                    Condition("unit_z_abs_error", abs(coeffs[0] + 1.0), "<=", 1e-2),
                     Condition("max_fd_residual", max(residuals), "<=", 1e-2)),
-        details={"coefficient_at_unit_z": coeffs[0],
-                 "unit_z_abs_error": float(primary_err),
-                 "fd_residuals": residuals},
+        details={"fd_residuals": residuals},
         curve=[{"zx": z[0], "zy": z[1], "coefficient": c, "target": g, "rel_dev": float(dev)}
                for z, c, g, dev in zip(zs, coeffs, targets, rel_devs)],
     )
@@ -583,15 +578,14 @@ def check_lemma_tv_sweep(cfg: RunConfig) -> ExperimentReport:
     grid = default_lemma_grid(delta)
     tvs = [float((gaussian_measure(t, grid) - _approximant(t, delta, grid)).total_variation())
            for t in cfg.times]
-    rise = _rise("max_tv_rise", tvs, "<", 0.0)
     return ExperimentReport(
         check="lemma_tv_sweep",
         params={"delta": delta, "times": list(cfg.times),
                 "grid_half_width": grid.half_width,
                 "grid_points": grid.points_per_axis},
-        conditions=(Condition("final_tv", tvs[-1], "<=", 0.05), *rise),
-        details={"tv_values": tvs, "strictly_decreasing": all(c.passed for c in rise),
-                 "grid_nodes": grid.points_per_axis ** 2},
+        conditions=(Condition("final_tv", tvs[-1], "<=", 0.05),
+                    *_rise("max_tv_rise", tvs, "<", 0.0)),
+        details={"grid_nodes": grid.points_per_axis ** 2},
         curve=[{"t": t, "tv": v} for t, v in zip(cfg.times, tvs)],
     )
 
@@ -628,16 +622,14 @@ def check_purity_decay(cfg: RunConfig) -> ExperimentReport:
     rows = decay_curve(number_state(0, n), number_state(1, n), cfg.times)
     d = [row["distance"] for row in rows]
     start_err = abs(d[0] - 2.0) if cfg.times[0] == 0 else 0.0
-    rise = _rise("max_distance_rise", d, "<", 0.0)
     inside = [dist for tt, dist in zip(cfg.times, d) if 0 < tt <= 10.0]
     final = inside[-1] if inside else d[-1]
     return ExperimentReport(
         check="purity_decay",
         params={"truncation": n, "times": list(cfg.times)},
         conditions=(Condition("final_distance", final, "<", 0.2),
-                    Condition("initial_distance_error", start_err, "<=", 1e-8), *rise),
-        details={"initial_distance_error": float(start_err),
-                 "strictly_decreasing": all(c.passed for c in rise)},
+                    Condition("initial_distance_error", start_err, "<=", 1e-8),
+                    *_rise("max_distance_rise", d, "<", 0.0)),
         curve=list(rows),
     )
 
@@ -681,16 +673,13 @@ def check_beurling_monotonicity(cfg: RunConfig) -> ExperimentReport:
     """Band-annihilated distance shrinks with the disk, for trace-zero input."""
     rows = _beurling_sweep(cfg.truncation, cfg.epsilons, cfg.seed + 6, traceless=True)
     ds = [r["trace_norm_distance"] for r in rows]
-    rise_tr = _rise("max_trace_norm_rise", ds, "<=", 1e-9)
-    rise_hs = _rise("max_hs_rise", [r["hs_distance"] for r in rows], "<=", 1e-9)
     return ExperimentReport(
         check="beurling_monotonicity",
         params={"truncation": cfg.truncation, "epsilons": [r["epsilon"] for r in rows],
                 "seed": cfg.seed + 6, "rcond": _BEURLING_RCOND},
         conditions=(Condition("final_trace_norm_distance", ds[-1], "<=", ds[0]),
-                    *rise_tr, *rise_hs),
-        details={"trace_norm_monotone": all(c.passed for c in rise_tr),
-                 "hs_monotone": all(c.passed for c in rise_hs)},
+                    *_rise("max_trace_norm_rise", ds, "<=", 1e-9),
+                    *_rise("max_hs_rise", [r["hs_distance"] for r in rows], "<=", 1e-9)),
         curve=rows,
     )
 
@@ -755,11 +744,7 @@ def _write_summary(out_dir: Path, reports, error: dict | None) -> dict:
     }
     if error:
         summary["error"] = error
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2, default=_json_fallback) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -792,10 +777,7 @@ def _write_metadata(out_dir: Path, argv, wall_s: dict, kernels: dict, started: f
     }
     if error:
         meta["error"] = error
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run_metadata.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "run_metadata.json", meta)
 
 
 def build_parser() -> argparse.ArgumentParser:

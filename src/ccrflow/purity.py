@@ -185,7 +185,8 @@ def certified_bound(
     live on default_lemma_grid(delta).  The check passes when the bound
     exceeds the measured distance and the pairing vanishes (<= 1e-8); a
     violated bound is a failed report with negative slack, not an error.
-    The details hold the terms, the slack and the receipts.
+    The details hold the terms, the slack and the receipts that no
+    condition or param states.
     """
     if rho1.dim != rho2.dim:
         raise ValueError("states must share a truncation")
@@ -223,18 +224,15 @@ def certified_bound(
     exact = _exact_row(omega.matrix, float(t))
     measured = exact["distance"]
     bound = term1 + term2  # the third term vanishes identically
-    receipts = {"t": float(t), "delta": float(delta), "truncation": n,
-                "tv_gap": tv_gap, "omega0_trace_norm": omega0_norm,
-                "pairing_inner_product": abs(inner), "pairing_nodes": len(pairing),
-                "levels": exact["levels"], "lost_trace": exact["lost_trace"]}
     return ExperimentReport(
         check="purity_certificate",
         params={"truncation": n, "t": float(t), "delta": float(delta), "epsilon": float(epsilon)},
         conditions=(Condition("distance", measured, "<", bound),
                     Condition("pairing_inner_product", abs(inner), "<=", 1e-8)),
-        details={"epsilon": float(epsilon), "term1": term1, "term2": term2,
-                 "term3": 0.0, "measured": measured, "bound": bound,
-                 "slack": bound - measured, "details": receipts},
+        details={"term1": term1, "term2": term2, "term3": 0.0, "slack": bound - measured,
+                 "tv_gap": tv_gap, "omega0_trace_norm": omega0_norm,
+                 "pairing_nodes": len(pairing), "levels": exact["levels"],
+                 "lost_trace": exact["lost_trace"]},
     )
 
 

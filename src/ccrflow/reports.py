@@ -6,8 +6,9 @@ The JSON shape is shared by the library and the command line:
 ``{check, params, measured, bound, pass, conditions, details}``, with each
 condition as ``{name, measured, sense, bound, pass}``.  A report has at
 least one condition, and its headline ``measured`` and ``bound`` are the
-first one's.  Curve-style
-outputs (one dict per row) go to a companion CSV.  Serialization is
+first one's.  Curve-style outputs (one dict per row) go to a companion CSV.
+Each number is stated once: ``details`` hold only flat, non-boolean
+values that no condition, param or curve column holds.  Serialization is
 deterministic: sorted keys, no timestamps.
 """
 
@@ -82,12 +83,7 @@ class ExperimentReport:
     def save(self, base) -> None:
         """Write <base>.json, plus <base>.csv when a curve is attached."""
         base = Path(base)
-        base.parent.mkdir(parents=True, exist_ok=True)
-        base.with_suffix(".json").write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2,
-                       default=_json_fallback) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(base.with_suffix(".json"), self.to_dict())
         if self.curve:
             cols = list(self.curve[0].keys())
             with base.with_suffix(".csv").open("w", newline="", encoding="utf-8") as fh:
@@ -108,6 +104,13 @@ def _json_fallback(obj):
     if hasattr(obj, "item"):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
+
+def _write_json(path: Path, data: dict) -> None:
+    """Write data to path as sorted, indented JSON, making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, sort_keys=True, indent=2, default=_json_fallback) + "\n",
+                    encoding="utf-8")
 
 
 def _csv_cell(value):

@@ -38,6 +38,11 @@ def config_for(subcommand: str, **overrides) -> RunConfig:
     return RunConfig(**merged)
 
 
+def measured(rep, name: str) -> float:
+    """The measured value of the report's condition called name."""
+    return next(c.measured for c in rep.conditions if c.name == name)
+
+
 def verdict(number: int, title: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number:02d} {title}: {detail}")
 
@@ -110,7 +115,7 @@ def test_criterion_06_semigroup_laws():
 def test_criterion_07_generator_coefficient_scaling():
     cfg = config_for("heatflow")
     rep = check_generator_scaling(cfg)
-    unit_err = rep.details["unit_z_abs_error"]
+    unit_err = measured(rep, "unit_z_abs_error")
     ok = rep.passed and unit_err <= 1e-2 and rep.measured <= 2e-2
     verdict(7, "generator scaling",
             ok, f"unit-z coefficient error {unit_err:.3g} <= 1e-02, "
@@ -124,7 +129,7 @@ def test_criterion_08_band_limited_approximant():
     sweep = check_lemma_tv_sweep(cfg)
     formula = check_lemma_ft_formula(cfg)
     ok = (band.passed and band.measured <= 1e-6
-          and sweep.passed and sweep.details["strictly_decreasing"]
+          and sweep.passed and measured(sweep, "max_tv_rise") < 0
           and sweep.measured <= 0.05
           and formula.passed and formula.measured <= 1e-6)
     verdict(8, "band-limited approximant",
@@ -138,12 +143,13 @@ def test_criterion_08_band_limited_approximant():
 def test_criterion_09_distinguishability_decay():
     cfg = config_for("purity")
     rep = check_purity_decay(cfg)
+    start_err = measured(rep, "initial_distance_error")
     ok = (rep.passed
-          and rep.details["initial_distance_error"] <= 1e-8
-          and rep.details["strictly_decreasing"]
+          and start_err <= 1e-8
+          and measured(rep, "max_distance_rise") < 0
           and rep.measured < 0.2)
     verdict(9, "distinguishability decay",
-            ok, f"d(0) error {rep.details['initial_distance_error']:.3g} <= 1e-08, "
+            ok, f"d(0) error {start_err:.3g} <= 1e-08, "
                 f"strictly decreasing, d {rep.measured:.3g} < 0.2 by t <= 10")
     assert rep.params["truncation"] == 40
     assert ok
@@ -153,12 +159,12 @@ def test_criterion_10_certified_bound():
     cfg = config_for("purity")
     rep = check_purity_certificate(cfg)
     cert = rep.details
-    inner = cert["details"]["pairing_inner_product"]
+    inner = measured(rep, "pairing_inner_product")
     ok = (rep.passed
-          and cert["measured"] <= cert["term1"] + cert["term2"] + 1e-6
+          and rep.measured <= cert["term1"] + cert["term2"] + 1e-6
           and inner <= 1e-8)
     verdict(10, "certified bound",
-            ok, f"measured {cert['measured']:.3g} <= "
+            ok, f"measured {rep.measured:.3g} <= "
                 f"{cert['term1']:.3g} + {cert['term2']:.3g} + 1e-06, "
                 f"pairing {inner:.3g} <= 1e-08")
     assert rep.params["t"] == 16.0 and rep.params["delta"] == 1.0
@@ -169,8 +175,8 @@ def test_criterion_11_band_annihilated_profiles():
     cfg = config_for("beurling")
     mono = check_beurling_monotonicity(cfg)
     floor = check_beurling_trace_bound(cfg)
-    ok = (mono.passed and mono.details["trace_norm_monotone"]
-          and mono.details["hs_monotone"]
+    ok = (mono.passed and measured(mono, "max_trace_norm_rise") <= 1e-9
+          and measured(mono, "max_hs_rise") <= 1e-9
           and floor.passed and floor.measured >= 1.0 - 1e-6)
     verdict(11, "band-annihilated profiles",
             ok, f"distance monotone over eps {mono.params['epsilons']}, "
@@ -182,7 +188,7 @@ def test_criterion_11_band_annihilated_profiles():
 def test_criterion_12_transform_ring_decay():
     cfg = config_for("weyl-check")
     rep = check_riemann_lebesgue(cfg)
-    tail = rep.details["tail_max_beyond_4p3"]
+    tail = measured(rep, "tail_max_beyond_4p3")
     ok = rep.passed and rep.measured <= 1e-4 and tail <= 0.01
     verdict(12, "transform ring decay",
             ok, f"profile error {rep.measured:.3g} <= 1e-04, "

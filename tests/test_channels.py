@@ -169,6 +169,10 @@ def test_generator_check_edge_cases():
         generator_check((1.0, 0.0), 16, (0.05, 0.05))
     with pytest.raises(ValueError, match="positive"):  # t = 0 has no difference quotient
         generator_check((1.0, 0.0), 16, (0.0, 0.05))
+    # no substep count reaches an infinite or NaN time
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            generator_check((1.0, 0.0), 16, (0.01, bad))
 
 
 def test_choi_identity_channel_is_rank_one():
@@ -330,6 +334,17 @@ def test_exact_heat_works_on_the_levels_it_occupies():
     assert _transfer_table(2, 60, 2.0).shape == (2, 60, 2)
     assert _transfer_table.cache_info()[:2] == (2, 1)  # hits, misses
     assert not exact_heat(np.zeros((5, 5)), 1.0, 7).any()
+
+
+@pytest.mark.parametrize("a,n_out,match", [
+    (np.eye(4), 0, "n_out must be at least 1"),
+    (np.eye(4), -2, "n_out must be at least 1"),
+    (np.ones((3, 4)), 4, "square matrix"),
+    (np.ones(4), 4, "square matrix"),
+])
+def test_exact_heat_refuses_a_window_it_cannot_fill(a, n_out, match):
+    with pytest.raises(ValueError, match=match):
+        exact_heat(a, 1.0, n_out)
 
 
 # Properties of the flow's semigroup e^{tL}, L its generator, which

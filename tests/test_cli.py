@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import csv
 import inspect
 import json
 import math
@@ -64,6 +65,8 @@ def test_run_config_validation():
         dict(delta=-2.0),
         dict(delta=100.0),
         dict(epsilons=(0.0,)),
+        dict(epsilons=(math.inf, 0.5)),
+        dict(epsilons=(math.nan,)),
         dict(budget=0.0),
         dict(budget=-1.5),
         dict(budget=math.inf),
@@ -349,6 +352,29 @@ def test_main_reports_honest_failure_with_exit_1(tmp_path, capsys):
     assert verdicts["lemma_band_limit"] is True
 
 
+def detail_violations(rep: dict, csv_path: Path) -> list[str]:
+    """Where a report's details restate a condition, a param, a report key
+    or a numeric CSV column, or are nested or boolean."""
+    details = rep["details"]
+    named = {c["name"] for c in rep["conditions"]} | set(rep["params"]) | set(rep)
+    found = [f"restated {key}" for key in sorted(set(details) & named)]
+    for key, value in details.items():
+        if any(isinstance(x, (bool, dict, list))
+               for x in (value if isinstance(value, list) else [value])):
+            found.append(f"nested or boolean {key}")
+    columns = []
+    if csv_path.exists():
+        with csv_path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for col in rows[0]:
+            try:
+                columns.append([float(row[col]) for row in rows])
+            except ValueError:  # a label column
+                pass
+    found += [f"curve column {key}" for key, value in details.items() if value in columns]
+    return found
+
+
 def test_every_verdict_is_the_conjunction_of_its_conditions(tmp_path):
     senses = {"<=": lambda m, b: m <= b, "<": lambda m, b: m < b, ">=": lambda m, b: m >= b}
     assert main(["all", "--out", str(tmp_path)]) == 0
@@ -365,6 +391,9 @@ def test_every_verdict_is_the_conjunction_of_its_conditions(tmp_path):
             assert set(c) == {"name", "measured", "sense", "bound", "pass"}
             assert c["pass"] == senses[c["sense"]](c["measured"], c["bound"]), c
             assert math.isfinite(c["measured"]) and math.isfinite(c["bound"]), c
+        # each number is stated once: details hold flat, non-boolean values
+        # that no condition, param, report key or curve column holds
+        assert detail_violations(rep, path.with_suffix(".csv")) == [], path.name
 
 
 def test_one_point_grids_keep_their_verdicts(tmp_path, capsys):
@@ -381,14 +410,16 @@ def test_one_point_grids_keep_their_verdicts(tmp_path, capsys):
     assert {k: c["pass"] for k, c in checks.items()} == {
         "lemma_band_limit": True, "lemma_tv_sweep": False, "lemma_ft_formula": True}
     sweep = json.loads((tmp_path / "lemma37" / "lemma37" / "lemma_tv_sweep.json").read_text())
-    assert sweep["details"]["strictly_decreasing"] is True
+    # one time has no rise to hold against 0
+    assert [c["name"] for c in sweep["conditions"]] == ["final_tv"]
     assert sweep["measured"] > sweep["bound"] == 0.05  # the final TV alone fails
 
     code, checks = run("purity", "--times", "8")
     assert code == 0
     assert all(c["pass"] for c in checks.values()) and len(checks) == 3
     decay = json.loads((tmp_path / "purity" / "purity" / "purity_decay.json").read_text())
-    assert decay["details"]["strictly_decreasing"] is True
+    assert [c["name"] for c in decay["conditions"]] == ["final_distance",
+                                                         "initial_distance_error"]
 
     cfg_file = tmp_path / "one_epsilon.ini"
     cfg_file.write_text("[beurling]\nepsilons = 1\n")
@@ -409,6 +440,16 @@ def test_bad_probe_fails_before_any_check_runs(tmp_path, capsys, spec):
     assert main(["all", "--config", str(cfg_file), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and repr(spec) in err
+    assert not out.exists()
+
+
+def test_infinite_epsilon_fails_before_any_check_runs(tmp_path, capsys):
+    # beurling runs last: only a config refusal stops the run before five subcommands write
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[beurling]\nepsilons = inf, 0.5\n")
+    out = tmp_path / "o"
+    assert main(["all", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "invalid config: epsilons must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -666,6 +707,6 @@ def test_certificate_report_records_the_bound_its_verdict_uses(monkeypatch):
     rep = check_purity_certificate(resolve_config("purity", make_args(times="0,1")))
     assert rep is made[0]
     terms = rep.details
-    assert rep.bound == terms["bound"] == terms["term1"] + terms["term2"] + terms["term3"]
-    assert rep.passed == (terms["slack"] > 0
-                          and terms["details"]["pairing_inner_product"] <= 1e-8)
+    assert rep.bound == terms["term1"] + terms["term2"] + terms["term3"]
+    assert rep.conditions[1].name == "pairing_inner_product"
+    assert rep.passed == (terms["slack"] > 0 and rep.conditions[1].measured <= 1e-8)

@@ -172,7 +172,8 @@ def test_certificate_on_small_fock_pair():
     assert rep.params == {"truncation": 24, "t": 4.0, "delta": 1.0, "epsilon": 2.0}
     assert rep.measured <= terms["term1"] + terms["term2"] + 1e-6
     assert terms["slack"] > 0
-    assert terms["details"]["pairing_inner_product"] <= 1e-8
+    assert rep.conditions[1].name == "pairing_inner_product"
+    assert rep.conditions[1].measured <= 1e-8
     assert rep.passed
     assert terms["term3"] == 0.0
     assert rep.bound == terms["term1"] + terms["term2"] + terms["term3"]

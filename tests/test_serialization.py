@@ -80,15 +80,12 @@ def test_certificate_json(tmp_path):
     back = load_report(tmp_path / "cert")
     assert back == rep
     data = back.details
-    assert data["bound"] == back.bound == data["term1"] + data["term2"] + data["term3"]
+    assert back.bound == data["term1"] + data["term2"] + data["term3"]
     assert data["slack"] == back.bound - back.measured
-    assert data["measured"] == back.measured
-    assert data["details"]["t"] == 4.0
+    assert back.params["t"] == 4.0
+    # the bound, the distance, the pairing and the params are stated once,
+    # in the conditions and the params
     assert set(data) == {
-        "epsilon", "term1", "term2", "term3", "measured",
-        "bound", "slack", "details",
-    }
-    assert set(data["details"]) == {
-        "t", "delta", "truncation", "tv_gap", "omega0_trace_norm",
-        "pairing_inner_product", "pairing_nodes", "levels", "lost_trace",
+        "term1", "term2", "term3", "slack", "tv_gap", "omega0_trace_norm",
+        "pairing_nodes", "levels", "lost_trace",
     }
