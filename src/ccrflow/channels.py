@@ -15,10 +15,10 @@ value: the tests pin it on the quadrature and the Choi path, where a
 two-atom measure would betray any other |c| through a wrong multiplier
 frequency.
 
-The heat flow is the channel family of the Gaussian measures; its defining
-spectral action multiplies the operator transform by e^{-t|z|^2}.  Both
-computational paths (direct quadrature, transform multiplication) live
-here, and their agreement is one of the package's core checks.
+The heat flow is the channel family of the Gaussian measures.  Its spectral
+path transforms an operand once per time grid and multiplies by e^{-t|z|^2}
+at each time (see _spectral_flow); quadrature builds each time's kernel.
+The two paths' agreement is one of the package's core checks.
 
 No quadrature builds a displacement matrix.  Through the eigensystem
 (lam, V) of Q (see weyl_transform), the cell sum factors, class by class of
@@ -325,26 +325,24 @@ def spectral_levels(n_levels: int) -> int:
     return reliable_levels(_spectral_grid(n_levels), n_levels)
 
 
-def apply_spectral(
-    params: HeatFlowParams, a: FockOperator, kind: str = "heat"
-) -> FockOperator:
-    """Transform-side action: multiply the operator transform, invert.
+def _spectral_flow(a: FockOperator, times, mult=heat_multiplier) -> list[FockOperator]:
+    """Transform-side action at each time: the leading spectral_levels(N)
+    block, the most the transform window can reconstruct, of the inverse of
+    the operand's transform on _spectral_grid(N), taken once (it does not
+    depend on t), times the time's multiplier."""
+    times = [HeatFlowParams(t).t for t in times]  # every time, before any work
+    grid, k = _spectral_grid(a.dim), spectral_levels(a.dim)
+    f, pts = char_function(a, grid), np.stack(grid.mesh(), axis=-1)
+    return [inverse_transform(CharFunction(grid, f.values * mult(t, pts), a.dim), k)
+            for t in times]
 
-    Returns the leading spectral_levels(a.dim) block, the most the
-    transform window can reconstruct.
-    """
-    if kind == "heat":
-        mult = heat_multiplier
-    elif kind == "cauchy":
-        mult = cauchy_multiplier
-    else:
+
+def apply_spectral(params: HeatFlowParams, a: FockOperator, kind: str = "heat") -> FockOperator:
+    """_spectral_flow's block at one time, by the heat or the Cauchy multiplier."""
+    mult = {"heat": heat_multiplier, "cauchy": cauchy_multiplier}.get(kind)
+    if mult is None:
         raise ValueError(f"unknown multiplier kind {kind!r}")
-    grid = _spectral_grid(a.dim)
-    f = char_function(a, grid)
-    xs, ys = grid.mesh()
-    pts = np.stack([xs, ys], axis=-1)
-    values = f.values * mult(params.t, pts)
-    return inverse_transform(CharFunction(grid, values, a.dim), spectral_levels(a.dim))
+    return _spectral_flow(a, (params.t,), mult)[0]
 
 
 def max_single_step(n_levels: int) -> float:

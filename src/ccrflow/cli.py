@@ -36,6 +36,8 @@ from .channels import (
     MeasureChannel,
     _kernel_counts,
     _quadrature_flow,
+    _spectral_flow,
+    _spectral_grid,
     _substep_channel,
     apply_spectral,
     choi_matrix,
@@ -78,7 +80,7 @@ from .purity import (
     DEFAULT_TIME_GRID,
 )
 from .reports import Condition, ExperimentReport, _json_fallback, _write_json
-from .weyl_transform import riemann_lebesgue_profile
+from .weyl_transform import _require_probe, riemann_lebesgue_profile
 
 SUBCOMMANDS = ("weyl-check", "heatflow", "choi", "lemma37", "purity", "beurling")
 
@@ -262,6 +264,11 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
     if subcommand == "choi" and cfg.truncation < 8:
         raise ConfigError("choi needs truncation at least 8 for a two-level Choi block, "
                           f"got {cfg.truncation}")
+    if subcommand == "heatflow":  # else path_agreement's spectral grid fails its probe mid-run
+        try:
+            _require_probe(_spectral_grid(cfg.truncation), cfg.truncation)
+        except ValueError as exc:
+            raise ConfigError(f"heatflow at truncation {cfg.truncation}: spectral {exc}") from None
     # a probe the truncation cannot hold fails here, before any check runs
     for spec in cfg.probes if subcommand in _SETTINGS["probes"][2] else ():
         try:
@@ -375,12 +382,13 @@ def check_path_agreement(cfg: RunConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed + 2)
     k = spectral_levels(n)
     states = [_random_low_block_state(rng, k, n) for _ in range(10)]
+    spectral = [_spectral_flow(rho.op, cfg.times) for rho in states]  # one transform each
     worst = 0.0
     curve, drifts = [], []
-    for t in cfg.times:  # time first, so each channel is built once
+    for j, t in enumerate(cfg.times):  # time first, so each channel is built once
         for i, rho in enumerate(states):
             quad = evolve_state(HeatFlowParams(t), rho, drifts).matrix[:k, :k]
-            spec = apply_spectral(HeatFlowParams(t), rho.op).matrix
+            spec = spectral[i][j].matrix
             exact = exact_heat(rho.matrix, t, k)
             gap = trace_norm(quad - spec)
             worst = max(worst, gap)
@@ -446,8 +454,7 @@ def check_semigroup_composition(cfg: RunConfig) -> ExperimentReport:
     curve = []
     for label, rho in [("vacuum", number_state(0, n)), ("coherent", coherent_state(0.8, n))]:
         op = rho.op
-        joined = apply_spectral(HeatFlowParams(s + t), op)
-        first = apply_spectral(HeatFlowParams(s), op)
+        joined, first = _spectral_flow(op, (s + t, s))
         second = apply_spectral(HeatFlowParams(t), first.embedded(n))
         gap = trace_norm(joined - second)
         worst = max(worst, gap)

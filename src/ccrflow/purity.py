@@ -34,8 +34,8 @@ import numpy as np
 
 from .channels import (
     HeatFlowParams,
+    _spectral_flow,
     _tail_window,
-    apply_spectral,
     exact_heat,
     spectral_levels,
 )
@@ -93,9 +93,9 @@ def decay_curve(
     The channel is linear, so the difference evolves as a single operator.
     ``exact`` evolves it by the flow itself, a trace-preserving completely
     positive semigroup, so the distance cannot increase, on the window
-    _TAIL_TOL asks for; ``spectral`` reconstructs independently per time on
-    the leading spectral_levels(N) block.  Times must increase strictly from
-    a nonnegative start: the flow is not defined backwards in time.
+    _TAIL_TOL asks for; ``spectral`` transforms it once, then inverts each
+    positive time on the leading spectral_levels(N) block.  Times are finite
+    and increase strictly from 0 or later: the flow does not run backwards.
     """
     if rho1.dim != rho2.dim:
         raise ValueError("states must share a truncation")
@@ -104,14 +104,16 @@ def decay_curve(
         raise ValueError("times must be strictly increasing")
     if times and times[0] < 0:
         raise ValueError("negative time")
+    for t in times:
+        HeatFlowParams(t)  # finite too: inf and NaN pass the checks above
     omega = rho1.matrix - rho2.matrix
     if path == "exact":
         return tuple(_exact_row(omega, t) for t in times)
     if path == "spectral":
         op = FockOperator(omega)
-        block = op.leading_block(spectral_levels(op.dim))
-        return tuple(_distance_row(omega, t, (apply_spectral(HeatFlowParams(t), op)
-                                              if t else block).matrix) for t in times)
+        flowed = iter(_spectral_flow(op, [t for t in times if t]))  # one transform
+        block = op.leading_block(spectral_levels(op.dim))  # t = 0 exactly
+        return tuple(_distance_row(omega, t, (next(flowed) if t else block).matrix) for t in times)
     raise ValueError(f"unknown path {path!r}")
 
 
@@ -190,6 +192,7 @@ def certified_bound(
     """
     if rho1.dim != rho2.dim:
         raise ValueError("states must share a truncation")
+    HeatFlowParams(t)  # t finite and nonnegative, before any work
     n = rho1.dim
     omega = FockOperator(rho1.matrix - rho2.matrix)
     term1, omega0 = band_annihilated_distance(omega, delta, constraint_grid(delta))

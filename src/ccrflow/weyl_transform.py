@@ -197,6 +197,14 @@ def _probe_round_trip_error(grid: GridSpec, source_dim: int) -> float:
     return trace_norm(INVERSION_CONSTANT * raw - p0.matrix[:k, :k])
 
 
+def _require_probe(grid: GridSpec, source_dim: int) -> None:
+    """Refuse ``grid`` unless its vacuum round trip reconstructs to 1e-3."""
+    probe = _probe_round_trip_error(grid, source_dim)
+    if probe > 1e-3:
+        raise ValueError(f"grid fails the vacuum round-trip probe ({probe:.2e} > 1e-3); "
+                         "refine the spacing or extend the window")
+
+
 def inverse_transform(f: CharFunction, n_levels: int) -> FockOperator:
     """Reconstruct the leading ``n_levels`` block from the sampled transform.
 
@@ -224,12 +232,7 @@ def inverse_transform(f: CharFunction, n_levels: int) -> FockOperator:
             f"window of radius {min(f.grid.half_width, limit):.2f} supports "
             f"only {k} levels; asked for {n_levels}"
         )
-    probe = _probe_round_trip_error(f.grid, f.source_dim)
-    if probe > 1e-3:
-        raise ValueError(
-            f"grid fails the vacuum round-trip probe ({probe:.2e} > 1e-3); "
-            "refine the spacing or extend the window"
-        )
+    _require_probe(f.grid, f.source_dim)
     raw = _raw_inverse(f.values, f.grid, f.source_dim, n_levels)
     return FockOperator(INVERSION_CONSTANT * raw)
 

@@ -32,7 +32,9 @@ from ccrflow import (
     trace_norm,
     weyl_operator,
 )
+from ccrflow import channels
 from ccrflow.channels import (
+    _spectral_flow,
     _tail_window,
     _transfer_table,
     cauchy_multiplier,
@@ -125,6 +127,27 @@ def test_spectral_rejects_unknown_kind_and_extra_levels():
     a = FockOperator(number_state(0, 20).matrix)
     with pytest.raises(ValueError, match="kind"):
         apply_spectral(HeatFlowParams(0.1), a, kind="levy")
+
+
+def test_spectral_flow_is_apply_spectral_at_each_time():
+    # one transform serves every time; each time's arithmetic is the one-time
+    # path's, so the blocks agree bitwise
+    a = coherent_state(0.8, 30).op
+    times = (0.0, 0.25, 1.0)
+    for t, block in zip(times, _spectral_flow(a, times)):
+        assert np.array_equal(block.matrix, apply_spectral(HeatFlowParams(t), a).matrix)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_spectral_flow_checks_every_time_before_any_transform(monkeypatch, bad):
+    # unchecked, NaN would surface as "transform values must be finite" and
+    # -1 would amplify the transform silently
+    def refuse(*args):
+        raise AssertionError("transformed before the times were checked")
+
+    monkeypatch.setattr(channels, "char_function", refuse)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        _spectral_flow(number_state(0, 20).op, (0.25, bad))
 
 
 def test_evolve_state_basics():

@@ -180,6 +180,42 @@ def test_choi_refuses_a_one_level_block_at_config(tmp_path, capsys):
     assert rep["measured"] == pytest.approx(-0.626, abs=1e-3)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_heatflow_refuses_a_spectral_grid_that_fails_its_probe_at_config(tmp_path, capsys, n):
+    # the vacuum round trip on _spectral_grid(N) reads 2.75e-1, 2.09e-3,
+    # 4.05e-2 and 5.50e-3 against 1e-3, which path_agreement would meet
+    # mid-run, after eigen_relation's artifacts
+    out = tmp_path / "o"
+    assert main(["heatflow", "--truncation", str(n), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and f"heatflow at truncation {n}" in err
+    assert "vacuum round-trip probe" in err
+    assert not out.exists()
+
+
+def test_heatflow_runs_at_the_first_truncation_past_the_probe_refusals(tmp_path):
+    # N = 5, 7 and 8 pass the probe and keep their generator_scaling verdicts
+    assert main(["heatflow", "--truncation", "9", "--out", str(tmp_path)]) == 0
+
+
+def test_spectral_checks_transform_each_operand_once(monkeypatch):
+    # path_agreement's ten states at two times, and semigroup_composition's
+    # two states at (s + t, s) plus the composed step on the first flow
+    counts = []
+    original = channels.char_function
+
+    def counting(a, grid):
+        counts[-1] += 1
+        return original(a, grid)
+
+    monkeypatch.setattr(channels, "char_function", counting)
+    cfg = resolve_config("heatflow", make_args())
+    for check in (cli.check_path_agreement, cli.check_semigroup_composition):
+        counts.append(0)
+        assert check(cfg).passed
+    assert counts == [10, 4]
+
+
 def test_purity_decay_reads_the_last_time_past_t_0(tmp_path):
     # d(0) = 2 by definition; with no time in (0, 10] the verdict reads the
     # last time, d(16) = 0.0226, and not the start

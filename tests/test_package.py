@@ -157,6 +157,14 @@ def test_quadrature_flow_has_one_path():
         ("cli", "check_eigen_relation"), ("cli", "check_conservation")}
 
 
+def test_spectral_flow_has_one_path():
+    # every operand is transformed once per time grid, by channels._spectral_flow;
+    # the other transform is the grid's cached vacuum probe
+    assert _src_callers("char_function") == {
+        ("channels", "_spectral_flow"), ("weyl_transform", "_probe_round_trip_error")}
+    assert _src_callers("inverse_transform") == {("channels", "_spectral_flow")}
+
+
 def test_channel_kernel_has_one_reader():
     # Choi blocks sum the quadrature's nodes directly, so the kernel's
     # circle layout concerns the apply alone

@@ -154,7 +154,16 @@ def test_band_annihilated_guards():
     (lambda: char_values(number_state(0, 8).op, [(math.nan, 0.0)]), "trustworthy window"),
     (lambda: exact_heat(np.eye(4), math.nan, 4), "finite and nonnegative"),
     (lambda: exact_heat(np.eye(4), math.inf, 4), "finite and nonnegative"),
-], ids=["band_annihilated_distance", "char_values", "exact_heat_nan", "exact_heat_inf"])
+    (lambda: decay_curve(number_state(0, 8), number_state(1, 8), (0.0, math.nan)),
+     "finite and nonnegative"),
+    (lambda: decay_curve(number_state(0, 8), number_state(1, 8), (0.0, math.inf)),
+     "finite and nonnegative"),
+    (lambda: certified_bound(number_state(0, 8), number_state(1, 8), math.nan, 1.5, 1.0),
+     "finite and nonnegative"),
+    (lambda: certified_bound(number_state(0, 8), number_state(1, 8), math.inf, 1.5, 1.0),
+     "finite and nonnegative"),
+], ids=["band_annihilated_distance", "char_values", "exact_heat_nan", "exact_heat_inf",
+        "decay_curve_nan", "decay_curve_inf", "certified_bound_nan", "certified_bound_inf"])
 def test_nan_fails_the_guards(call, match):
     # a NaN compares False both ways, so each guard is written to pass only
     # what it accepts
