@@ -23,8 +23,8 @@ The two paths' agreement is one of the package's core checks.
 No quadrature builds a displacement matrix.  Through the eigensystem
 (lam, V) of Q (see weyl_transform), the cell sum factors, class by class of
 symmetric nodes, into one per-channel kernel K[k, l, s] over the matrix
-offsets s, read through fock._offset_layout (a view of V, not a copy) as in
-both transform directions.
+offsets s, read through fock's offset layout (strided views of the operand
+and of V, not copies) as in both transform directions.
 Applying K is a correlation along the offsets, so the channel caches its
 spectrum on one circle, the origin node apart: N positions for a heat
 channel, 4N for a measure without quarter-turn symmetry (see _build_kernel).
@@ -33,9 +33,9 @@ _apply_kernel), and equal channels share one build while their kernel is
 among the two newest.  Choi blocks sum their nodes (see choi_matrix).
 
 A third engine, exact_heat, is exact: any leading window of the flow is a
-finite sum.  It serves the purity instruments and is the reference the
-other two are measured against; quadrature stays the only path for
-general measures.
+finite sum, offset by offset through the same gather.  It serves the
+purity instruments and is the reference the other two are measured
+against; quadrature stays the only path for general measures.
 
 Truncation policy: quadrature nodes whose displacement c*zeta leaves the
 trustworthy window |z| <= sqrt(2N) are dropped, and the dropped measure
@@ -68,6 +68,7 @@ from .fock import (
     weyl_operator,
 )
 from .phase_space import (
+    _GAUSSIAN_CAPTURE,
     GridMeasure,
     GridSpec,
     default_gaussian_grid,
@@ -348,10 +349,12 @@ def apply_spectral(params: HeatFlowParams, a: FockOperator, kind: str = "heat") 
 def max_single_step(n_levels: int) -> float:
     """Largest heat-flow time one quadrature step can carry at truncation N.
 
-    The Gaussian grid captures mass 1 - 1e-9 within radius 18.2 sqrt(t);
-    after the half-scale displacement this must fit inside sqrt(2N).
+    The Gaussian grid captures mass 1 - _GAUSSIAN_CAPTURE within radius
+    sqrt(16 t ln(1 / _GAUSSIAN_CAPTURE)) (18.2 sqrt(t) at 1e-9); after the
+    half-scale displacement this must fit inside sqrt(2N), so the trust
+    window clips no more than the capture leaves out.
     """
-    return 0.98 * 8.0 * n_levels / (18.2 ** 2)
+    return 0.98 * 8.0 * n_levels / (16.0 * math.log(1.0 / _GAUSSIAN_CAPTURE))
 
 
 def _substep_channel(t: float, n_levels: int) -> tuple[MeasureChannel, int]:
@@ -437,14 +440,6 @@ def _transfer_table(levels: int, n_out: int, t: float) -> np.ndarray:
     return table
 
 
-def _offset_pairs(n: int, rows: int, depth: int) -> np.ndarray:
-    """Flat indices in an n x n matrix of (m, m + d) at [d, m, 0] and of
-    (m + d, m) at [d, m, 1], d < depth, m < rows; n^2 where m + d >= n."""
-    d, m = np.arange(depth)[:, None], np.arange(rows)
-    pairs = np.stack([d + m * (n + 1), d * n + m * (n + 1)], axis=-1)
-    return np.where((m + d < n)[..., None], pairs, n * n)
-
-
 def _occupied_levels(a: np.ndarray) -> int:
     """One past the highest level a nonzero entry of a touches, at least 1."""
     rows = np.flatnonzero((a != 0).any(axis=0) | (a != 0).any(axis=1))
@@ -475,13 +470,17 @@ def exact_heat(a: np.ndarray, t: float, n_out: int) -> np.ndarray:
         return np.pad(a[:n_out, :n_out], (0, max(n_out - n, 0)))
     levels = _occupied_levels(a)
     table = _transfer_table(levels, n_out, float(t))
-    cols = np.append(a.ravel(), 0j)[_offset_pairs(n, levels, len(table))]
+    # (m, m + d) at [d, m, 0] and (m + d, m) at [d, m, 1], d < len(table)
+    cols = np.stack([_offset_gather(x)[:levels, n - 1: n - 1 + len(table)].T for x in (a, a.T)], -1)
     occupied = np.flatnonzero(cols.any(axis=(1, 2)))
     # one real product per offset on the interleaved parts of both columns
     evolved = (table[occupied] @ cols[occupied].view(float)).view(complex)
-    out = np.zeros(n_out * n_out + 1, dtype=complex)
-    out[_offset_pairs(n_out, n_out, len(table))[occupied]] = evolved
-    return out[:-1].reshape(n_out, n_out)
+    out = np.zeros((n_out, n_out), dtype=complex)
+    flat = out.reshape(-1)  # by n_out + 1: (o, o + d) from d, (o + d, o) from d n_out
+    for d, band in zip(occupied, evolved):  # its two bands, n_out - d entries each
+        flat[d:: n_out + 1][: n_out - d] = band[: n_out - d, 0]
+        flat[d * n_out:: n_out + 1][: n_out - d] = band[: n_out - d, 1]
+    return out
 
 
 def _tail_window(a: np.ndarray, t: float, tol: float) -> int:

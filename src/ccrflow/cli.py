@@ -266,9 +266,15 @@ def resolve_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
                           f"got {cfg.truncation}")
     if subcommand == "heatflow":  # else path_agreement's spectral grid fails its probe mid-run
         try:
-            _require_probe(_spectral_grid(cfg.truncation), cfg.truncation)
+            _require_probe(_spectral_grid(cfg.truncation), cfg.truncation,
+                           "the grid follows from the truncation: choose another")
         except ValueError as exc:
             raise ConfigError(f"heatflow at truncation {cfg.truncation}: spectral {exc}") from None
+    if subcommand in _SETTINGS["delta"][2]:  # else its lemma grid fails to allocate mid-run
+        try:
+            default_lemma_grid(cfg.delta)
+        except ValueError as exc:
+            raise ConfigError(f"{subcommand}: {exc}") from None
     # a probe the truncation cannot hold fails here, before any check runs
     for spec in cfg.probes if subcommand in _SETTINGS["probes"][2] else ():
         try:

@@ -178,21 +178,10 @@ def _position_eigensystem(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-@lru_cache(maxsize=8)
-def _offset_index(n: int) -> np.ndarray:
-    """For row i and offset d = -(N - 1)..N - 1, the flat index of entry
-    (i, i + d) of an N x N matrix at [i, d + N - 1]; N^2 where column
-    i + d leaves the matrix.  Read-only."""
-    cols = np.arange(n)[:, None] + np.arange(1 - n, n)
-    flat = np.where((cols >= 0) & (cols < n), np.arange(n)[:, None] * n + cols, n * n)
-    flat.setflags(write=False)
-    return flat
-
-
 @lru_cache(maxsize=16)
 def _offset_layout(n: int) -> np.ndarray:
     """V[i + d, l] of Q's eigenvectors at [i, l, d + N - 1], laid out as
-    _offset_index; zero where column i + d leaves the matrix.
+    _offset_gather; zero where row i + d leaves V.
 
     A read-only (N, N, 2N - 1) window view of V padded with N - 1 zero rows
     on each side, built once per N: it holds (3N - 2) N reals, 0.4 MB at
@@ -202,17 +191,26 @@ def _offset_layout(n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, 2 * n - 1, axis=0)
 
 
+def _skewed(x: np.ndarray, cols: int, shift: int) -> np.ndarray:
+    """Read-only view of ``cols`` columns of x, row i starting i * shift places along."""
+    rows, step = x.strides
+    return np.lib.stride_tricks.as_strided(x, (len(x), cols), (rows + shift * step, step),
+                                           writeable=False)
+
+
 def _offset_gather(a: np.ndarray) -> np.ndarray:
-    """A[i, i + d] at [i, d + N - 1], zero where column i + d leaves A."""
-    return np.append(a.ravel(), 0.0)[_offset_index(a.shape[0])]
+    """A[i, i + d] at [i, d + N - 1], zero where column i + d leaves A: a
+    read-only view of A padded with N - 1 zero columns on each side."""
+    n = len(a)
+    padded = np.zeros((n, 3 * n - 2), dtype=a.dtype)  # np.pad costs ten times as much
+    padded[:, n - 1: 2 * n - 1] = a
+    return _skewed(padded, 2 * n - 1, 1)
 
 
 def _offset_scatter(entries: np.ndarray) -> np.ndarray:
     """The inverse of _offset_gather: entries[i, d + N - 1] back to (i, i + d)."""
     n = len(entries)
-    out = np.empty(n * n + 1, dtype=complex)
-    out[_offset_index(n)] = entries
-    return out[: n * n].reshape(n, n)
+    return np.array(_skewed(entries[:, n - 1:], n, -1), dtype=complex)
 
 
 def displacement_batch(

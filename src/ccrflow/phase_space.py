@@ -541,7 +541,12 @@ def band_limited_approximant(
 
 def default_lemma_grid(delta: float) -> GridSpec:
     """Grid sized so the approximant's off-lattice transform leakage sits
-    far below 1e-6 for t up to ~16 at the given delta."""
+    far below 1e-6 for t up to ~16 at the given delta: about 804 / delta
+    nodes per axis below delta = 1.  Refused past 2^23 nodes, 128 MiB a
+    complex table, so for delta < 0.2777; 0.3 takes 2,684 per axis."""
     half_width = max(200.0, 64.0 * math.pi / delta)
     m = int(math.ceil(half_width / 0.25 / 4.0) * 4)
+    if m * m > 1 << 23:
+        raise ValueError(f"delta {delta:g} needs a lemma grid of {m} x {m} nodes, "
+                         "past 2^23; take a larger delta")
     return GridSpec(half_width=half_width, points_per_axis=m)

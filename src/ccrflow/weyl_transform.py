@@ -15,8 +15,9 @@ and (lam, V) the eigensystem of Q (see fock.displacement_batch),
     W_z[i, j] = e^{i th (i - j)} sum_k V_ik V_jk e^{i rho lam_k},
 
 so both sums separate into an offset d and an eigen-index k, through the
-one offset layout fock._offset_layout that the channel kernel shares: a
-read-only view of V[i + d] on V padded with zero rows, read in place.  The
+one offset layout that the channel kernel shares: fock._offset_gather's
+read-only view of A[i, i + d] and fock._offset_layout's of V[i + d], each
+read in place, with fock._offset_scatter back to a matrix.  The
 nodes of a square-symmetry class (about an eighth of a grid) share a radius
 and sit at angles q pi/2 +- th_f, where e^{i th d} = i^{q d} e^{+-i th_f d}
 exactly, so both directions sum over classes, against class tables cached
@@ -197,12 +198,13 @@ def _probe_round_trip_error(grid: GridSpec, source_dim: int) -> float:
     return trace_norm(INVERSION_CONSTANT * raw - p0.matrix[:k, :k])
 
 
-def _require_probe(grid: GridSpec, source_dim: int) -> None:
-    """Refuse ``grid`` unless its vacuum round trip reconstructs to 1e-3."""
+def _require_probe(grid: GridSpec, source_dim: int,
+                   remedy: str = "refine the spacing or extend the window") -> None:
+    """Refuse ``grid`` unless its vacuum round trip reconstructs to 1e-3,
+    naming the caller's ``remedy``."""
     probe = _probe_round_trip_error(grid, source_dim)
     if probe > 1e-3:
-        raise ValueError(f"grid fails the vacuum round-trip probe ({probe:.2e} > 1e-3); "
-                         "refine the spacing or extend the window")
+        raise ValueError(f"grid fails the vacuum round-trip probe ({probe:.2e} > 1e-3); {remedy}")
 
 
 def inverse_transform(f: CharFunction, n_levels: int) -> FockOperator:

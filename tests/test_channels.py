@@ -32,7 +32,7 @@ from ccrflow import (
     trace_norm,
     weyl_operator,
 )
-from ccrflow import channels
+from ccrflow import channels, phase_space
 from ccrflow.channels import (
     _spectral_flow,
     _tail_window,
@@ -269,6 +269,17 @@ def test_max_single_step_grows_with_truncation():
         assert 0.5 * 18.2 * math.sqrt(t) <= math.sqrt(2 * n) + 1e-12
 
 
+@pytest.mark.parametrize("capture", [1e-9, 1e-11, 1e-13])
+def test_max_single_step_clips_no_more_than_the_capture(monkeypatch, capture):
+    # the step follows phase_space's capture radius, so a tighter capture
+    # is not undone by the trust window's clip of a heat substep
+    monkeypatch.setattr(phase_space, "_GAUSSIAN_CAPTURE", capture)
+    monkeypatch.setattr(channels, "_GAUSSIAN_CAPTURE", capture)
+    for n in (24, 30, 128):
+        ch = heat_channel(max_single_step(n), n)
+        assert 1.0 - channels._masked_quadrature(ch, math.inf).sum() <= capture
+
+
 def test_quadrature_and_spectral_paths_match_the_exact_flow():
     # the quadrature conjugation average and the transform multiplier against
     # the flow itself, on the block the spectral path reconstructs
@@ -343,6 +354,17 @@ def test_exact_heat_is_loss_then_amplifier(n, n_out, t):
     a = np.random.default_rng(n).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
     a /= trace_norm(a)
     gap = exact_heat(a, t, n_out) - kraus_heat(a, t, n_out)
+    assert float(np.abs(gap).max()) <= 1e-13
+
+
+@pytest.mark.parametrize("n_out", [4, 7, 12])
+def test_exact_heat_writes_the_bands_of_gapped_offsets(n_out):
+    # offsets 0 and 3 only, one of the offset-3 entries below the diagonal
+    # with no partner above it; the window is below, at and above N = 7
+    a = np.zeros((7, 7), dtype=complex)
+    a[1, 1], a[4, 4], a[6, 6] = 0.5, 0.3, 0.2
+    a[1, 4], a[4, 1], a[5, 2] = 0.1j, -0.1j, 0.05
+    gap = exact_heat(a, 0.7, n_out) - kraus_heat(a, 0.7, n_out)
     assert float(np.abs(gap).max()) <= 1e-13
 
 

@@ -190,7 +190,28 @@ def test_heatflow_refuses_a_spectral_grid_that_fails_its_probe_at_config(tmp_pat
     err = capsys.readouterr().err
     assert "invalid config" in err and f"heatflow at truncation {n}" in err
     assert "vacuum round-trip probe" in err
+    # heatflow derives its grid from the truncation: no flag refines or widens it
+    assert "refine the spacing" not in err and "choose another" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["lemma37", "purity"])
+@pytest.mark.parametrize("delta", ["1e-3", "0.01"])
+def test_a_delta_past_the_lemma_grid_bound_fails_at_config(tmp_path, capsys, subcommand, delta):
+    # default_lemma_grid(1e-3) would hold 804,248^2 nodes (4.71 TiB a real table),
+    # and 0.01 80,428^2; neither is allocated before the refusal
+    out = tmp_path / "o"
+    assert main([subcommand, "--delta", delta, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and f"{subcommand}: delta {float(delta):g}" in err
+    assert not out.exists()
+
+
+def test_the_lemma_grid_bound_admits_delta_three_tenths():
+    # 2,684 nodes per axis: lemma37 runs there with a 453 MB peak
+    for subcommand in ("lemma37", "purity"):
+        assert resolve_config(subcommand, make_args(delta="0.3")).delta == 0.3
+    assert phase_space.default_lemma_grid(0.3).points_per_axis == 2684
 
 
 def test_heatflow_runs_at_the_first_truncation_past_the_probe_refusals(tmp_path):

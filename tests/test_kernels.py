@@ -138,9 +138,19 @@ def test_raw_inverse_matches_the_adjoint_displacement_sum(n):
 def test_offset_scatter_undoes_the_gather(n, seed):
     a = np.random.default_rng(seed).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
     entries = fock._offset_gather(a)
-    assert entries.shape == (n, 2 * n - 1)
-    assert np.array_equal(fock._offset_scatter(entries), a)
-    assert not fock._offset_index(n).flags.writeable
+    # a read-only view spanning the N (3N - 2) entries of A padded with
+    # N - 1 zero columns on each side
+    assert entries.shape == (n, 2 * n - 1) and not entries.flags.writeable
+    lo, hi = np.lib.array_utils.byte_bounds(entries)
+    assert hi - lo == n * (3 * n - 2) * entries.itemsize
+    want = np.zeros((n, 2 * n - 1), dtype=complex)
+    for i in range(n):
+        for d in range(-i, n - i):
+            want[i, d + n - 1] = a[i, i + d]
+    assert np.array_equal(entries, want)
+    back = fock._offset_scatter(entries)
+    assert back.dtype == complex and back.flags.writeable
+    assert np.array_equal(back, a)
     assert not fock._offset_layout(n).flags.writeable
 
 

@@ -165,6 +165,14 @@ def test_spectral_flow_has_one_path():
     assert _src_callers("inverse_transform") == {("channels", "_spectral_flow")}
 
 
+def test_offset_gather_is_the_one_operand_layout():
+    # the kernel apply, the exact flow and the transform read an operand's
+    # offsets through the one strided gather
+    assert _src_callers("_offset_gather") == {
+        ("channels", "_apply_kernel"), ("channels", "exact_heat"),
+        ("weyl_transform", "_offset_sums")}
+
+
 def test_channel_kernel_has_one_reader():
     # Choi blocks sum the quadrature's nodes directly, so the kernel's
     # circle layout concerns the apply alone

@@ -21,7 +21,7 @@ from ccrflow import (
     trace_norm,
     trust_radius,
 )
-from ccrflow import weyl_transform
+from ccrflow import channels, weyl_transform
 from ccrflow.weyl_transform import INVERSION_CONSTANT
 
 RNG = np.random.default_rng(20260814)
@@ -130,6 +130,16 @@ def test_round_trip_probe_refuses_a_wrong_inversion_constant(monkeypatch):
             inverse_transform(f, 1)
     finally:
         weyl_transform._probe_round_trip_error.cache_clear()
+
+
+def test_direct_probe_refusal_names_the_grid_remedy():
+    # heatflow's spectral grid at N = 6 fails its probe (5.50e-3); heatflow
+    # refuses it at config, naming another truncation, while a direct caller
+    # chose the grid and is told to refine or widen it
+    grid = channels._spectral_grid(6)
+    f = char_function(FockOperator(number_state(0, 6).matrix), grid)
+    with pytest.raises(ValueError, match="probe .*; refine the spacing or extend the window"):
+        inverse_transform(f, 1)
 
 
 def test_inverse_transform_round_trip_states():
