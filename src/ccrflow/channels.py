@@ -29,8 +29,10 @@ Applying K is a correlation along the offsets, so the channel caches its
 spectrum on one circle, the origin node apart: N positions for a heat
 channel, 4N for a measure without quarter-turn symmetry (see _build_kernel).
 An operand costs O(N^4), one FFT pair per residue group of its offsets (see
-_apply_kernel), and equal channels share one build while their kernel is
-among the two newest.  Choi blocks sum their nodes (see choi_matrix).
+_apply_kernel).  Kernels are cached by content in a functools.lru_cache of
+two (_content_kernel), so equal channels share one build while their kernel
+is among the two newest, and its cache_info() counts the builds and hits.
+Choi blocks sum their nodes (see choi_matrix).
 
 A third engine, exact_heat, is exact: any leading window of the flow is a
 finite sum, offset by offset through the same gather.  It serves the
@@ -47,7 +49,6 @@ split into substeps: see _quadrature_flow.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -181,12 +182,6 @@ def _masked_quadrature(ch: MeasureChannel, max_clipped: float) -> np.ndarray:
     return np.where(keep, w, 0.0)
 
 
-# the two newest kernels stay cached: conservation reuses the two channels
-# path_agreement built, and generator_scaling's second z the first z's pair
-# of times
-_KERNELS_KEPT = 2
-_kernels: OrderedDict = OrderedDict()
-_kernel_counts = dict.fromkeys("builds cache_hits groups".split(), 0)  # since import
 # class sums off s = 0 (mod 4) within _RESIDUE_FLOOR of the largest are roundoff;
 # a channel loses at most _MAX_CLIPPED of its mass to the trust window by default
 _RESIDUE_FLOOR, _MAX_CLIPPED = 1e-14, 1e-6
@@ -244,21 +239,18 @@ def _build_kernel(weights: np.ndarray, grid: GridSpec, n: int) -> _Kernel:
 
 
 def _channel_kernel(ch: MeasureChannel, max_clipped: float) -> _Kernel:
-    """The kernel of the channel's masked quadrature, built once per
-    content (truncation, grid and weights), so equal channels share one
-    build."""
+    """The kernel of the channel's masked quadrature, keyed by its content
+    (truncation, grid and weights), so equal channels share one build."""
     weights = _masked_quadrature(ch, max_clipped)
-    key = (ch.truncation, ch.mu.grid, weights.tobytes())
-    kernel = _kernels.pop(key, None)
-    if kernel is None:
-        kernel = _build_kernel(weights, ch.mu.grid, ch.truncation)
-        _kernel_counts["builds"] += 1
-    else:
-        _kernel_counts["cache_hits"] += 1
-    _kernels[key] = kernel
-    while len(_kernels) > _KERNELS_KEPT:
-        _kernels.popitem(last=False)
-    return kernel
+    return _content_kernel(ch.truncation, ch.mu.grid, weights.dtype, weights.tobytes())
+
+
+# the two newest kernels stay cached: conservation reuses the two channels
+# path_agreement built, and generator_scaling's second z the first z's pair
+# of times
+@lru_cache(maxsize=2)
+def _content_kernel(truncation: int, grid: GridSpec, dtype: np.dtype, weights: bytes) -> _Kernel:
+    return _build_kernel(np.frombuffer(weights, dtype=dtype), grid, truncation)
 
 
 def _real_product(r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -280,9 +272,10 @@ def _apply_kernel(kernel: _Kernel, a: np.ndarray) -> np.ndarray:
     (mod G) form G residue groups that never meet: one of 2N - 1 on the
     circle of 4N for a general measure, four of at most ceil((2N - 1) / 4)
     on the circle of N for a heat channel (a prime-length FFT at N = 31).
-    No offset wraps.  Each group gathers its own layout columns and runs
-    one product, one FFT pair times the spectrum, in place, and one product:
-    one array of L N^2 complex entries is alive at a time.
+    No offset wraps.  Each group reads its own layout columns in place (a
+    strided view, no copy) and runs one product, one FFT pair times the
+    spectrum, in place, and one product: one array of L N^2 complex entries
+    is alive at a time.
     """
     n = a.shape[0]
     _, vec = _position_eigensystem(n)
@@ -291,14 +284,13 @@ def _apply_kernel(kernel: _Kernel, a: np.ndarray) -> np.ndarray:
     entries = _offset_gather(a)
     out = np.empty_like(entries)
     for r in range(groups):
-        cols = np.ascontiguousarray(_offset_layout(n)[:, :, r::groups])
+        cols = _offset_layout(n)[:, :, r::groups]
         y = np.fft.fft(_real_product(vec.T, cols * entries[:, None, r::groups]), n=size, axis=-1)
         y *= kernel.spectrum
         np.fft.ifft(y, axis=-1, out=y)
         z = _real_product(vec, y[:, :, : cols.shape[-1]])  # (V Y_e)[i, l]
         out[:, r::groups] = np.einsum("ile,ile->ie", z, cols)
         del y, z  # one group's arrays alive at a time
-    _kernel_counts["groups"] += groups
     return _offset_scatter(out) + kernel.origin * a
 
 

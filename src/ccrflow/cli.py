@@ -34,7 +34,7 @@ from . import __version__
 from .channels import (
     HeatFlowParams,
     MeasureChannel,
-    _kernel_counts,
+    _content_kernel,
     _quadrature_flow,
     _spectral_flow,
     _spectral_grid,
@@ -726,14 +726,17 @@ _RUNNERS = {
 
 def run_subcommand(subcommand: str, cfg: RunConfig) -> list[tuple[ExperimentReport, dict]]:
     """Each check's report with its costs: wall time in seconds, and the
-    _kernel_counts it adds, which depend on what ran before."""
+    channel-kernel builds and cache hits it adds, which depend on what ran
+    before."""
     out = []
     try:
         for fn in _RUNNERS[subcommand]:
-            start, before = time.perf_counter(), dict(_kernel_counts)
+            start, before = time.perf_counter(), _content_kernel.cache_info()
             report = fn(cfg)
+            after = _content_kernel.cache_info()
             out.append((report, {"wall_s": time.perf_counter() - start, "kernels": {
-                key: _kernel_counts[key] - count for key, count in before.items()}}))
+                "builds": after.misses - before.misses,
+                "cache_hits": after.hits - before.hits}}))
     finally:
         _approximant.cache_clear()
     return out

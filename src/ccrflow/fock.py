@@ -282,10 +282,12 @@ def _lattice_classes(m: int, step: float, n: int, top: int) -> tuple:
 
 
 def _class_tables(rho, theta, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """e^{i theta_f s} for s = -top..top (the negative offsets conjugate the
-    positive ones) and e^{i rho_f lam_k}, one row per class."""
-    half = np.exp(1j * theta[:, None] * np.arange(top + 1))
-    phase = np.concatenate([half[:, :0:-1].conj(), half], axis=1)
+    """e^{i theta_f s} for s = -top..top and e^{i rho_f lam_k}, one row per
+    class.  The phase table is filled in place: exp of s = 0..top, then the
+    negative offsets as conjugates of the positive ones."""
+    phase = np.empty((len(theta), 2 * top + 1), dtype=complex)
+    np.exp(1j * theta[:, None] * np.arange(top + 1), out=phase[:, top:])
+    np.conjugate(phase[:, :top:-1], out=phase[:, :top])
     return phase, np.exp(1j * rho[:, None] * _position_eigensystem(n)[0])
 
 
@@ -322,17 +324,8 @@ def _displacement_closed(zs: np.ndarray, n_levels: int) -> np.ndarray:
             "closed-form displacement overflows the truncation: "
             f"|alpha|^2 = {asq.max():.3g} exceeds N = {n_levels}"
         )
-    b = len(alphas)
-    out = np.empty((b, n_levels, n_levels), dtype=complex)
-    ms = np.arange(1, n_levels)
-    # factors alpha/sqrt(m); cumulative products give the first column with
-    # the Gaussian prefactor folded in from the start
-    factors = alphas[:, None] / np.sqrt(ms)[None, :]
-    col0 = np.empty((b, n_levels), dtype=complex)
-    col0[:, 0] = np.exp(-0.5 * asq)
-    if n_levels > 1:
-        col0[:, 1:] = col0[:, :1] * np.cumprod(factors, axis=1)
-    out[:, :, 0] = col0
+    out = np.empty((len(alphas), n_levels, n_levels), dtype=complex)
+    out[:, :, 0] = _coherent_vectors(alphas, n_levels)
     conj_a = alphas.conj()
     sq = np.sqrt(np.arange(n_levels))
     for n in range(n_levels - 1):
@@ -341,6 +334,16 @@ def _displacement_closed(zs: np.ndarray, n_levels: int) -> np.ndarray:
         nxt[:, 1:] += sq[None, 1:] * prev[:, :-1]
         out[:, :, n + 1] = nxt / sq[n + 1]
     return out
+
+
+def _coherent_vectors(alphas: np.ndarray, n_levels: int) -> np.ndarray:
+    """e^{-|alpha|^2/2} alpha^m / sqrt(m!) for m < N, one row per alpha: the
+    first column of D(alpha), as cumulative products of alpha / sqrt(m)
+    with the Gaussian prefactor folded in from the start."""
+    vec = np.empty((len(alphas), n_levels), dtype=complex)
+    vec[:, 0] = np.exp(-0.5 * np.abs(alphas) ** 2)
+    vec[:, 1:] = vec[:, :1] * np.cumprod(alphas[:, None] / np.sqrt(np.arange(1, n_levels)), axis=1)
+    return vec
 
 
 def weyl_operator(z, n_levels: int) -> FockOperator:
@@ -384,12 +387,7 @@ def coherent_state(alpha: complex, n_levels: int) -> DensityOperator:
     Rejected unless the truncation captures the state to 1 - 1e-8; the
     guard |alpha|^2 <= N/4 always suffices.
     """
-    alpha = complex(alpha)
-    ms = np.arange(1, n_levels)
-    vec = np.empty(n_levels, dtype=complex)
-    vec[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    if n_levels > 1:
-        vec[1:] = vec[0] * np.cumprod(alpha / np.sqrt(ms))
+    vec = _coherent_vectors(np.array([complex(alpha)]), n_levels)[0]
     capture = float(np.sum(np.abs(vec) ** 2))
     if capture < 1.0 - _COHERENT_CAPTURE:
         raise ValueError(

@@ -542,11 +542,21 @@ def band_limited_approximant(
 def default_lemma_grid(delta: float) -> GridSpec:
     """Grid sized so the approximant's off-lattice transform leakage sits
     far below 1e-6 for t up to ~16 at the given delta: about 804 / delta
-    nodes per axis below delta = 1.  Refused past 2^23 nodes, 128 MiB a
-    complex table, so for delta < 0.2777; 0.3 takes 2,684 per axis."""
+    nodes per axis below delta = 1, 800 up to 5.8 and about 137 delta past it.
+
+    A grid measure's transform repeats every 4 pi / h along each axis.  The
+    lemma check samples off-band points out to 3 delta, and the approximant's
+    transform lives inside 7 delta / 8, so no sample folds back into the band
+    while h < 32 pi / (31 delta): the spacing is 0.5, or that bound times
+    0.9 where it is smaller.  Refused past 2^23 nodes (2,896 per axis, 128 MiB
+    a complex table), which leaves delta from about 0.2777 to 21.13; 0.3
+    takes 2,684 nodes per axis."""
     half_width = max(200.0, 64.0 * math.pi / delta)
-    m = int(math.ceil(half_width / 0.25 / 4.0) * 4)
-    if m * m > 1 << 23:
-        raise ValueError(f"delta {delta:g} needs a lemma grid of {m} x {m} nodes, "
-                         "past 2^23; take a larger delta")
+    alias_free = 0.9 * 32.0 * math.pi / 31.0  # delta h within 0.9 of its alias bound
+    h = min(0.5, alias_free / delta)
+    m = int(math.ceil(2.0 * half_width / h / 4.0) * 4)
+    if m * m > 1 << 23:  # M <= 4 * 724: half_width <= 724 and h >= 100 / 724
+        lo, hi = 64.0 * math.pi / 724, alias_free * 7.24
+        raise ValueError(f"delta {delta:g} needs a lemma grid of {m} x {m} nodes, past "
+                         f"2^23; the lemma grid takes delta from about {lo:.4g} to {hi:.4g}")
     return GridSpec(half_width=half_width, points_per_axis=m)

@@ -7,7 +7,6 @@ import inspect
 import json
 import math
 import textwrap
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -196,14 +195,16 @@ def test_heatflow_refuses_a_spectral_grid_that_fails_its_probe_at_config(tmp_pat
 
 
 @pytest.mark.parametrize("subcommand", ["lemma37", "purity"])
-@pytest.mark.parametrize("delta", ["1e-3", "0.01"])
+@pytest.mark.parametrize("delta", ["1e-3", "0.01", "25"])
 def test_a_delta_past_the_lemma_grid_bound_fails_at_config(tmp_path, capsys, subcommand, delta):
     # default_lemma_grid(1e-3) would hold 804,248^2 nodes (4.71 TiB a real table),
-    # and 0.01 80,428^2; neither is allocated before the refusal
+    # 0.01 80,428^2 and 25 (whose spacing keeps off-band samples off the
+    # band's images) 3,428^2; none is allocated before the refusal
     out = tmp_path / "o"
     assert main([subcommand, "--delta", delta, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and f"{subcommand}: delta {float(delta):g}" in err
+    assert "takes delta from about 0.2777 to 21.13" in err
     assert not out.exists()
 
 
@@ -212,6 +213,17 @@ def test_the_lemma_grid_bound_admits_delta_three_tenths():
     for subcommand in ("lemma37", "purity"):
         assert resolve_config(subcommand, make_args(delta="0.3")).delta == 0.3
     assert phase_space.default_lemma_grid(0.3).points_per_axis == 2684
+
+
+def test_lemma_band_limit_holds_past_the_fixed_spacing_alias():
+    # at spacing 0.5 the off-band samples (out to 3 delta) met the band's
+    # images (within 7 delta / 8 of multiples of 4 pi / h) from delta 6.49;
+    # delta 8 read 0.062 there, and its grid now takes 1,100 nodes per axis
+    cli._approximant.cache_clear()
+    rep = cli.check_lemma_band_limit(resolve_config("lemma37", make_args(times="1", delta="8")))
+    cli._approximant.cache_clear()
+    assert rep.params["grid_points"] == 1100
+    assert rep.passed and rep.measured < 1e-14
 
 
 def test_heatflow_runs_at_the_first_truncation_past_the_probe_refusals(tmp_path):
@@ -293,10 +305,10 @@ def test_run_metadata_times_every_check(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "b" / "run_metadata.json").read_text())["peak_rss_mb"] is None
 
 
-def test_run_metadata_counts_kernel_builds_per_check(tmp_path, monkeypatch):
+def test_run_metadata_counts_kernel_builds_per_check(tmp_path):
     # from an empty cache: eigen_relation builds t = 0.25; path_agreement
     # adds t = 0.5; generator_scaling builds the four times its three z need
-    monkeypatch.setattr(channels, "_kernels", OrderedDict())
+    channels._content_kernel.cache_clear()
     out = tmp_path / "a"
     assert main(["heatflow", "--out", str(out)]) == 0
     meta = json.loads((out / "run_metadata.json").read_text())
@@ -304,16 +316,15 @@ def test_run_metadata_counts_kernel_builds_per_check(tmp_path, monkeypatch):
     assert sorted(counts) == sorted(meta["check_wall_s"])
     builds = {check: c["builds"] for check, c in counts.items() if c["builds"]}
     assert builds == {"eigen_relation": 1, "path_agreement": 1, "generator_scaling": 4}
-    assert all(set(c) == {"builds", "cache_hits", "groups"} for c in counts.values())
+    assert all(set(c) == {"builds", "cache_hits"} for c in counts.values())
     assert counts["conservation"]["cache_hits"] > 0
-    # each apply is one build or one cache hit, and a heat apply runs four
-    # residue groups
-    groups = {check: c["groups"] for check, c in counts.items() if c["groups"]}
-    assert groups == {"eigen_relation": 40, "path_agreement": 120, "conservation": 24,
-                      "generator_scaling": 24}
-    assert all(c["groups"] == 4 * (c["builds"] + c["cache_hits"]) for c in counts.values())
+    # each apply is one build or one cache hit
+    applies = {check: c["builds"] + c["cache_hits"] for check, c in counts.items()
+               if c["builds"] + c["cache_hits"]}
+    assert applies == {"eigen_relation": 10, "path_agreement": 30, "conservation": 6,
+                       "generator_scaling": 6}
     for path in (out / "heatflow").iterdir():
-        assert "cache_hits" not in path.read_text() and "groups" not in path.read_text()
+        assert "cache_hits" not in path.read_text()
 
 
 def test_path_agreement_reports_the_trace_it_renormalizes():

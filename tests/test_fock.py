@@ -178,6 +178,35 @@ def test_coherent_state_statistics():
     assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.8, 0.5 + 0.2j, 0.6 + 0.3j, -1.1j, 2.0 + 1.0j])
+def test_coherent_state_is_the_closed_form_column(alpha):
+    # bit for bit the cumulative product it was before it shared the closed
+    # form's first column, on the amplitudes the package and its tests use
+    n, alpha = 30, complex(alpha)
+    vec = np.empty(n, dtype=complex)
+    vec[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    vec[1:] = vec[0] * np.cumprod(alpha / np.sqrt(np.arange(1, n)))
+    vec /= math.sqrt(float(np.sum(np.abs(vec) ** 2)))
+    rho = coherent_state(alpha, n).matrix
+    assert np.array_equal(rho, np.outer(vec, vec.conj()))
+    z = (math.sqrt(2.0) * alpha.imag, -math.sqrt(2.0) * alpha.real)
+    column = displacement_batch(np.array([z]), n, method="closed_form")[0][:, 0]
+    column /= math.sqrt(float(np.sum(np.abs(column) ** 2)))
+    assert np.array_equal(coherent_state(alpha_of(z), n).matrix, np.outer(column, column.conj()))
+    assert coherent_state(0.0, 1).matrix.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("classes,top", [(820, 29), (561, 58), (7021, 89), (3, 0), (5, 1)])
+def test_class_phase_table_is_the_conjugate_mirror_of_its_half(classes, top):
+    # filled in place, bit for bit the concatenation of the conjugated
+    # mirror of s = 1..top and the exp of s = 0..top
+    rng = np.random.default_rng(classes)
+    rho, theta = rng.uniform(0.0, 5.0, classes), rng.uniform(-math.pi, math.pi, classes)
+    phase, _ = fock._class_tables(rho, theta, 10, top)
+    half = np.exp(1j * theta[:, None] * np.arange(top + 1))
+    assert np.array_equal(phase, np.concatenate([half[:, :0:-1].conj(), half], axis=1))
+
+
 def test_coherent_state_rejects_poor_capture():
     with pytest.raises(ValueError):
         coherent_state(4.0, 8)

@@ -8,9 +8,9 @@ do build the matrices, with the public displacement_batch, and sum the
 definitions node by node.
 """
 
+import functools
 import math
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -210,74 +210,50 @@ def test_choi_builds_and_reads_no_kernel(kind):
     n = 24
     ch = (heat_channel(0.5, n) if kind == "heat" else
           point_mass_channel([(0.5, 1.0), (-0.5, -1.0)], [0.5, -0.5], ATOM_GRID, n))
-    before = dict(channels._kernel_counts)
+    before = channels._content_kernel.cache_info()
     choi_matrix(ch, 4)
-    assert channels._kernel_counts == before
+    assert channels._content_kernel.cache_info() == before
 
 
-def test_equal_channels_share_one_kernel_build(monkeypatch):
-    monkeypatch.setattr(channels, "_kernels", OrderedDict())
-    builds = []
-    original = channels._build_kernel
-
-    def counting(*args):
-        builds.append(args[-1])  # the truncation comes last
-        return original(*args)
-
-    monkeypatch.setattr(channels, "_build_kernel", counting)
+def test_equal_channels_share_one_kernel_build():
+    channels._content_kernel.cache_clear()
     n = 12
     a = FockOperator(random_matrix(n))
     first = apply_quadrature(heat_channel(0.2, n), a)
     second = apply_quadrature(heat_channel(0.2, n), a)
-    assert builds == [n]
+    assert channels._content_kernel.cache_info()[:2] == (1, 1)  # hits, misses
     assert np.array_equal(first.matrix, second.matrix)
     apply_quadrature(heat_channel(0.3, n), a)
-    assert builds == [n, n]
+    assert channels._content_kernel.cache_info()[:2] == (1, 2)
 
 
 def test_path_agreement_builds_each_channel_once(monkeypatch):
     # a cache that keeps only the newest kernel: the time-first loop still
     # builds one channel per time (both times at N = 24 take one step,
-    # max_single_step(24) = 0.568)
-    monkeypatch.setattr(channels, "_KERNELS_KEPT", 1)
-    monkeypatch.setattr(channels, "_kernels", OrderedDict())
-    builds = []
-    original = channels._build_kernel
-
-    def counting(*args):
-        builds.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(channels, "_build_kernel", counting)
+    # max_single_step(24) = 0.568), and its 20 applies hit it 18 times
+    one_slot = functools.lru_cache(maxsize=1)(channels._content_kernel.__wrapped__)
+    monkeypatch.setattr(channels, "_content_kernel", one_slot)
     cfg = cli.RunConfig(**{**cli._COMMON, **cli._DEFAULTS["heatflow"],
                            "truncation": 24, "times": (0.25, 0.5)})
     report = cli.check_path_agreement(cfg)
-    assert builds == [24, 24]
+    assert one_slot.cache_info()[:2] == (18, 2)  # hits, misses
     assert [(row["state"], row["t"]) for row in report.curve] == [
         (i, t) for i in range(10) for t in (0.25, 0.5)]
 
 
-def test_cache_keeps_the_two_newest_kernels(monkeypatch):
-    monkeypatch.setattr(channels, "_kernels", OrderedDict())
-    builds = []
-    original = channels._build_kernel
-
-    def counting(*args):
-        builds.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(channels, "_build_kernel", counting)
+def test_cache_keeps_the_two_newest_kernels():
+    channels._content_kernel.cache_clear()
     n = 12
     a = FockOperator(random_matrix(n))
     chs = [heat_channel(t, n) for t in (0.1, 0.2, 0.3)]
     for ch in chs:
         apply_quadrature(ch, a)
-    kept = [key[-1] for key in channels._kernels]
-    assert kept == [channels._masked_quadrature(ch, 1e-6).tobytes() for ch in chs[1:]]
+    assert channels._content_kernel.cache_info()[1:] == (3, 2, 2)  # misses, maxsize, currsize
     apply_quadrature(chs[2], a)
-    assert len(builds) == 3
-    apply_quadrature(chs[0], a)
-    assert len(builds) == 4
+    apply_quadrature(chs[1], a)
+    assert channels._content_kernel.cache_info()[:2] == (2, 3)  # hits, misses
+    apply_quadrature(chs[0], a)  # the oldest was dropped
+    assert channels._content_kernel.cache_info()[:2] == (2, 4)
 
 
 def test_kernel_build_holds_one_pairs_chunk():
@@ -305,18 +281,22 @@ def test_apply_runs_one_fft_pair_per_residue_group(kind, groups, monkeypatch):
     n = 24
     ch = (MeasureChannel(cauchy_measure(0.01, GridSpec(8.0, 64)), n) if kind == "cauchy"
           else make_channel(kind, n))
-    lengths = []
-    original = np.fft.fft
+    channels._channel_kernel(ch, 1e-6)  # built (with its own ifft) before counting
+    lengths, inverses = [], []
+    fft, ifft = np.fft.fft, np.fft.ifft
 
     def counting(x, n=None, axis=-1):
         lengths.append(n)
-        return original(x, n=n, axis=axis)
+        return fft(x, n=n, axis=axis)
+
+    def counting_inverse(x, axis=-1, out=None):
+        inverses.append(x.shape[axis])
+        return ifft(x, axis=axis, out=out)
 
     monkeypatch.setattr(np.fft, "fft", counting)
-    before = channels._kernel_counts["groups"]
+    monkeypatch.setattr(np.fft, "ifft", counting_inverse)
     apply_quadrature(ch, FockOperator(random_matrix(n)))
-    assert lengths == [4 * n // groups] * groups
-    assert channels._kernel_counts["groups"] - before == groups
+    assert lengths == inverses == [4 * n // groups] * groups
 
 
 def node_kernel(ch: MeasureChannel) -> np.ndarray:

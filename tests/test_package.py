@@ -177,6 +177,9 @@ def test_channel_kernel_has_one_reader():
     # Choi blocks sum the quadrature's nodes directly, so the kernel's
     # circle layout concerns the apply alone
     assert _src_callers("_channel_kernel") == {("channels", "apply_quadrature")}
+    # kernels are cached by content behind _channel_kernel alone, so the
+    # cache's cache_info() counts every build and every hit
+    assert _src_callers("_content_kernel") == {("channels", "_channel_kernel")}
 
 
 def _is_public_function_of(module, name: str) -> bool:
@@ -252,7 +255,7 @@ def test_first_quadrature_does_no_hidden_work(tmp_path):
         "fock.displacement_batch = counting\n"
         "ch.apply_quadrature(ch.heat_channel(0.25, 12),\n"
         "                    fock.FockOperator(np.eye(12, dtype=complex)))\n"
-        "print(ch._kernel_counts['builds'], len(calls))\n"
+        "print(ch._content_kernel.cache_info().misses, len(calls))\n"
     )
     run = _fresh_python(code, tmp_path)
     assert run.returncode == 0, run.stderr

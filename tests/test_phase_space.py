@@ -299,6 +299,20 @@ def test_default_lemma_grid_resolves_delta():
     assert lattice.h < 1.0 / 16
 
 
+def test_lemma_grid_keeps_offband_samples_off_the_band_images():
+    # a grid measure's transform repeats every 4 pi / h along each axis; the
+    # off-band samples reach 3 delta and the band 7 delta / 8
+    for delta in np.linspace(0.278, 21.13, 300):
+        assert 3.0 * delta + 7.0 * delta / 8.0 < 4.0 * math.pi / default_lemma_grid(delta).h
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.5, 1.0, 2.0, 5.0, 5.8])
+def test_lemma_grid_keeps_its_half_spacing_up_to_delta_5_8(delta):
+    half_width = max(200.0, 64.0 * math.pi / delta)
+    assert default_lemma_grid(delta) == GridSpec(
+        half_width=half_width, points_per_axis=int(math.ceil(half_width / 0.25 / 4.0) * 4))
+
+
 # ---------------------------------------------------------------------------
 # The real engine: real tables go through one real transform, complex ones
 # through it twice
