@@ -61,6 +61,7 @@ from .phase_space import (
     GridSpec,
     _approximant_band,
     _lattice_box,
+    _lattice_modulus,
     band_limited_approximant,
     convolve,
     default_gaussian_grid,
@@ -69,7 +70,6 @@ from .phase_space import (
     omega,
     sqrt_density_ft,
     symplectic_ft_at,
-    symplectic_ft_lattice,
 )
 from .purity import (
     absorbing_state_probe,
@@ -545,43 +545,47 @@ def _offband_sample(delta: float, rng: np.random.Generator) -> np.ndarray:
     return np.vstack([pts, ring])
 
 
-@lru_cache(maxsize=None)  # cleared after each subcommand run: both lemma checks read these
-def _approximant(t: float, delta: float, grid: GridSpec) -> GridMeasure:
-    """band_limited_approximant(t, delta, grid), built once per run, with
-    read-only weights."""
+def _lemma_row(t: float, delta: float, grid: GridSpec, sample: np.ndarray) -> dict:
+    """One time's approximant, checked and dropped: its off-band sup on the
+    lattice and at ``sample``, and its TV gap to the Gaussian."""
     nu = band_limited_approximant(t, delta, grid)
-    nu.weights.setflags(write=False)
-    return nu
+    disk, radius = _lattice_box(grid, delta)  # every node with |zeta| < delta
+    lattice = _lattice_modulus(nu.weights).T  # |symplectic_ft_lattice(nu)|
+    lattice[disk, disk][radius < delta] = 0.0
+    on_lattice = float(lattice.max())
+    del lattice
+    sup = max(float(np.abs(symplectic_ft_at(nu, sample)).max()), on_lattice)
+    gap = gaussian_measure(t, grid).weights - nu.weights
+    return {"t": t, "offband_sup": sup, "tv": float(np.abs(gap, out=gap).sum()),
+            "points": len(sample)}
+
+
+@lru_cache(maxsize=None)  # cleared after each subcommand run: both lemma checks read these
+def _lemma_rows(delta: float, times: tuple, seed: int) -> tuple[dict, ...]:
+    """The rows of both lemma checks, one approximant table alive at a time."""
+    grid = default_lemma_grid(delta)
+    rng = np.random.default_rng(seed + 4)
+    return tuple(_lemma_row(t, delta, grid, _offband_sample(delta, rng)) for t in times)
 
 
 def check_lemma_band_limit(cfg: RunConfig) -> ExperimentReport:
     """The surrogate's transform is dead off the delta disk, at every lattice node."""
     delta = cfg.delta
     grid = default_lemma_grid(delta)
-    disk, radius = _lattice_box(grid, delta)  # every node with |zeta| < delta
-    rng = np.random.default_rng(cfg.seed + 4)
-    worst = 0.0
-    curve = []
-    for t in cfg.times:
-        nu = _approximant(t, delta, grid)
-        sample = _offband_sample(delta, rng)
-        lattice = np.abs(symplectic_ft_lattice(nu))
-        lattice[disk, disk][radius < delta] = 0.0
-        sup = max(float(np.abs(symplectic_ft_at(nu, sample)).max()), float(lattice.max()))
-        worst = max(worst, sup)
-        curve.append({"t": t, "offband_sup": sup})
+    rows = _lemma_rows(delta, cfg.times, cfg.seed)
+    radius = _lattice_box(grid, delta)[1]
     support = _approximant_band(grid, delta)[2]  # a disk: as many contiguous columns as rows
     return ExperimentReport(
         check="lemma_band_limit",
         params={"delta": delta, "times": list(cfg.times),
                 "grid_half_width": grid.half_width,
                 "grid_points": grid.points_per_axis, "seed": cfg.seed + 4},
-        conditions=(Condition("offband_sup_max", worst, "<=", 1e-6),),
+        conditions=(Condition("offband_sup_max", max(r["offband_sup"] for r in rows), "<=", 1e-6),),
         details={"offband_lattice_nodes": grid.points_per_axis ** 2 - int((radius < delta).sum()),
-                 "offlattice_points_per_time": len(sample),
+                 "offlattice_points_per_time": rows[0]["points"],
                  "qhat_support_nodes": int(support.sum()),
                  "dual_band_columns": int(support.any(axis=0).sum())},
-        curve=curve,
+        curve=[{"t": r["t"], "offband_sup": r["offband_sup"]} for r in rows],
     )
 
 
@@ -589,8 +593,7 @@ def check_lemma_tv_sweep(cfg: RunConfig) -> ExperimentReport:
     """Distance from the Gaussian decays along the time sweep."""
     delta = cfg.delta
     grid = default_lemma_grid(delta)
-    tvs = [float((gaussian_measure(t, grid) - _approximant(t, delta, grid)).total_variation())
-           for t in cfg.times]
+    tvs = [r["tv"] for r in _lemma_rows(delta, cfg.times, cfg.seed)]
     return ExperimentReport(
         check="lemma_tv_sweep",
         params={"delta": delta, "times": list(cfg.times),
@@ -738,7 +741,7 @@ def run_subcommand(subcommand: str, cfg: RunConfig) -> list[tuple[ExperimentRepo
                 "builds": after.misses - before.misses,
                 "cache_hits": after.hits - before.hits}}))
     finally:
-        _approximant.cache_clear()
+        _lemma_rows.cache_clear()
     return out
 
 

@@ -17,9 +17,10 @@ cells at the requested dual points, so no FFT periodicity artifacts enter
 unless a routine explicitly opts in.  Each transform has one real engine,
 and a complex table goes through it twice, as its real part plus i times
 its imaginary part.  Off the lattice the engine folds each axis about its
-node 0 onto the half axis (cos rows meet even parts, sin rows odd parts);
-on the lattice it fills the Hermitian half and mirrors it, forward by a
-real FFT, inverse by products over the table's block of nonzero values.
+node 0 onto the half axis (cos rows meet even parts, sin rows odd parts)
+and sums over chunks of points.  On the lattice it fills the Hermitian
+half, forward by a real FFT, inverse by products over the block of nonzero
+values, and mirrors it; the lemma's callers mirror only its moduli.
 
 Grid convention: a ``GridSpec`` with half-width L and M points per axis
 places nodes at -L + k*h for k = 0..M-1 with h = 2L/M, covering
@@ -61,6 +62,10 @@ __all__ = [
 ALIAS_GUARD = math.pi / 2
 
 _GAUSSIAN_CAPTURE = 1e-9
+
+#: Entries of a per-chunk table: symplectic_ft_at's (points x M) products
+#: (81 points at M = 808) and plateau_profile's (radii x 512) quadrature.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _coords(z) -> tuple[float, float]:
@@ -183,10 +188,12 @@ def _fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on the half axis k = 0..M/2: the origin counts once, and the edge node
     -L folds in as the mirror of +L, which carries no node."""
     m = v.shape[-1] // 2
-    zero = np.zeros_like(v[..., :1])
-    up = np.concatenate([v[..., m:], zero], axis=-1)
-    down = np.concatenate([zero, v[..., m - 1::-1]], axis=-1)
-    return up + down, up - down
+    even, odd = np.zeros((2, *v.shape[:-1], m + 1), dtype=v.dtype)
+    even[..., :m] = odd[..., :m] = v[..., m:]
+    even[..., 1:] += v[..., m - 1::-1]
+    odd[..., 1:] -= v[..., m - 1::-1]
+    even[..., 0] += 0.0  # the origin pairs with a zero: v[M/2] + 0 turns -0.0 into +0.0
+    return even, odd
 
 
 def _half_axis_phases(theta: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,20 +212,26 @@ def symplectic_ft_at(mu: GridMeasure, points: np.ndarray) -> np.ndarray:
     The phase exp(i*(x_i*b_p - a_p*y_j)/2) factorizes per point, and each
     axis is symmetric about its node 0, so both factors fold onto the half
     axis 0, h, .., L: cos rows meet the even part of the weights, sin rows
-    the odd part.  Along x that is two real (P x (M/2+1))((M/2+1) x M)
-    products for real weights; the y fold finishes each point's sum."""
+    the odd part.  The weights fold once; then, per chunk of points, two
+    real (P x (M/2+1))((M/2+1) x M) products run along x and the y fold
+    finishes each point's sum.  Only BLAS edge tiles may round a point
+    differently in another chunk; at M = 808 no chunk of 2 or more does."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = mu.grid.points_per_axis // 2 + 1
-    cos_x, sin_x = _half_axis_phases(0.5 * pts[:, 1], mu.grid.h, n)
-    cos_y, sin_y = _half_axis_phases(0.5 * pts[:, 0], mu.grid.h, n)
+    step = max(1, _CHUNK_ENTRIES // mu.grid.points_per_axis)
 
     def real_ft(w: np.ndarray) -> np.ndarray:
         even, odd = _fold(w.T)
-        # sum_x w e^{+i b x/2} = re + i im, then sum_y (re + i im) e^{-i a y/2}
-        re_even, re_odd = _fold(cos_x @ even.T)
-        im_even, im_odd = _fold(sin_x @ odd.T)
-        return ((re_even * cos_y + im_odd * sin_y).sum(axis=1)
-                + 1j * (im_even * cos_y - re_odd * sin_y).sum(axis=1))
+        out = np.empty(len(pts), dtype=complex)
+        for start in range(0, len(pts), step):
+            cos_x, sin_x = _half_axis_phases(0.5 * pts[start:start + step, 1], mu.grid.h, n)
+            cos_y, sin_y = _half_axis_phases(0.5 * pts[start:start + step, 0], mu.grid.h, n)
+            # sum_x w e^{+i b x/2} = re + i im, then sum_y (re + i im) e^{-i a y/2}
+            re_even, re_odd = _fold(cos_x @ even.T)
+            im_even, im_odd = _fold(sin_x @ odd.T)
+            out[start:start + step] = ((re_even * cos_y + im_odd * sin_y).sum(axis=1)
+                                       + 1j * (im_even * cos_y - re_odd * sin_y).sum(axis=1))
+        return out
 
     return _real_parts(real_ft, mu.weights)
 
@@ -229,32 +242,45 @@ def _column_band(values: np.ndarray) -> slice:
     return slice(cols[0], cols[-1] + 1) if len(cols) else slice(0, 0)
 
 
-def _mirror_half(out: np.ndarray) -> np.ndarray:
-    """Rows a0 > M/2 of a real table's centered DFT, in place: F[-a0, -a1] = conj(F[a0, a1])."""
-    m = out.shape[0]
-    low = out[m // 2 - 1:0:-1]  # rows M/2 - 1..1; column 0 is its own mirror
+def _symmetrize_edges(half: np.ndarray) -> np.ndarray:
+    """Rows 0 and M/2 of a real table's centered DFT, their own mirrors, made Hermitian in place."""
+    m = half.shape[1]
+    edge = [0, m // 2]
+    half[edge] = 0.5 * (half[edge] + half[edge][:, -np.arange(m) % m].conj())
+    return half
+
+
+def _mirror_half(half: np.ndarray) -> np.ndarray:
+    """The (M, M) table from rows a0 <= M/2 of a real table's centered DFT,
+    or from their moduli: F[-a0, -a1] = conj(F[a0, a1])."""
+    m = half.shape[1]
+    out = np.empty((m, m), dtype=half.dtype)
+    out[: m // 2 + 1] = half
+    low = half[m // 2 - 1:0:-1]  # rows M/2 - 1..1; column 0 is its own mirror
     np.conjugate(low[:, 0], out=out[m // 2 + 1:, 0])
     np.conjugate(low[:, :0:-1], out=out[m // 2 + 1:, 1:])
-    edge = [0, m // 2]  # the rows that are their own mirror
-    out[edge] = 0.5 * (out[edge] + out[edge][:, -np.arange(m) % m].conj())
     return out
 
 
-def _lattice_dft(values: np.ndarray) -> np.ndarray:
-    """Centered DFT, out[a] = sum_b exp(s*2j*pi*(a - M/2)*(b - M/2)/M) v[b],
-    of a real (M, M) table, s = -1 along axis 0 then s = +1 along axis 1.
-    With M divisible by 4 that is a plain 2-D DFT between checkerboards
-    (-1)**(a0 + a1): an rfft, a second pass on the half a0 <= M/2 and the
-    mirror.  It and its callers work in place: a 10 MB lemma table copied adds to peak memory."""
+def _dft_half(values: np.ndarray) -> np.ndarray:
+    """Rows a0 <= M/2 of the centered DFT,
+    out[a] = sum_b exp(s*2j*pi*(a - M/2)*(b - M/2)/M) v[b], of a real (M, M)
+    table, s = -1 along axis 0 then s = +1 along axis 1.  With M divisible by
+    4 that is a plain 2-D DFT between checkerboards (-1)**(a0 + a1): an rfft
+    and a second pass on the half, in place."""
     m = values.shape[0]
     if m % 4 != 0:
         raise ValueError("centered DFT requires M divisible by 4")
     alt = (-1.0) ** np.arange(m)
     half = np.fft.rfft(values * np.outer(alt, alt), axis=0)
     np.fft.ifft(half, axis=1, norm="forward", out=half)
-    out = np.empty((m, m), dtype=complex)
-    np.multiply(half, np.outer(alt[: m // 2 + 1], alt), out=out[: m // 2 + 1])
-    return _mirror_half(out)
+    half *= np.outer(alt[: m // 2 + 1], alt)
+    return _symmetrize_edges(half)
+
+
+def _lattice_modulus(values: np.ndarray) -> np.ndarray:
+    """|centered DFT| of a real table, bit for bit as |conj z| = |z|: half-row moduli, mirrored."""
+    return _mirror_half(np.abs(_dft_half(values)))
 
 
 @lru_cache(maxsize=2)
@@ -276,14 +302,20 @@ def _centered_phases(m: int, a: np.ndarray, b: np.ndarray, sign: int) -> np.ndar
     return _unit_roots(m)[sign * np.multiply.outer(a - m // 2, b - m // 2) % m]
 
 
-def _block_dft(values: np.ndarray) -> np.ndarray:
-    """_lattice_dft by products over a real table's nonzero block, rows a0 <= M/2."""
-    rows, cols = _column_band(values.T), _column_band(values)
-    k = np.arange(m := values.shape[0])
-    out = np.empty((m, m), dtype=complex)
-    np.matmul(_centered_phases(m, k[: m // 2 + 1], k[rows], -1) @ values[rows, cols],
-              _centered_phases(m, k[cols], k, 1), out=out[: m // 2 + 1])
-    return _mirror_half(out)
+def _block_half(block: np.ndarray, box: slice, m: int) -> np.ndarray:
+    """_dft_half of the real (M, M) table that holds ``block`` on box x box
+    and zeros elsewhere, by products over the block's nonzero band."""
+    rows, cols = _column_band(block.T), _column_band(block)
+    k = np.arange(m)
+    half = (_centered_phases(m, k[: m // 2 + 1], k[box][rows], -1) @ block[rows, cols]
+            @ _centered_phases(m, k[box][cols], k, 1))
+    return _symmetrize_edges(half)
+
+
+def _inverse_scale(grid: GridSpec) -> float:
+    """eta^2 / (16 pi^2), with eta the conjugate lattice spacing 4 pi / (M h)."""
+    eta = 4.0 * math.pi / (grid.points_per_axis * grid.h)
+    return eta * eta / (16.0 * math.pi**2)
 
 
 def inverse_symplectic_lattice(
@@ -299,14 +331,15 @@ def inverse_symplectic_lattice(
         f(z) = (1/(16*pi^2)) * integral exp(-i*omega(zeta, z)) F(zeta) dzeta.
 
     Two products over the b_r x b_c block that holds the nonzero values cost
-    O(M*b_r*b_c + M^2*b_c/2); a dense table is still exact, at O(M^3)."""
-    m = grid.points_per_axis
-    eta = 4.0 * math.pi / (m * grid.h)
+    O(M*b_r*b_c + M^2*b_c/2); a dense table is still exact, at O(M^3).
+    The full-table reference for band_limited_approximant's half rows."""
     # f[ax, ay] = sum_{bx, by} F[bx, by] e^{-i x(ax) zeta_y(by)/2} e^{+i zeta_x(bx) y(ay)/2}
     # x(a)*eta*(b - M/2)/2 = (2*pi/M)(a - M/2)(b - M/2): centered DFT pairs.
     # on F.T, axis 0 (by) contracts to ax with sign -1, then bx to ay
-    out = _real_parts(_block_dft, np.asarray(dual_values).T)
-    out *= eta * eta / (16.0 * math.pi**2)
+    m = grid.points_per_axis
+    out = _real_parts(lambda v: _mirror_half(_block_half(v, slice(None), m)),
+                      np.asarray(dual_values).T)
+    out *= _inverse_scale(grid)
     return out
 
 
@@ -316,11 +349,13 @@ def symplectic_ft_lattice(mu: GridMeasure) -> np.ndarray:
     The forward partner of inverse_symplectic_lattice: the same two
     centered DFTs with the signs swapped, and no scale (a plain cell sum).
     Entry [bx, by] sits at the node (bx, by) of conjugate_lattice(mu.grid).
+    The full-table reference for _lattice_modulus.
     """
     # F[bx, by] = sum_{ax, ay} w[ax, ay] e^{+i x(ax) zeta_y(by)/2} e^{-i zeta_x(bx) y(ay)/2}
     # ax contracts to by with sign +1, then ay to bx: for a real table the
     # signs flip under conjugation, and the result is F.T
-    return _real_parts(lambda w: np.conjugate(d := _lattice_dft(w), out=d), mu.weights).T
+    return _real_parts(lambda w: np.conjugate(d := _mirror_half(_dft_half(w)), out=d),
+                       mu.weights).T
 
 
 def conjugate_lattice(grid: GridSpec) -> GridSpec:
@@ -391,13 +426,15 @@ def gaussian_measure(t: float, grid: GridSpec) -> GridMeasure:
         raise ValueError("gaussian measure requires t > 0")
     # a product over the axes: density(x, y) = 16*pi*t * g(x) * g(y)
     g = gaussian_density(t, grid.axis(), 0.0)
-    w = np.outer(g, g) * (16.0 * math.pi * t * grid.cell_area())
+    w = np.outer(g, g)
+    w *= 16.0 * math.pi * t * grid.cell_area()
     captured = float(w.sum())
     if captured < 1.0 - _GAUSSIAN_CAPTURE:
         raise ValueError(
             f"grid captures mass {captured:.12f} < 1 - {_GAUSSIAN_CAPTURE:g}; widen it"
         )
-    return GridMeasure(grid, w / captured)
+    w /= captured
+    return GridMeasure(grid, w)
 
 
 def default_gaussian_grid(t: float) -> GridSpec:
@@ -466,9 +503,10 @@ def plateau_profile(delta: float) -> Callable[[np.ndarray], np.ndarray]:
     bump mollifier of radius delta/16.  For a probe at distance r, the
     mollifier ring of radius s contributes the fraction of its circumference
     lying inside the disk, which is an explicit arccos, so the convolution
-    collapses to a single 512-node radial quadrature.  The plateau
-    conditions hold exactly (with margin delta/16 on each side) because
-    the mollifier mass is normalized by the same quadrature rule.
+    collapses to a single 512-node radial quadrature, over chunks of radii
+    (bitwise the one-shot sum).  The plateau conditions hold exactly (with
+    margin delta/16 on each side) because the mollifier mass is normalized
+    by the same quadrature rule.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -477,19 +515,20 @@ def plateau_profile(delta: float) -> Callable[[np.ndarray], np.ndarray]:
     s = (np.arange(512) + 0.5) * (moll_r / 512)
     ring = _bump_profile(s / moll_r) * 2.0 * math.pi * s
     norm = ring.sum()
+    step = _CHUNK_ENTRIES // len(s)
 
     def profile(r: np.ndarray) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         vals = np.where(r <= disk_r - moll_r, 1.0, 0.0)
         # only the transition annulus needs the quadrature; the clamps above
         # realize the exact plateau and exact vanishing
-        band = (r > disk_r - moll_r) & (r < disk_r + moll_r)
-        if band.any():
-            rr = r[band][:, None]
-            ss = s[None, :]
-            cosang = (rr * rr + ss * ss - disk_r * disk_r) / (2.0 * rr * ss)
+        band = np.flatnonzero((r > disk_r - moll_r) & (r < disk_r + moll_r))
+        for start in range(0, len(band), step):
+            chunk = band[start:start + step]
+            rr = r[chunk][:, None]
+            cosang = (rr * rr + s * s - disk_r * disk_r) / (2.0 * rr * s)
             frac = np.arccos(np.clip(cosang, -1.0, 1.0)) / math.pi
-            vals[band] = (ring[None, :] * frac).sum(axis=1) / norm
+            vals[chunk] = (ring * frac).sum(axis=1) / norm
         return vals
 
     return profile
@@ -530,9 +569,12 @@ def band_limited_approximant(
             f"{eta:.4g} must resolve delta/16 = {delta / 16.0:.4g}"
         )
     box, r, inside = _approximant_band(grid, delta)
-    qhat = np.zeros((grid.points_per_axis,) * 2)
-    qhat[box, box][inside] = plateau_profile(delta)(r[inside]) * sqrt_density_ft(t, r[inside])
-    w = np.abs(inverse_symplectic_lattice(qhat, grid))
+    qhat = np.zeros(r.shape)  # on the box; zero on the rest of the lattice
+    qhat[inside] = plateau_profile(delta)(r[inside]) * sqrt_density_ft(t, r[inside])
+    # inverse_symplectic_lattice(q_hat, grid) on the half rows, as moduli
+    half = _block_half(qhat.T, box, grid.points_per_axis)
+    half *= _inverse_scale(grid)
+    w = _mirror_half(np.abs(half))
     np.square(w, out=w)
     w *= grid.cell_area()
     w /= w.sum()

@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -209,7 +210,7 @@ def test_a_delta_past_the_lemma_grid_bound_fails_at_config(tmp_path, capsys, sub
 
 
 def test_the_lemma_grid_bound_admits_delta_three_tenths():
-    # 2,684 nodes per axis: lemma37 runs there with a 453 MB peak
+    # 2,684 nodes per axis: lemma37 runs there with a peak of about 232 MB
     for subcommand in ("lemma37", "purity"):
         assert resolve_config(subcommand, make_args(delta="0.3")).delta == 0.3
     assert phase_space.default_lemma_grid(0.3).points_per_axis == 2684
@@ -219,9 +220,9 @@ def test_lemma_band_limit_holds_past_the_fixed_spacing_alias():
     # at spacing 0.5 the off-band samples (out to 3 delta) met the band's
     # images (within 7 delta / 8 of multiples of 4 pi / h) from delta 6.49;
     # delta 8 read 0.062 there, and its grid now takes 1,100 nodes per axis
-    cli._approximant.cache_clear()
+    cli._lemma_rows.cache_clear()
     rep = cli.check_lemma_band_limit(resolve_config("lemma37", make_args(times="1", delta="8")))
-    cli._approximant.cache_clear()
+    cli._lemma_rows.cache_clear()
     assert rep.params["grid_points"] == 1100
     assert rep.passed and rep.measured < 1e-14
 
@@ -631,16 +632,33 @@ def test_lemma_checks_share_one_approximant_per_time(monkeypatch):
     original = cli.band_limited_approximant
 
     def counting(t, delta, grid):
-        built.append(original(t, delta, grid))
-        return built[-1]
+        built.append(t)
+        return original(t, delta, grid)
 
     monkeypatch.setattr(cli, "band_limited_approximant", counting)
+    cli._lemma_rows.cache_clear()
     cfg = resolve_config("lemma37", make_args(times="1,4"))
     names = [rep.check for rep, _ in cli.run_subcommand("lemma37", cfg)]
     assert names[:2] == ["lemma_band_limit", "lemma_tv_sweep"]
-    assert len(built) == 2
-    assert not any(nu.weights.flags.writeable for nu in built)
-    assert cli._approximant.cache_info().currsize == 0  # nothing outlives the run
+    assert built == [1.0, 4.0]  # once per time, across both checks
+    assert cli._lemma_rows.cache_info().currsize == 0  # nothing outlives the run
+
+
+def test_lemma_band_limit_holds_one_approximant_table_at_a_time():
+    # three times on the 808 x 808 grid: each 5.2 MB table dies before the
+    # next and no complex (M, M) table is built, 16.6 MB traced; keeping
+    # every time's table beside full complex transforms takes 45 MB
+    cfg = resolve_config("lemma37", make_args())
+    cli._lemma_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = cli.check_lemma_band_limit(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        cli._lemma_rows.cache_clear()
+    assert rep.params["grid_points"] == 808 and len(rep.curve) == 3
+    assert peak <= 20e6
 
 
 def test_band_limit_counts_the_columns_the_dual_band_transforms(monkeypatch):
@@ -657,9 +675,9 @@ def test_band_limit_counts_the_columns_the_dual_band_transforms(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", recording_rfft)
     monkeypatch.setattr(phase_space, "_centered_phases", recording_phases)
-    cli._approximant.cache_clear()
+    cli._lemma_rows.cache_clear()
     rep = cli.check_lemma_band_limit(resolve_config("lemma37", make_args(times="1")))
-    cli._approximant.cache_clear()
+    cli._lemma_rows.cache_clear()
     # the approximant's inverse contracts one 27 x 27 block (the half lattice
     # against its rows, its columns against the whole lattice), and the one
     # rfft is the dense forward transform of the approximant

@@ -60,6 +60,8 @@ UNCALLED_BY_DESIGN = {
     "weyl_generator": "closed-form reference for the displacement tests",
     "cb_distance_bound": "CB-distance check of measure channels",
     "load_report": "reads back the reports a run writes",
+    "symplectic_ft_lattice": "full-table reference for the band-limit check's half-row moduli",
+    "inverse_symplectic_lattice": "full-table reference for the approximant's half-row inverse",
 }
 
 

@@ -535,27 +535,76 @@ def test_folded_transform_on_the_lemma_grid_is_exact_to_roundoff():
     assert gap <= 1e-15
 
 
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_fold_is_the_zero_padded_sum_and_difference_bitwise(m):
+    # up = v[M/2..M-1] then a zero, down = a zero then v[M/2-1..0]; signed
+    # zeros among the values must come out as up + down and up - down do
+    v = np.random.default_rng(m).choice([0.0, -0.0, 1.5, -2.0, 3e-300], size=(40, 3, 2 * m))
+    zero = np.zeros_like(v[..., :1])
+    up = np.concatenate([v[..., m:], zero], axis=-1)
+    down = np.concatenate([zero, v[..., m - 1::-1]], axis=-1)
+    for got, want in zip(phase_space._fold(v), (up + down, up - down)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_folded_transform_in_point_chunks_is_the_concatenation_of_single_chunks():
+    # 170 points on the lemma grid (M = 808) take three chunks of at most 81
+    grid = default_lemma_grid(1.0)
+    nu = band_limited_approximant(1.0, 1.0, grid)
+    step = phase_space._CHUNK_ENTRIES // grid.points_per_axis
+    pts = far_points(np.random.default_rng(7), 166)
+    assert step == 81 and len(pts) > 2 * step
+    got = symplectic_ft_at(nu, pts)
+    parts = [symplectic_ft_at(nu, pts[i:i + step]) for i in range(0, len(pts), step)]
+    np.testing.assert_array_equal(got, np.concatenate(parts))
+    assert np.abs(got[::8] - extended_ft(nu, pts[::8])).max() <= 1e-15
+
+
+@pytest.mark.parametrize("m", [8, 440, 808])
+def test_lattice_modulus_is_the_modulus_of_the_full_table_bitwise(m):
+    # the band-limit check reads |symplectic_ft_lattice| from the half rows
+    rng = np.random.default_rng(600 + m)
+    grid = GridSpec(half_width=0.25 * m, points_per_axis=m)
+    tables = [rng.standard_normal((m, m)), *banded_tables(rng, m)]
+    if m == 808:
+        tables.append(band_limited_approximant(1.0, 1.0, default_lemma_grid(1.0)).weights)
+    for w in tables:
+        got = phase_space._lattice_modulus(w)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.T, np.abs(symplectic_ft_lattice(GridMeasure(grid, w))))
+
+
+def test_plateau_profile_in_radius_chunks_is_the_one_shot_quadrature(monkeypatch):
+    # 1,000 radii in the transition annulus take eight chunks of 128
+    delta = 1.3
+    r = np.linspace(0.0, delta / 2.0, 1200)
+    annulus = np.abs(r - 3.0 * delta / 8.0) < delta / 16.0
+    assert annulus.sum() > 2 * phase_space._CHUNK_ENTRIES // 512
+    chunked = plateau_profile(delta)(r)
+    monkeypatch.setattr(phase_space, "_CHUNK_ENTRIES", 512 * len(r))
+    np.testing.assert_array_equal(chunked, plateau_profile(delta)(r))
+
+
 @pytest.mark.parametrize("grid", [default_lemma_grid(1.0), GridSpec(110.0, 440),
                                   GridSpec(110.0, 8)])
-def test_approximant_support_box_is_the_full_table_qhat_bitwise(grid, monkeypatch):
-    # GridSpec(110, 8): the lattice half-width 0.23 is inside the support
-    # disk, so the box is the whole lattice
-    seen = []
-    inverse = phase_space.inverse_symplectic_lattice
-
-    def spy(values, g):
-        seen.append(values.copy())
-        return inverse(values, g)
-
-    monkeypatch.setattr(phase_space, "inverse_symplectic_lattice", spy)
-    band_limited_approximant(4.0, 1.0, grid)
-    np.testing.assert_array_equal(seen[0], reference_qhat(4.0, 1.0, grid))
+def test_approximant_support_box_is_the_full_table_qhat_bitwise(grid):
+    # the moduli of the support block's half rows against the full-table
+    # reference, |inverse(q_hat on the whole lattice)|^2 scaled and
+    # normalized.  GridSpec(110, 8): the lattice half-width 0.23 is inside
+    # the support disk, so the box is the whole lattice
+    want = np.abs(inverse_symplectic_lattice(reference_qhat(4.0, 1.0, grid), grid))
+    np.square(want, out=want)
+    want *= grid.cell_area()
+    want /= want.sum()
+    got = band_limited_approximant(4.0, 1.0, grid).weights
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 def test_all_zero_tables_transform_to_zero():
     grid = GridSpec(4.0, 16)
     zero = np.zeros((16, 16))
-    np.testing.assert_array_equal(phase_space._lattice_dft(zero), zero)
+    np.testing.assert_array_equal(phase_space._lattice_modulus(zero), zero)
     np.testing.assert_array_equal(inverse_symplectic_lattice(zero, grid), zero)
     np.testing.assert_array_equal(symplectic_ft_lattice(GridMeasure(grid, zero)), zero)
 
