@@ -550,7 +550,7 @@ def _lemma_row(t: float, delta: float, grid: GridSpec, sample: np.ndarray) -> di
     lattice and at ``sample``, and its TV gap to the Gaussian."""
     nu = band_limited_approximant(t, delta, grid)
     disk, radius = _lattice_box(grid, delta)  # every node with |zeta| < delta
-    lattice = _lattice_modulus(nu.weights).T  # |symplectic_ft_lattice(nu)|
+    lattice = _lattice_modulus(nu.weights).T  # |nu_hat| on the conjugate lattice
     lattice[disk, disk][radius < delta] = 0.0
     on_lattice = float(lattice.max())
     del lattice

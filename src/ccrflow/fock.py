@@ -30,8 +30,6 @@ __all__ = [
     "alpha_of",
     "annihilation",
     "position",
-    "momentum",
-    "weyl_generator",
     "weyl_operator",
     "displacement_batch",
     "trace_norm",
@@ -152,20 +150,6 @@ def position(n_levels: int) -> FockOperator:
     """Q = (a + a†)/sqrt(2)."""
     a = annihilation(n_levels).matrix
     return FockOperator((a + a.conj().T) / math.sqrt(2.0))
-
-
-def momentum(n_levels: int) -> FockOperator:
-    """P = -i(a - a†)/sqrt(2)."""
-    a = annihilation(n_levels).matrix
-    return FockOperator(-1j * (a - a.conj().T) / math.sqrt(2.0))
-
-
-def weyl_generator(z, n_levels: int) -> FockOperator:
-    """Anti-Hermitian generator i(xQ + yP) = alpha a† - conj(alpha) a."""
-    x, y = _coords(z)
-    q = position(n_levels).matrix
-    p = momentum(n_levels).matrix
-    return FockOperator(1j * (x * q + y * p))
 
 
 @lru_cache(maxsize=16)

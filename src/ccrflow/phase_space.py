@@ -14,13 +14,14 @@ family onto the heat multipliers exp(-t*|zeta|^2).  Everything here is
 discretized on uniform square grids: a measure is a table of real or
 complex cell weights, and its transform is a plain (factorized) sum over
 cells at the requested dual points, so no FFT periodicity artifacts enter
-unless a routine explicitly opts in.  Each transform has one real engine,
-and a complex table goes through it twice, as its real part plus i times
-its imaginary part.  Off the lattice the engine folds each axis about its
-node 0 onto the half axis (cos rows meet even parts, sin rows odd parts)
-and sums over chunks of points.  On the lattice it fills the Hermitian
-half, forward by a real FFT, inverse by products over the block of nonzero
-values, and mirrors it; the lemma's callers mirror only its moduli.
+unless a routine explicitly opts in.  symplectic_ft_at, the one transform
+that takes complex tables, sums one as its real part plus i times its
+imaginary part, each through one real engine.  That engine folds
+each axis about its node 0 onto the half axis (cos rows meet even parts,
+sin rows odd parts) and sums over chunks of points.  On the conjugate
+lattice, for real tables only, the Hermitian half rows come forward by a
+real FFT and inverse by products over the block of nonzero values; the
+lemma's callers mirror only their moduli.
 
 Grid convention: a ``GridSpec`` with half-width L and M points per axis
 places nodes at -L + k*h for k = 0..M-1 with h = 2L/M, covering
@@ -41,8 +42,6 @@ __all__ = [
     "GridMeasure",
     "omega",
     "symplectic_ft_at",
-    "symplectic_ft_lattice",
-    "inverse_symplectic_lattice",
     "conjugate_lattice",
     "convolve",
     "gaussian_measure",
@@ -176,13 +175,6 @@ def measure_from_atoms(
 # Symplectic Fourier transform
 # ---------------------------------------------------------------------------
 
-def _real_parts(transform: Callable, values: np.ndarray) -> np.ndarray:
-    """transform(values), a complex table taken as real + i * imaginary part."""
-    if np.iscomplexobj(values):
-        return transform(values.real) + 1j * transform(values.imag)
-    return transform(values)
-
-
 def _fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd parts v[M/2 + k] +- v[M/2 - k] of v along its last axis,
     on the half axis k = 0..M/2: the origin counts once, and the edge node
@@ -233,7 +225,10 @@ def symplectic_ft_at(mu: GridMeasure, points: np.ndarray) -> np.ndarray:
                                        + 1j * (im_even * cos_y - re_odd * sin_y).sum(axis=1))
         return out
 
-    return _real_parts(real_ft, mu.weights)
+    w = mu.weights
+    if np.iscomplexobj(w):  # real part plus i times imaginary part
+        return real_ft(w.real) + 1j * real_ft(w.imag)
+    return real_ft(w)
 
 
 def _column_band(values: np.ndarray) -> slice:
@@ -267,7 +262,9 @@ def _dft_half(values: np.ndarray) -> np.ndarray:
     out[a] = sum_b exp(s*2j*pi*(a - M/2)*(b - M/2)/M) v[b], of a real (M, M)
     table, s = -1 along axis 0 then s = +1 along axis 1.  With M divisible by
     4 that is a plain 2-D DFT between checkerboards (-1)**(a0 + a1): an rfft
-    and a second pass on the half, in place."""
+    and a second pass on the half, in place.  Mirrored to (M, M), its entry
+    [by, bx] is the conjugate of the forward transform of the weights at
+    the node (bx, by) of conjugate_lattice."""
     m = values.shape[0]
     if m % 4 != 0:
         raise ValueError("centered DFT requires M divisible by 4")
@@ -279,7 +276,9 @@ def _dft_half(values: np.ndarray) -> np.ndarray:
 
 
 def _lattice_modulus(values: np.ndarray) -> np.ndarray:
-    """|centered DFT| of a real table, bit for bit as |conj z| = |z|: half-row moduli, mirrored."""
+    """|centered DFT| of a real table: the modulus of its forward transform on
+    conjugate_lattice, transposed.  The half-row moduli, mirrored, are bit for
+    bit those of the mirrored table, as |conj z| = |z|."""
     return _mirror_half(np.abs(_dft_half(values)))
 
 
@@ -304,58 +303,14 @@ def _centered_phases(m: int, a: np.ndarray, b: np.ndarray, sign: int) -> np.ndar
 
 def _block_half(block: np.ndarray, box: slice, m: int) -> np.ndarray:
     """_dft_half of the real (M, M) table that holds ``block`` on box x box
-    and zeros elsewhere, by products over the block's nonzero band."""
+    and zeros elsewhere, by products over the block's nonzero band.  Fed F.T,
+    for F a table on conjugate_lattice, these are rows ax <= M/2 of the
+    inverse sum over zeta of exp(-i*omega(zeta, z)) F(zeta) at the nodes z."""
     rows, cols = _column_band(block.T), _column_band(block)
     k = np.arange(m)
     half = (_centered_phases(m, k[: m // 2 + 1], k[box][rows], -1) @ block[rows, cols]
             @ _centered_phases(m, k[box][cols], k, 1))
     return _symmetrize_edges(half)
-
-
-def _inverse_scale(grid: GridSpec) -> float:
-    """eta^2 / (16 pi^2), with eta the conjugate lattice spacing 4 pi / (M h)."""
-    eta = 4.0 * math.pi / (grid.points_per_axis * grid.h)
-    return eta * eta / (16.0 * math.pi**2)
-
-
-def inverse_symplectic_lattice(
-    dual_values: np.ndarray, grid: GridSpec
-) -> np.ndarray:
-    """Inverse symplectic transform from the conjugate lattice onto ``grid``.
-
-    The conjugate lattice of a grid with spacing h and M nodes per axis is
-    the grid with spacing eta = 4*pi/(M*h); on that pairing the kernel
-    exp(-i*omega(zeta, z)) reduces to a pair of centered DFTs.  Input and
-    output are (M, M) tables; the result approximates
-
-        f(z) = (1/(16*pi^2)) * integral exp(-i*omega(zeta, z)) F(zeta) dzeta.
-
-    Two products over the b_r x b_c block that holds the nonzero values cost
-    O(M*b_r*b_c + M^2*b_c/2); a dense table is still exact, at O(M^3).
-    The full-table reference for band_limited_approximant's half rows."""
-    # f[ax, ay] = sum_{bx, by} F[bx, by] e^{-i x(ax) zeta_y(by)/2} e^{+i zeta_x(bx) y(ay)/2}
-    # x(a)*eta*(b - M/2)/2 = (2*pi/M)(a - M/2)(b - M/2): centered DFT pairs.
-    # on F.T, axis 0 (by) contracts to ax with sign -1, then bx to ay
-    m = grid.points_per_axis
-    out = _real_parts(lambda v: _mirror_half(_block_half(v, slice(None), m)),
-                      np.asarray(dual_values).T)
-    out *= _inverse_scale(grid)
-    return out
-
-
-def symplectic_ft_lattice(mu: GridMeasure) -> np.ndarray:
-    """Transform of ``mu`` on every node of its conjugate lattice, (M, M).
-
-    The forward partner of inverse_symplectic_lattice: the same two
-    centered DFTs with the signs swapped, and no scale (a plain cell sum).
-    Entry [bx, by] sits at the node (bx, by) of conjugate_lattice(mu.grid).
-    The full-table reference for _lattice_modulus.
-    """
-    # F[bx, by] = sum_{ax, ay} w[ax, ay] e^{+i x(ax) zeta_y(by)/2} e^{-i zeta_x(bx) y(ay)/2}
-    # ax contracts to by with sign +1, then ay to bx: for a real table the
-    # signs flip under conjugation, and the result is F.T
-    return _real_parts(lambda w: np.conjugate(d := _mirror_half(_dft_half(w)), out=d),
-                       mu.weights).T
 
 
 def conjugate_lattice(grid: GridSpec) -> GridSpec:
@@ -562,7 +517,8 @@ def band_limited_approximant(
         raise ValueError("approximant requires t > 0")
     if not delta > 0:
         raise ValueError("approximant requires delta > 0")
-    eta = conjugate_lattice(grid).h
+    m = grid.points_per_axis
+    eta = 4.0 * math.pi / (m * grid.h)  # the conjugate lattice spacing
     if eta >= delta / 16.0 * (1 + 1e-12):
         raise ValueError(
             "grid too small: conjugate lattice spacing "
@@ -571,9 +527,10 @@ def band_limited_approximant(
     box, r, inside = _approximant_band(grid, delta)
     qhat = np.zeros(r.shape)  # on the box; zero on the rest of the lattice
     qhat[inside] = plateau_profile(delta)(r[inside]) * sqrt_density_ft(t, r[inside])
-    # inverse_symplectic_lattice(q_hat, grid) on the half rows, as moduli
-    half = _block_half(qhat.T, box, grid.points_per_axis)
-    half *= _inverse_scale(grid)
+    # q(z) = eta^2 / (16 pi^2) * sum_zeta exp(-i omega(zeta, z)) q_hat(zeta):
+    # its half rows by products over the support box, then its moduli mirrored
+    half = _block_half(qhat.T, box, m)
+    half *= eta * eta / (16.0 * math.pi**2)
     w = _mirror_half(np.abs(half))
     np.square(w, out=w)
     w *= grid.cell_area()

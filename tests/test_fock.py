@@ -19,11 +19,9 @@ from ccrflow.fock import (
     annihilation,
     coherent_state,
     displacement_batch,
-    momentum,
     number_state,
     position,
     trace_norm,
-    weyl_generator,
     weyl_operator,
 )
 from ccrflow.phase_space import omega
@@ -33,8 +31,8 @@ RNG = np.random.default_rng(7741)
 
 def test_canonical_commutator_on_low_levels():
     n = 24
-    q = position(n).matrix
-    p = momentum(n).matrix
+    q, a = position(n).matrix, annihilation(n).matrix
+    p = -1j * (a - a.conj().T) / math.sqrt(2.0)
     comm = q @ p - p @ q
     # [Q, P] = iI away from the truncation edge
     np.testing.assert_allclose(comm[:-2, :-2], 1j * np.eye(n)[:-2, :-2],
@@ -50,10 +48,13 @@ def test_annihilation_matrix_elements():
 
 
 def test_displacement_equals_matrix_exponential():
+    # W_z = exp(i(xQ + yP)), with P = -i(a - a^dagger)/sqrt(2)
     n = 25
-    for z in [(0.5, 0.0), (0.0, -1.0), (1.3, 0.7), (-2.0, 1.1)]:
-        fast = weyl_operator(z, n).matrix
-        dense = expm(weyl_generator(z, n).matrix)
+    q, a = position(n).matrix, annihilation(n).matrix
+    p = -1j * (a - a.conj().T) / math.sqrt(2.0)
+    for x, y in [(0.5, 0.0), (0.0, -1.0), (1.3, 0.7), (-2.0, 1.1)]:
+        fast = weyl_operator((x, y), n).matrix
+        dense = expm(1j * (x * q + y * p))
         np.testing.assert_allclose(fast, dense, atol=1e-12)
 
 

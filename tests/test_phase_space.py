@@ -22,13 +22,11 @@ from ccrflow.phase_space import (
     default_lemma_grid,
     gaussian_density,
     gaussian_measure,
-    inverse_symplectic_lattice,
     measure_from_atoms,
     omega,
     plateau_profile,
     sqrt_density_ft,
     symplectic_ft_at,
-    symplectic_ft_lattice,
 )
 
 RNG = np.random.default_rng(1123)
@@ -91,6 +89,8 @@ def test_symplectic_ft_matches_naive_sum():
 
 
 def test_inverse_lattice_round_trip():
+    # the direct sums invert each other on the conjugate lattice's nodes,
+    # which makes naive_inverse an oracle for the lattice steps
     grid = GridSpec(half_width=4.0, points_per_axis=16)
     w = RNG.standard_normal((16, 16)) + 1j * RNG.standard_normal((16, 16))
     mu = GridMeasure(grid, w.astype(complex))
@@ -98,20 +98,20 @@ def test_inverse_lattice_round_trip():
     lx, ly = lattice.mesh()
     pts = np.column_stack([lx.ravel(), ly.ravel()])
     values = naive_ft(mu, pts).reshape(lattice.points_per_axis, -1)
-    density = inverse_symplectic_lattice(values, grid)
+    density = naive_inverse(values, grid)
     np.testing.assert_allclose(density * grid.cell_area(), w, atol=1e-10)
 
 
 def test_lattice_transform_matches_point_transform():
-    # the forward partner of the inverse: every conjugate-lattice node at
-    # once, against the direct sum at randomly chosen nodes
+    # the band-limit check's two readings of one transform: the lattice
+    # moduli, against the off-lattice engine at randomly chosen nodes
     grid = GridSpec(half_width=6.0, points_per_axis=20)
-    w = RNG.standard_normal((20, 20)) + 1j * RNG.standard_normal((20, 20))
-    mu = GridMeasure(grid, w.astype(complex))
+    w = RNG.standard_normal((20, 20))
     lx, ly = conjugate_lattice(grid).mesh()
     ix, iy = RNG.integers(0, 20, size=(2, 50))
-    at = symplectic_ft_at(mu, np.column_stack([lx[ix, iy], ly[ix, iy]]))
-    np.testing.assert_allclose(symplectic_ft_lattice(mu)[ix, iy], at, atol=1e-11)
+    at = symplectic_ft_at(GridMeasure(grid, w), np.column_stack([lx[ix, iy], ly[ix, iy]]))
+    np.testing.assert_allclose(phase_space._lattice_modulus(w).T[ix, iy], np.abs(at),
+                               atol=1e-11)
 
 
 def test_conjugate_lattice_spacing():
@@ -340,20 +340,22 @@ def test_real_weights_match_the_naive_sum(m):
     np.testing.assert_allclose(symplectic_ft_at(mu, pts), naive_ft(mu, pts),
                                atol=1e-12)
     lx, ly = conjugate_lattice(grid).mesh()
-    ix, iy = rng.integers(0, m, size=(2, 50))
-    nodes = np.column_stack([lx[ix, iy], ly[ix, iy]])
-    np.testing.assert_allclose(symplectic_ft_lattice(mu)[ix, iy],
-                               naive_ft(mu, nodes), atol=1e-11)
+    full = naive_ft(mu, np.column_stack([lx.ravel(), ly.ravel()])).reshape(m, m)
+    # row by, column bx of the half rows: the conjugate transform at node (bx, by)
+    np.testing.assert_allclose(phase_space._dft_half(mu.weights),
+                               full.T.conj()[: m // 2 + 1], atol=1e-11)
 
 
 @pytest.mark.parametrize("m", [12, 16, 20])
 def test_real_dual_values_round_trip_through_the_inverse(m):
-    # real values on the conjugate lattice -> inverse (the real engine) ->
-    # cell weights, whose naive transform gives the values back
+    # real values on the conjugate lattice -> the inverse's half rows,
+    # mirrored and scaled -> cell weights, whose naive transform gives the
+    # values back
     rng = np.random.default_rng(100 + m)
     grid = GridSpec(half_width=0.25 * m, points_per_axis=m)
     values = rng.standard_normal((m, m))
-    density = inverse_symplectic_lattice(values, grid)
+    scale = conjugate_lattice(grid).h ** 2 / (16.0 * math.pi ** 2)
+    density = phase_space._mirror_half(phase_space._block_half(values.T, slice(None), m)) * scale
     np.testing.assert_allclose(density, naive_inverse(values, grid), atol=1e-12)
     lx, ly = conjugate_lattice(grid).mesh()
     nodes = np.column_stack([lx.ravel(), ly.ravel()])
@@ -375,23 +377,31 @@ def banded_tables(rng, m):
 
 @pytest.mark.parametrize("m", [12, 16, 20, 808])
 def test_real_lattice_transforms_are_exactly_hermitian(m):
+    # each half-row step on the tables src gives it: _dft_half on a dense
+    # table, _block_half on banded tables and on the approximant's support
+    # box (delta 1000/m is resolved: the lattice spacing is 8 pi / m)
     rng = np.random.default_rng(200 + m)
     grid = GridSpec(half_width=0.25 * m, points_per_axis=m)
+    dense, tables, delta = rng.standard_normal((m, m)), banded_tables(rng, m), 1000.0 / m
+    box = phase_space._approximant_band(grid, delta)[0]
+    qhat = reference_qhat(1.0, delta, grid)[box, box]
+    halves = ([phase_space._dft_half(dense)]
+              + [phase_space._block_half(w, slice(None), m) for w in tables]
+              + [phase_space._block_half(qhat.T, box, m)])
     mirror = -np.arange(m) % m
-    for w in [rng.standard_normal((m, m))] + banded_tables(rng, m):
-        for table in (symplectic_ft_lattice(GridMeasure(grid, w)),
-                      inverse_symplectic_lattice(w, grid)):
-            np.testing.assert_array_equal(table[mirror][:, mirror], table.conj())
+    for half in halves:
+        table = phase_space._mirror_half(half)
+        np.testing.assert_array_equal(table[mirror][:, mirror], table.conj())
 
 
 @pytest.mark.parametrize("m", [12, 16, 20])
 def test_block_inverse_matches_the_naive_sum_on_banded_tables(m):
     rng = np.random.default_rng(400 + m)
     grid = GridSpec(half_width=0.25 * m, points_per_axis=m)
-    tables = banded_tables(rng, m)
-    for w in tables + [tables[0] - 2j * tables[3]]:
-        np.testing.assert_allclose(inverse_symplectic_lattice(w, grid),
-                                   naive_inverse(w, grid), rtol=0, atol=1e-12)
+    scale = conjugate_lattice(grid).h ** 2 / (16.0 * math.pi ** 2)
+    for w in banded_tables(rng, m):
+        full = phase_space._mirror_half(phase_space._block_half(w.T, slice(None), m)) * scale
+        np.testing.assert_allclose(full, naive_inverse(w, grid), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [12, 16, 20, 440, 808])
@@ -409,15 +419,13 @@ def test_mixed_weights_split_into_real_and_imaginary_parts():
     grid = GridSpec(half_width=4.0, points_per_axis=16)
     re, im = rng.standard_normal((2, 16, 16))
     pts = rng.uniform(-2.0, 2.0, size=(30, 2))
-    transforms = (
-        lambda w: symplectic_ft_at(GridMeasure(grid, w), pts),
-        lambda w: symplectic_ft_lattice(GridMeasure(grid, w)),
-        lambda w: inverse_symplectic_lattice(w, grid),
-    )
-    for transform in transforms:
-        whole = transform(re + 1j * im)
-        parts = transform(re) + 1j * transform(im)
-        np.testing.assert_allclose(whole, parts, rtol=0, atol=1e-14)
+
+    def transform(w):
+        return symplectic_ft_at(GridMeasure(grid, w), pts)
+
+    whole = transform(re + 1j * im)
+    parts = transform(re) + 1j * transform(im)
+    np.testing.assert_allclose(whole, parts, rtol=0, atol=1e-14)
 
 
 def test_grid_measure_keeps_real_data_real():
@@ -562,16 +570,16 @@ def test_folded_transform_in_point_chunks_is_the_concatenation_of_single_chunks(
 
 @pytest.mark.parametrize("m", [8, 440, 808])
 def test_lattice_modulus_is_the_modulus_of_the_full_table_bitwise(m):
-    # the band-limit check reads |symplectic_ft_lattice| from the half rows
+    # the band-limit check reads the full table's moduli from the half rows
     rng = np.random.default_rng(600 + m)
-    grid = GridSpec(half_width=0.25 * m, points_per_axis=m)
     tables = [rng.standard_normal((m, m)), *banded_tables(rng, m)]
     if m == 808:
         tables.append(band_limited_approximant(1.0, 1.0, default_lemma_grid(1.0)).weights)
     for w in tables:
         got = phase_space._lattice_modulus(w)
         assert got.dtype == np.float64
-        np.testing.assert_array_equal(got.T, np.abs(symplectic_ft_lattice(GridMeasure(grid, w))))
+        np.testing.assert_array_equal(
+            got, np.abs(phase_space._mirror_half(phase_space._dft_half(w))))
 
 
 def test_plateau_profile_in_radius_chunks_is_the_one_shot_quadrature(monkeypatch):
@@ -588,11 +596,16 @@ def test_plateau_profile_in_radius_chunks_is_the_one_shot_quadrature(monkeypatch
 @pytest.mark.parametrize("grid", [default_lemma_grid(1.0), GridSpec(110.0, 440),
                                   GridSpec(110.0, 8)])
 def test_approximant_support_box_is_the_full_table_qhat_bitwise(grid):
-    # the moduli of the support block's half rows against the full-table
-    # reference, |inverse(q_hat on the whole lattice)|^2 scaled and
-    # normalized.  GridSpec(110, 8): the lattice half-width 0.23 is inside
-    # the support disk, so the box is the whole lattice
-    want = np.abs(inverse_symplectic_lattice(reference_qhat(4.0, 1.0, grid), grid))
+    # the moduli of the support block's half rows against the full table,
+    # |inverse(q_hat on the whole lattice)|^2 scaled and normalized, with the
+    # approximant's scale eta^2 / (16 pi^2), eta = 4 pi / (M h).
+    # GridSpec(110, 8): the lattice half-width 0.23 is inside the support
+    # disk, so the box is the whole lattice
+    m = grid.points_per_axis
+    eta = 4.0 * math.pi / (m * grid.h)
+    qhat = reference_qhat(4.0, 1.0, grid)
+    want = np.abs(phase_space._mirror_half(phase_space._block_half(qhat.T, slice(None), m))
+                  * (eta * eta / (16.0 * math.pi**2)))
     np.square(want, out=want)
     want *= grid.cell_area()
     want /= want.sum()
@@ -602,11 +615,8 @@ def test_approximant_support_box_is_the_full_table_qhat_bitwise(grid):
 
 
 def test_all_zero_tables_transform_to_zero():
-    grid = GridSpec(4.0, 16)
     zero = np.zeros((16, 16))
     np.testing.assert_array_equal(phase_space._lattice_modulus(zero), zero)
-    np.testing.assert_array_equal(inverse_symplectic_lattice(zero, grid), zero)
-    np.testing.assert_array_equal(symplectic_ft_lattice(GridMeasure(grid, zero)), zero)
 
 
 @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
