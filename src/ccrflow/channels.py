@@ -387,7 +387,7 @@ def evolve_state(params: HeatFlowParams, rho: DensityOperator, drifts=None) -> D
     if drifts is not None:
         drifts.append(abs(tr - 1.0))
     out = out / tr
-    return DensityOperator(FockOperator(0.5 * (out + out.conj().T)))
+    return DensityOperator(0.5 * (out + out.conj().T))
 
 
 def _log_factorials(size: int) -> np.ndarray:

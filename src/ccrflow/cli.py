@@ -60,8 +60,8 @@ from .phase_space import (
     GridMeasure,
     GridSpec,
     _approximant_band,
+    _dft_half,
     _lattice_box,
-    _lattice_modulus,
     band_limited_approximant,
     convolve,
     default_gaussian_grid,
@@ -326,7 +326,7 @@ def check_weyl_relations(cfg: RunConfig) -> ExperimentReport:
 def check_riemann_lebesgue(cfg: RunConfig) -> ExperimentReport:
     """Vacuum ring profile: exact Gaussian law, tiny beyond radius 4.3."""
     n = cfg.truncation
-    vac = number_state(0, n).op
+    vac = number_state(0, n)
     radii = [0.25 * k for k in range(1, 25)]
     profile = riemann_lebesgue_profile(vac, radii)
     reference = [math.exp(-r * r / 4.0) for r in radii]
@@ -374,7 +374,7 @@ def _random_low_block_state(rng: np.random.Generator, block: int, n: int) -> Den
     p = p / np.trace(p).real
     full = np.zeros((n, n), dtype=complex)
     full[:block, :block] = p
-    return DensityOperator(FockOperator(full))
+    return DensityOperator(full)
 
 
 def check_path_agreement(cfg: RunConfig) -> ExperimentReport:
@@ -388,7 +388,7 @@ def check_path_agreement(cfg: RunConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed + 2)
     k = spectral_levels(n)
     states = [_random_low_block_state(rng, k, n) for _ in range(10)]
-    spectral = [_spectral_flow(rho.op, cfg.times) for rho in states]  # one transform each
+    spectral = [_spectral_flow(rho, cfg.times) for rho in states]  # one transform each
     worst = 0.0
     curve, drifts = [], []
     for j, t in enumerate(cfg.times):  # time first, so each channel is built once
@@ -459,8 +459,7 @@ def check_semigroup_composition(cfg: RunConfig) -> ExperimentReport:
     worst = 0.0
     curve = []
     for label, rho in [("vacuum", number_state(0, n)), ("coherent", coherent_state(0.8, n))]:
-        op = rho.op
-        joined, first = _spectral_flow(op, (s + t, s))
+        joined, first = _spectral_flow(rho, (s + t, s))
         second = apply_spectral(HeatFlowParams(t), first.embedded(n))
         gap = trace_norm(joined - second)
         worst = max(worst, gap)
@@ -549,11 +548,15 @@ def _lemma_row(t: float, delta: float, grid: GridSpec, sample: np.ndarray) -> di
     """One time's approximant, checked and dropped: its off-band sup on the
     lattice and at ``sample``, and its TV gap to the Gaussian."""
     nu = band_limited_approximant(t, delta, grid)
+    # |nu_hat| on the conjugate lattice: its half rows, which the other rows
+    # mirror.  A half-row value sits at a node and at the node's mirror, so it
+    # is in band only when both are: the box radii are not mirror-symmetric.
+    half = np.abs(_dft_half(nu.weights))
     disk, radius = _lattice_box(grid, delta)  # every node with |zeta| < delta
-    lattice = _lattice_modulus(nu.weights).T  # |nu_hat| on the conjugate lattice
-    lattice[disk, disk][radius < delta] = 0.0
-    on_lattice = float(lattice.max())
-    del lattice
+    inside = radius < delta
+    half[disk.start:, disk][(inside & inside[::-1, ::-1])[: len(half) - disk.start]] = 0.0
+    on_lattice = float(half.max())
+    del half
     sup = max(float(np.abs(symplectic_ft_at(nu, sample)).max()), on_lattice)
     gap = gaussian_measure(t, grid).weights - nu.weights
     return {"t": t, "offband_sup": sup, "tv": float(np.abs(gap, out=gap).sum()),

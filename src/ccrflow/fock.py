@@ -1,7 +1,8 @@
 """Truncated harmonic-oscillator operator core.
 
 Everything acts on the span of the first ``N`` number states |0>, ..., |N-1>.
-Operators are dense complex matrices in that basis.  The displacement
+Operators are dense complex matrices in that basis; a state is one of them,
+checked at construction to be positive with unit trace.  The displacement
 (Weyl) unitary ``W_z = exp(i(x Q + y P))`` is built by two independent
 routes: a matrix exponential of the truncated generator (exactly unitary,
 fast via a cached eigendecomposition of the position operator) and the
@@ -101,18 +102,17 @@ _TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class DensityOperator:
-    """A state: self-adjoint, positive semidefinite, unit trace.
+class DensityOperator(FockOperator):
+    """A state: an operator that is self-adjoint, positive semidefinite, of unit trace.
 
-    Validation happens at construction so downstream code can assume the
-    invariants.  Tolerances: hermiticity and trace within 1e-10, smallest
-    eigenvalue >= -1e-10.
+    Checked at construction, after FockOperator's checks, so downstream code
+    can assume the invariants: hermiticity and trace within 1e-10, smallest
+    eigenvalue >= -1e-10.  Differences and blocks of states are FockOperators.
     """
 
-    op: FockOperator
-
     def __post_init__(self) -> None:
-        m = self.op.matrix
+        super().__post_init__()
+        m = self.matrix
         herm = float(np.abs(m - m.conj().T).max())
         if herm > _HERMITIAN_TOL:
             raise ValueError(f"state is not self-adjoint (defect {herm:.3e})")
@@ -122,14 +122,6 @@ class DensityOperator:
         lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
         if lo < -_EIGEN_TOL:
             raise ValueError(f"state has negative eigenvalue {lo:.3e}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +351,7 @@ def number_state(n: int, n_levels: int) -> DensityOperator:
         raise ValueError("level index out of range")
     m = np.zeros((n_levels, n_levels), dtype=complex)
     m[n, n] = 1.0
-    return DensityOperator(FockOperator(m))
+    return DensityOperator(m)
 
 
 _COHERENT_CAPTURE = 1e-8
@@ -379,4 +371,4 @@ def coherent_state(alpha: complex, n_levels: int) -> DensityOperator:
             "increase N or shrink |alpha|"
         )
     vec /= math.sqrt(capture)
-    return DensityOperator(FockOperator(np.outer(vec, vec.conj())))
+    return DensityOperator(np.outer(vec, vec.conj()))

@@ -264,7 +264,8 @@ def _dft_half(values: np.ndarray) -> np.ndarray:
     4 that is a plain 2-D DFT between checkerboards (-1)**(a0 + a1): an rfft
     and a second pass on the half, in place.  Mirrored to (M, M), its entry
     [by, bx] is the conjugate of the forward transform of the weights at
-    the node (bx, by) of conjugate_lattice."""
+    the node (bx, by) of conjugate_lattice; the band-limit check reads the
+    moduli of the half rows alone."""
     m = values.shape[0]
     if m % 4 != 0:
         raise ValueError("centered DFT requires M divisible by 4")
@@ -273,13 +274,6 @@ def _dft_half(values: np.ndarray) -> np.ndarray:
     np.fft.ifft(half, axis=1, norm="forward", out=half)
     half *= np.outer(alt[: m // 2 + 1], alt)
     return _symmetrize_edges(half)
-
-
-def _lattice_modulus(values: np.ndarray) -> np.ndarray:
-    """|centered DFT| of a real table: the modulus of its forward transform on
-    conjugate_lattice, transposed.  The half-row moduli, mirrored, are bit for
-    bit those of the mirrored table, as |conj z| = |z|."""
-    return _mirror_half(np.abs(_dft_half(values)))
 
 
 @lru_cache(maxsize=2)
@@ -553,9 +547,9 @@ def default_lemma_grid(delta: float) -> GridSpec:
     half_width = max(200.0, 64.0 * math.pi / delta)
     alias_free = 0.9 * 32.0 * math.pi / 31.0  # delta h within 0.9 of its alias bound
     h = min(0.5, alias_free / delta)
-    m = int(math.ceil(2.0 * half_width / h / 4.0) * 4)
-    if m * m > 1 << 23:  # M <= 4 * 724: half_width <= 724 and h >= 100 / 724
+    quarters = 2.0 * half_width / h / 4.0  # inf at a tiny delta: compared before ceil
+    if not quarters <= 724:  # M <= 4 * 724: half_width <= 724 and h >= 100 / 724
         lo, hi = 64.0 * math.pi / 724, alias_free * 7.24
-        raise ValueError(f"delta {delta:g} needs a lemma grid of {m} x {m} nodes, past "
-                         f"2^23; the lemma grid takes delta from about {lo:.4g} to {hi:.4g}")
-    return GridSpec(half_width=half_width, points_per_axis=m)
+        raise ValueError(f"delta {delta:g} needs a lemma grid past 2^23 nodes; "
+                         f"the lemma grid takes delta from about {lo:.4g} to {hi:.4g}")
+    return GridSpec(half_width=half_width, points_per_axis=int(math.ceil(quarters) * 4))

@@ -194,7 +194,7 @@ def _probe_round_trip_error(grid: GridSpec, source_dim: int) -> float:
     too coarse or too narrow for the reconstruction."""
     k = reliable_levels(grid, source_dim)
     p0 = number_state(0, source_dim)
-    raw = _raw_inverse(char_function(p0.op, grid).values, grid, source_dim, k)
+    raw = _raw_inverse(char_function(p0, grid).values, grid, source_dim, k)
     return trace_norm(INVERSION_CONSTANT * raw - p0.matrix[:k, :k])
 
 

@@ -6,6 +6,7 @@ import csv
 import inspect
 import json
 import math
+import re
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -196,16 +197,19 @@ def test_heatflow_refuses_a_spectral_grid_that_fails_its_probe_at_config(tmp_pat
 
 
 @pytest.mark.parametrize("subcommand", ["lemma37", "purity"])
-@pytest.mark.parametrize("delta", ["1e-3", "0.01", "25"])
+@pytest.mark.parametrize("delta", ["1e-3", "0.01", "25", "1e-200", "1e-308", "5e-324"])
 def test_a_delta_past_the_lemma_grid_bound_fails_at_config(tmp_path, capsys, subcommand, delta):
     # default_lemma_grid(1e-3) would hold 804,248^2 nodes (4.71 TiB a real table),
     # 0.01 80,428^2 and 25 (whose spacing keeps off-band samples off the
-    # band's images) 3,428^2; none is allocated before the refusal
+    # band's images) 3,428^2; none is allocated before the refusal.  Past
+    # 1e-307 the node count is infinite, and at 1e-200 it has 200 digits:
+    # the message names neither
     out = tmp_path / "o"
     assert main([subcommand, "--delta", delta, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and f"{subcommand}: delta {float(delta):g}" in err
     assert "takes delta from about 0.2777 to 21.13" in err
+    assert not re.search(r"\d{6}", err)
     assert not out.exists()
 
 

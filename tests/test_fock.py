@@ -215,16 +215,33 @@ def test_coherent_state_rejects_poor_capture():
 
 def test_density_operator_validation():
     bad_trace = np.eye(4, dtype=complex)
-    with pytest.raises(ValueError):
-        DensityOperator(FockOperator(bad_trace))
+    with pytest.raises(ValueError, match="trace"):
+        DensityOperator(bad_trace)
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 1] = 1.0
     skew[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        DensityOperator(FockOperator(skew))
+    with pytest.raises(ValueError, match="self-adjoint"):
+        DensityOperator(skew)
     neg = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
-        DensityOperator(FockOperator(neg))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityOperator(neg)
+    # FockOperator's own checks run first
+    with pytest.raises(ValueError, match="finite"):
+        DensityOperator(np.diag([1.0, math.nan]))
+    with pytest.raises(ValueError, match="square"):
+        DensityOperator(np.full((2, 3), 1.0 / 3.0))
+
+
+def test_a_state_is_an_operator():
+    rho = coherent_state(0.6 - 0.3j, 16)
+    assert isinstance(rho, FockOperator) and not hasattr(rho, "op")
+    assert rho.dim == 16 and not rho.matrix.flags.writeable
+    pts = np.random.default_rng(37).uniform(-2.0, 2.0, (40, 2))
+    assert np.array_equal(char_values(rho, pts), char_values(FockOperator(rho.matrix), pts))
+    # a difference or a block of states is an operator, not a state
+    diff = rho - number_state(0, 16)
+    assert type(diff) is FockOperator and type(rho.leading_block(4)) is FockOperator
+    assert np.array_equal(diff.matrix, rho.matrix - number_state(0, 16).matrix)
 
 
 def test_trace_norm_is_singular_value_sum():

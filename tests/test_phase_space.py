@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from ccrflow import phase_space
+from ccrflow import cli, phase_space
 from ccrflow.cli import _offband_sample
 from ccrflow.phase_space import (
     GridMeasure,
@@ -110,8 +110,8 @@ def test_lattice_transform_matches_point_transform():
     lx, ly = conjugate_lattice(grid).mesh()
     ix, iy = RNG.integers(0, 20, size=(2, 50))
     at = symplectic_ft_at(GridMeasure(grid, w), np.column_stack([lx[ix, iy], ly[ix, iy]]))
-    np.testing.assert_allclose(phase_space._lattice_modulus(w).T[ix, iy], np.abs(at),
-                               atol=1e-11)
+    lattice = np.abs(phase_space._mirror_half(phase_space._dft_half(w))).T
+    np.testing.assert_allclose(lattice[ix, iy], np.abs(at), atol=1e-11)
 
 
 def test_conjugate_lattice_spacing():
@@ -568,18 +568,42 @@ def test_folded_transform_in_point_chunks_is_the_concatenation_of_single_chunks(
     assert np.abs(got[::8] - extended_ft(nu, pts[::8])).max() <= 1e-15
 
 
-@pytest.mark.parametrize("m", [8, 440, 808])
-def test_lattice_modulus_is_the_modulus_of_the_full_table_bitwise(m):
-    # the band-limit check reads the full table's moduli from the half rows
-    rng = np.random.default_rng(600 + m)
-    tables = [rng.standard_normal((m, m)), *banded_tables(rng, m)]
-    if m == 808:
-        tables.append(band_limited_approximant(1.0, 1.0, default_lemma_grid(1.0)).weights)
+def full_table_offband_max(w, grid, delta):
+    """The largest |transform| of w on the conjugate lattice off |zeta| < delta,
+    from the mirrored (M, M) table: its moduli, transposed, the disk zeroed."""
+    lattice = np.abs(phase_space._mirror_half(phase_space._dft_half(w))).T
+    disk, radius = phase_space._lattice_box(grid, delta)
+    lattice[disk, disk][radius < delta] = 0.0
+    return float(lattice.max())
+
+
+@pytest.mark.parametrize("delta", [0.3, 1.0, 1.005])
+def test_lemma_row_reads_the_full_table_offband_max_from_half_rows_bitwise(monkeypatch, delta):
+    grid = default_lemma_grid(delta)
+    m = grid.points_per_axis
+    disk, radius = phase_space._lattice_box(grid, delta)
+    inside = radius < delta
+    # the box radii are not mirror-symmetric: these nodes are in the disk,
+    # their mirrors are not
+    odd = np.argwhere(inside & ~inside[::-1, ::-1]).tolist()
+    assert odd == ([] if delta == 1.0 else [[1, 33], [33, 1]])
+    tables = [band_limited_approximant(1.0, delta, grid).weights]
+    if odd:
+        # its transform peaks at box node (1, 33), on a half row, and at the
+        # mirror, off them: a half-row value in the disk must stay if its
+        # mirror is out
+        b = np.arange(m) - m // 2
+        cosine = np.cos(2.0 * math.pi * (disk.start + 1 - m // 2) * b / m)
+        tables.append(np.repeat(cosine[:, None], m, axis=1))
+    monkeypatch.setattr(cli, "symplectic_ft_at", lambda nu, pts: np.zeros(len(pts)))
     for w in tables:
-        got = phase_space._lattice_modulus(w)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(
-            got, np.abs(phase_space._mirror_half(phase_space._dft_half(w))))
+        monkeypatch.setattr(cli, "band_limited_approximant", lambda t, d, g: GridMeasure(g, w))
+        want = full_table_offband_max(w, grid, delta)
+        assert cli._lemma_row(1.0, delta, grid, np.zeros((1, 2)))["offband_sup"] == want
+    if odd:
+        half = np.abs(phase_space._dft_half(tables[-1]))
+        half[disk.start:, disk][inside[: len(half) - disk.start]] = 0.0  # the plain mask
+        assert half.max() < 1e-6 * want
 
 
 def test_plateau_profile_in_radius_chunks_is_the_one_shot_quadrature(monkeypatch):
@@ -616,7 +640,7 @@ def test_approximant_support_box_is_the_full_table_qhat_bitwise(grid):
 
 def test_all_zero_tables_transform_to_zero():
     zero = np.zeros((16, 16))
-    np.testing.assert_array_equal(phase_space._lattice_modulus(zero), zero)
+    np.testing.assert_array_equal(phase_space._dft_half(zero), np.zeros((9, 16)))
 
 
 @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])

@@ -151,7 +151,7 @@ def test_band_annihilated_guards():
 @pytest.mark.parametrize("call,match", [
     (lambda: band_annihilated_distance(FockOperator(np.eye(6) / 6), math.nan, GridSpec(1, 8)),
      "epsilon must be positive"),
-    (lambda: char_values(number_state(0, 8).op, [(math.nan, 0.0)]), "trustworthy window"),
+    (lambda: char_values(number_state(0, 8), [(math.nan, 0.0)]), "trustworthy window"),
     (lambda: exact_heat(np.eye(4), math.nan, 4), "finite and nonnegative"),
     (lambda: exact_heat(np.eye(4), math.inf, 4), "finite and nonnegative"),
     (lambda: decay_curve(number_state(0, 8), number_state(1, 8), (0.0, math.nan)),
