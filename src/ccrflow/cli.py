@@ -558,7 +558,8 @@ def _lemma_row(t: float, delta: float, grid: GridSpec, sample: np.ndarray) -> di
     on_lattice = float(half.max())
     del half
     sup = max(float(np.abs(symplectic_ft_at(nu, sample)).max()), on_lattice)
-    gap = gaussian_measure(t, grid).weights - nu.weights
+    gap = gaussian_measure(t, grid).weights
+    gap -= nu.weights
     return {"t": t, "offband_sup": sup, "tv": float(np.abs(gap, out=gap).sum()),
             "points": len(sample)}
 

@@ -20,8 +20,8 @@ imaginary part, each through one real engine.  That engine folds
 each axis about its node 0 onto the half axis (cos rows meet even parts,
 sin rows odd parts) and sums over chunks of points.  On the conjugate
 lattice, for real tables only, the Hermitian half rows come forward by a
-real FFT and inverse by products over the block of nonzero values; the
-lemma's callers mirror only their moduli.
+real FFT of column blocks and inverse by products over the block of
+nonzero values, with no (M, M) temporary; the lemma mirrors moduli only.
 
 Grid convention: a ``GridSpec`` with half-width L and M points per axis
 places nodes at -L + k*h for k = 0..M-1 with h = 2L/M, covering
@@ -63,7 +63,8 @@ ALIAS_GUARD = math.pi / 2
 _GAUSSIAN_CAPTURE = 1e-9
 
 #: Entries of a per-chunk table: symplectic_ft_at's (points x M) products
-#: (81 points at M = 808) and plateau_profile's (radii x 512) quadrature.
+#: (81 points at M = 808), _dft_half's blocks of 81 columns or rows there,
+#: and plateau_profile's (radii x 512) quadrature.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -148,16 +149,10 @@ class GridMeasure:
     def total_variation(self) -> float:
         return float(np.abs(self.weights).sum())
 
-    def _binop(self, other: "GridMeasure", sign: float) -> "GridMeasure":
+    def __sub__(self, other: "GridMeasure") -> "GridMeasure":
         if self.grid != other.grid:
             raise ValueError("measures live on different grids")
-        return GridMeasure(self.grid, self.weights + sign * other.weights)
-
-    def __add__(self, other: "GridMeasure") -> "GridMeasure":
-        return self._binop(other, 1.0)
-
-    def __sub__(self, other: "GridMeasure") -> "GridMeasure":
-        return self._binop(other, -1.0)
+        return GridMeasure(self.grid, self.weights - other.weights)
 
 
 def measure_from_atoms(
@@ -245,34 +240,40 @@ def _symmetrize_edges(half: np.ndarray) -> np.ndarray:
     return half
 
 
-def _mirror_half(half: np.ndarray) -> np.ndarray:
-    """The (M, M) table from rows a0 <= M/2 of a real table's centered DFT,
-    or from their moduli: F[-a0, -a1] = conj(F[a0, a1])."""
-    m = half.shape[1]
-    out = np.empty((m, m), dtype=half.dtype)
-    out[: m // 2 + 1] = half
-    low = half[m // 2 - 1:0:-1]  # rows M/2 - 1..1; column 0 is its own mirror
-    np.conjugate(low[:, 0], out=out[m // 2 + 1:, 0])
-    np.conjugate(low[:, :0:-1], out=out[m // 2 + 1:, 1:])
-    return out
+def _mirror_half(table: np.ndarray) -> np.ndarray:
+    """Rows M/2 + 1.. of an (M, M) table whose rows a0 <= M/2 hold a real
+    table's centered DFT, or its moduli, filled in place by
+    F[-a0, -a1] = conj(F[a0, a1])."""
+    m = table.shape[1]
+    low = table[m // 2 - 1:0:-1]  # rows M/2 - 1..1; column 0 is its own mirror
+    np.conjugate(low[:, 0], out=table[m // 2 + 1:, 0])
+    np.conjugate(low[:, :0:-1], out=table[m // 2 + 1:, 1:])
+    return table
 
 
 def _dft_half(values: np.ndarray) -> np.ndarray:
     """Rows a0 <= M/2 of the centered DFT,
     out[a] = sum_b exp(s*2j*pi*(a - M/2)*(b - M/2)/M) v[b], of a real (M, M)
     table, s = -1 along axis 0 then s = +1 along axis 1.  With M divisible by
-    4 that is a plain 2-D DFT between checkerboards (-1)**(a0 + a1): an rfft
-    and a second pass on the half, in place.  Mirrored to (M, M), its entry
-    [by, bx] is the conjugate of the forward transform of the weights at
-    the node (bx, by) of conjugate_lattice; the band-limit check reads the
-    moduli of the half rows alone."""
+    4 that is a plain 2-D DFT between checkerboards (-1)**(a0 + a1): rffts of
+    signed column blocks, then a second pass and the signs of row blocks on
+    the half in place, with no (M, M) temporary.  Mirrored, its entry
+    [by, bx] is the conjugate of the forward transform of the weights at the
+    node (bx, by) of conjugate_lattice; the band-limit check reads the
+    half's moduli."""
     m = values.shape[0]
     if m % 4 != 0:
         raise ValueError("centered DFT requires M divisible by 4")
     alt = (-1.0) ** np.arange(m)
-    half = np.fft.rfft(values * np.outer(alt, alt), axis=0)
+    half = np.empty((m // 2 + 1, m), dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // m)
+    for start in range(0, m, step):
+        sl = slice(start, start + step)
+        half[:, sl] = np.fft.rfft(values[:, sl] * np.multiply.outer(alt, alt[sl]), axis=0)
     np.fft.ifft(half, axis=1, norm="forward", out=half)
-    half *= np.outer(alt[: m // 2 + 1], alt)
+    row_signs = alt[: m // 2 + 1]
+    for start in range(0, len(row_signs), step):
+        half[start:start + step] *= np.multiply.outer(row_signs[start:start + step], alt)
     return _symmetrize_edges(half)
 
 
@@ -437,12 +438,18 @@ def _bump_profile(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _approximant_band(grid: GridSpec, delta: float) -> tuple[slice, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=2)
+def _approximant_band(grid: GridSpec, delta: float) -> tuple[slice, np.ndarray, ...]:
     """The box of conjugate_lattice(grid) around |zeta| < 7*delta/16, |zeta|
-    on it, and its nodes inside disk_r + moll_r (plateau_profile's float
-    expression), beyond which the profile is 0: where q_hat may be nonzero."""
+    on it, its nodes inside disk_r + moll_r (plateau_profile's float
+    expression), beyond which the profile is 0: where q_hat may be nonzero,
+    and the profile there, read-only and shared by a lemma run's times."""
     box, radius = _lattice_box(grid, 7.0 * delta / 16.0)
-    return box, radius, radius < 3.0 * delta / 8.0 + delta / 16.0
+    inside = radius < 3.0 * delta / 8.0 + delta / 16.0
+    profile = plateau_profile(delta)(radius[inside])
+    for a in (radius, inside, profile):
+        a.setflags(write=False)
+    return box, radius, inside, profile
 
 
 def plateau_profile(delta: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -499,7 +506,8 @@ def band_limited_approximant(
     evaluated on the conjugate-lattice nodes of ``grid`` inside
     |zeta| < 7*delta/16 (a box around 0 holds them), off which the profile
     is exactly 0; q = inverse transform of q_hat; the measure has real cell
-    weights h^2*|q|^2, rescaled to unit mass.  Its transform is a lattice
+    weights h^2*|q|^2, rescaled to unit mass, whose table takes the moduli
+    of q's half rows and mirrors them in place.  Its transform is a lattice
     autocorrelation supported inside |zeta| <= 7*delta/8, strictly inside
     the delta disk; off-lattice leakage is bounded by the (tiny) mass of
     q*q-bar beyond the grid edge.
@@ -518,14 +526,16 @@ def band_limited_approximant(
             "grid too small: conjugate lattice spacing "
             f"{eta:.4g} must resolve delta/16 = {delta / 16.0:.4g}"
         )
-    box, r, inside = _approximant_band(grid, delta)
+    box, r, inside, profile = _approximant_band(grid, delta)
     qhat = np.zeros(r.shape)  # on the box; zero on the rest of the lattice
-    qhat[inside] = plateau_profile(delta)(r[inside]) * sqrt_density_ft(t, r[inside])
+    qhat[inside] = profile * sqrt_density_ft(t, r[inside])
     # q(z) = eta^2 / (16 pi^2) * sum_zeta exp(-i omega(zeta, z)) q_hat(zeta):
     # its half rows by products over the support box, then its moduli mirrored
     half = _block_half(qhat.T, box, m)
     half *= eta * eta / (16.0 * math.pi**2)
-    w = _mirror_half(np.abs(half))
+    w = np.empty((m, m))
+    np.abs(half, out=w[: m // 2 + 1])
+    _mirror_half(w)
     np.square(w, out=w)
     w *= grid.cell_area()
     w /= w.sum()

@@ -184,9 +184,11 @@ def certified_bound(
     projection cannot get that close, the pair (epsilon, delta) is
     infeasible and raises rather than being silently loosened.  The
     constraints sit on a delta/4 grid over the delta-disk; the measures
-    live on default_lemma_grid(delta).  The check passes when the bound
-    exceeds the measured distance and the pairing vanishes (<= 1e-8); a
-    violated bound is a failed report with negative slack, not an error.
+    live on default_lemma_grid(delta), where the TV gap to the Gaussian is
+    one table beside nu, freed before the pairing transform.  The check
+    passes when the bound exceeds the measured distance and the pairing
+    vanishes (<= 1e-8); a violated bound is a failed report with negative
+    slack, not an error.
     The details hold the terms, the slack and the receipts that no
     condition or param states.
     """
@@ -203,8 +205,10 @@ def certified_bound(
         )
     lemma_grid = default_lemma_grid(delta)
     nu = band_limited_approximant(t, delta, lemma_grid)
-    gap = gaussian_measure(t, lemma_grid).weights - nu.weights  # one table beside nu
+    gap = gaussian_measure(t, lemma_grid).weights  # one table beside nu
+    gap -= nu.weights
     tv_gap = float(np.abs(gap, out=gap).sum())
+    del gap  # not alive through the pairing transform
     omega0_norm = trace_norm(omega0)
     term2 = omega0_norm * tv_gap
 

@@ -665,12 +665,50 @@ def test_lemma_band_limit_holds_one_approximant_table_at_a_time():
     assert peak <= 20e6
 
 
+def test_purity_certificate_holds_at_most_three_lemma_tables():
+    # purity-long's certificate (N = 32, t = 8, delta 1) on the 808 x 808
+    # lemma grid, one real table 5.2 MB: 13.9 MB traced.  A gap built beside
+    # the Gaussian and kept through the pairing transform, and the
+    # approximant's complex half beside its moduli and their mirror, took 19.1 MB
+    cfg = resolve_config("purity", make_args(truncation=32, times="0,0.5,1,2,4,8"))
+    tracemalloc.start()
+    try:
+        rep = check_purity_certificate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.params == {"truncation": 32, "t": 8.0, "delta": 1.0, "epsilon": 1.5}
+    m = phase_space.default_lemma_grid(1.0).points_per_axis
+    assert m == 808 and peak <= 3 * m * m * 8
+
+
+def test_lemma_run_evaluates_the_plateau_profile_once(monkeypatch):
+    calls = []
+    original = phase_space.plateau_profile
+
+    def counting(delta):
+        calls.append(delta)
+        return original(delta)
+
+    monkeypatch.setattr(phase_space, "plateau_profile", counting)
+    phase_space._approximant_band.cache_clear()
+    cli._lemma_rows.cache_clear()
+    cfg = resolve_config("lemma37", make_args(times="1,4,16"))
+    reports = [rep for rep, _ in cli.run_subcommand("lemma37", cfg)]
+    assert len(reports[0].curve) == 3
+    assert calls == [cfg.delta]  # once for the grid and delta, not once per time
+    # what the cache keeps is read-only and box-sized, no (M, M) table
+    grid = phase_space.default_lemma_grid(cfg.delta)
+    for a in phase_space._approximant_band(grid, cfg.delta)[1:]:
+        assert not a.flags.writeable and a.size < grid.points_per_axis ** 2 // 100
+
+
 def test_band_limit_counts_the_columns_the_dual_band_transforms(monkeypatch):
-    widths, phases = [], []
+    blocks, phases = [], []
     rfft, centered_phases = np.fft.rfft, phase_space._centered_phases
 
     def recording_rfft(a, *args, **kwargs):
-        widths.append(a.shape[1])
+        blocks.append(a.copy())
         return rfft(a, *args, **kwargs)
 
     def recording_phases(m, a, b, sign):
@@ -683,15 +721,19 @@ def test_band_limit_counts_the_columns_the_dual_band_transforms(monkeypatch):
     rep = cli.check_lemma_band_limit(resolve_config("lemma37", make_args(times="1")))
     cli._lemma_rows.cache_clear()
     # the approximant's inverse contracts one 27 x 27 block (the half lattice
-    # against its rows, its columns against the whole lattice), and the one
-    # rfft is the dense forward transform of the approximant
+    # against its rows, its columns against the whole lattice), and the rffts
+    # are the dense forward transform of the approximant in column blocks
     m = rep.params["grid_points"]
     assert rep.details["dual_band_columns"] == 27
     # read off the boxes around the band and the delta disk, as on the lattice
     assert rep.details["qhat_support_nodes"] == 609
     assert rep.details["offband_lattice_nodes"] == 649_659
     assert phases == [(m // 2 + 1, 27), (27, m)]
-    assert widths == [m]
+    assert max(b.shape[1] for b in blocks) <= phase_space._CHUNK_ENTRIES // m
+    # the signed blocks side by side are the whole table, each column once
+    delta = rep.params["delta"]
+    nu = phase_space.band_limited_approximant(1.0, delta, phase_space.default_lemma_grid(delta))
+    np.testing.assert_array_equal(np.abs(np.hstack(blocks)), nu.weights)
 
 
 # What each subcommand's checks read of the run configuration.
