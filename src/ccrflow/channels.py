@@ -221,12 +221,15 @@ def _build_kernel(weights: np.ndarray, grid: GridSpec, n: int) -> _Kernel:
     a factor 1 + i^s + i^{2s} + i^{3s}, so where the class sums D[f, s] of
     fock._lattice_classes are roundoff (_RESIDUE_FLOOR) off s = 0 (mod 4),
     as for a quarter-turn-symmetric measure, the circle keeps s = 4j alone,
-    at j mod N.  The spectrum, L ifft along the circle's L positions, meets
-    D before the pairs e^{i rho_f (lam_k - lam_l)}, so the build is one
-    N^2 x L product per class.  It holds L N^2 complex entries: 0.43 MB at
-    N = 30 and 34 MB at N = 128 for a heat channel.  The class tables die
-    before the pairs loop, so beside the spectrum and the kernel the build
-    holds one chunk of pairs: 2^19 complex entries at most (_TABLE_ENTRIES).
+    at j mod N.  A heat channel's sums there are exact zeros, its nodes
+    being exact multiples of h; the floor serves measures that are symmetric
+    only to roundoff, such as a sum of np.rot90 turns.  The spectrum, L ifft
+    along the circle's L positions, meets D before the pairs
+    e^{i rho_f (lam_k - lam_l)}, so the build is one N^2 x L product per
+    class.  It holds L N^2 complex entries: 0.43 MB at N = 30 and 34 MB at
+    N = 128 for a heat channel.  The class tables die before the pairs loop,
+    so beside the spectrum and the kernel the build holds one chunk of
+    pairs: 2^19 complex entries at most (_TABLE_ENTRIES).
     """
     origin, expo, spectrum = _kernel_spectrum(weights, grid, n)
     kernel = np.zeros((spectrum.shape[1], n * n), dtype=complex)
@@ -395,19 +398,18 @@ def _log_factorials(size: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, size)))])
 
 
-@lru_cache(maxsize=4)
 def _transfer_table(levels: int, n_out: int, t: float) -> np.ndarray:
-    """T[d, o, m], read-only: the weight that takes entry (m, m + d) of an
-    operator on ``levels`` levels, and (m + d, m) alike, to (o, o + d) of the
-    n_out-level window at time t > 0.  Where m + d or o + d lies past its
-    window, T holds the weight all the same, and exact_heat never reads it.
+    """T[d, o, m]: the weight that takes entry (m, m + d) of an operator on
+    ``levels`` levels, and (m + d, m) alike, to (o, o + d) of the n_out-level
+    window at time t > 0.  Where m + d or o + d lies past its window, T holds
+    the weight all the same, and exact_heat never reads it.
 
     Loss takes (m, m + d) to (m - k, m + d - k) with weight
     sqrt(C(m, k) C(m + d, k)) eta^(m - k + d/2) (1 - eta)^k, the amplifier
     (i, i + d) to (i + k, i + d + k) with
     sqrt(C(i + k, k) C(i + d + k, k)) eta^(i + d/2 + 1) (1 - eta)^k.  T
     holds min(levels, n_out) n_out levels reals: 35 kB for the basis pair
-    in 1,089 levels, 134 MB for 256 levels in 256.
+    in 1,089 levels, 134 MB for 256 levels in 256; no cache keeps it.
     """
     depth = min(levels, n_out)
     lf = _log_factorials(levels + n_out)
@@ -428,7 +430,6 @@ def _transfer_table(levels: int, n_out: int, t: float) -> np.ndarray:
 
         loss = ladder(np.arange(levels), mid[:, None])
         table[sl] = ladder(np.arange(n_out)[:, None], mid) @ loss / (1.0 + 2.0 * t)
-    table.setflags(write=False)
     return table
 
 
@@ -447,8 +448,8 @@ def exact_heat(a: np.ndarray, t: float, n_out: int) -> np.ndarray:
     and Holevo, NJP 8 (2006) 310).  Both keep each matrix offset; loss
     moves a level only down and the amplifier only up, so the window is a
     finite sum with no truncation of the flow.  Only the levels and offsets
-    a occupies are worked on, through one table (see _transfer_table)
-    shared by operands on as many levels.  phi_t preserves the trace, so
+    a occupies are worked on, through one table built for the call and
+    dropped with it (see _transfer_table).  phi_t preserves the trace, so
     the window misses tr a - tr exact_heat(a, t, n_out) of it.
     """
     HeatFlowParams(t)  # t finite and nonnegative

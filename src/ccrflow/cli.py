@@ -548,13 +548,10 @@ def _lemma_row(t: float, delta: float, grid: GridSpec, sample: np.ndarray) -> di
     """One time's approximant, checked and dropped: its off-band sup on the
     lattice and at ``sample``, and its TV gap to the Gaussian."""
     nu = band_limited_approximant(t, delta, grid)
-    # |nu_hat| on the conjugate lattice: its half rows, which the other rows
-    # mirror.  A half-row value sits at a node and at the node's mirror, so it
-    # is in band only when both are: the box radii are not mirror-symmetric.
+    # |nu_hat| on the conjugate lattice: its half rows, which the other rows mirror
     half = np.abs(_dft_half(nu.weights))
     disk, radius = _lattice_box(grid, delta)  # every node with |zeta| < delta
-    inside = radius < delta
-    half[disk.start:, disk][(inside & inside[::-1, ::-1])[: len(half) - disk.start]] = 0.0
+    half[disk.start:, disk][(radius < delta)[: len(half) - disk.start]] = 0.0
     on_lattice = float(half.max())
     del half
     sup = max(float(np.abs(symplectic_ft_at(nu, sample)).max()), on_lattice)

@@ -250,9 +250,10 @@ def _lattice_classes(m: int, step: float, n: int, top: int) -> tuple:
     # (|a|, |b|), odd q swaps them, and past the diagonal th reflects
     quad = np.where(ib >= 0, np.where(ia >= 0, 0, 1), np.where(ia < 0, 2, 3))
     flip = np.where(quad % 2 == 0, abs_b > abs_a, abs_a > abs_b).astype(np.int8)
-    reps, cls = np.unique(np.maximum(abs_a, abs_b) * m + np.minimum(abs_a, abs_b),
-                          return_inverse=True)
-    rep_a, rep_b = np.divmod(reps, m)
+    # every (A, B), B <= A <= M/2, occurs: class f counts them in order of A then B
+    big, small = np.maximum(abs_a, abs_b), np.minimum(abs_a, abs_b)
+    cls = big * (big + 1) // 2 + small
+    rep_a, rep_b = np.tril_indices(m // 2 + 1)
     return (*_class_tables(step * np.hypot(rep_a, rep_b), np.arctan2(rep_b, rep_a),
                            n, top), cls, flip, ((quad + flip) % 4).astype(np.int8))
 

@@ -24,8 +24,10 @@ real FFT of column blocks and inverse by products over the block of
 nonzero values, with no (M, M) temporary; the lemma mirrors moduli only.
 
 Grid convention: a ``GridSpec`` with half-width L and M points per axis
-places nodes at -L + k*h for k = 0..M-1 with h = 2L/M, covering
-[-L, L)^2.  M is even, so the origin is always a node.
+places nodes at h*(k - M/2) for k = 0..M-1 with h = 2L/M, covering
+[-L, L)^2.  M is even, so the origin is always a node, exactly 0.0, and
+every node but the edge -L has its mirror at exactly minus itself: a
+measure symmetric under z -> -z is symmetric in floating point too.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ def omega(z1, z2):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform square grid over [-L, L)^2 with M nodes per axis (M even)."""
+    """Uniform square grid over [-L, L)^2 with M nodes per axis (M even),
+    node k at h*(k - M/2): node M/2 is 0.0, and the axis is exactly antisymmetric."""
 
     half_width: float
     points_per_axis: int
@@ -103,7 +106,7 @@ class GridSpec:
         return 2.0 * self.half_width / self.points_per_axis
 
     def axis(self) -> np.ndarray:
-        return -self.half_width + self.h * np.arange(self.points_per_axis)
+        return self.h * (np.arange(self.points_per_axis) - self.points_per_axis // 2)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) node coordinates with x varying along axis 0."""
@@ -116,8 +119,8 @@ class GridSpec:
     def index_of(self, z) -> tuple[int, int]:
         """Indices of the node at z; z must sit on a node within 1e-9 cells."""
         x, y = _coords(z)
-        ix = (x + self.half_width) / self.h
-        iy = (y + self.half_width) / self.h
+        ix = x / self.h + self.points_per_axis // 2
+        iy = y / self.h + self.points_per_axis // 2
         i, j = round(ix), round(iy)
         if abs(ix - i) > 1e-9 or abs(iy - j) > 1e-9:
             raise ValueError(f"point ({x}, {y}) is not a grid node")
@@ -277,18 +280,15 @@ def _dft_half(values: np.ndarray) -> np.ndarray:
     return _symmetrize_edges(half)
 
 
-@lru_cache(maxsize=2)
 def _unit_roots(m: int) -> np.ndarray:
-    """Read-only exp(2j*pi*k/M), k = 0..M-1: each angle is folded into the
-    first octant, then carried back by an exact swap and quarter turn."""
+    """exp(2j*pi*k/M), k = 0..M-1: each angle is folded into the first
+    octant, then carried back by an exact swap and quarter turn."""
     if m % 4 != 0:
         raise ValueError("centered DFT requires M divisible by 4")
     quarter, k = np.divmod(np.arange(m), m // 4)
     swap = 8 * k > m
     roots = np.exp(2j * math.pi * np.where(swap, m // 4 - k, k) / m)
-    roots = np.where(swap, 1j * roots.conj(), roots) * np.array([1, 1j, -1, -1j])[quarter]
-    roots.setflags(write=False)
-    return roots
+    return np.where(swap, 1j * roots.conj(), roots) * np.array([1, 1j, -1, -1j])[quarter]
 
 
 def _centered_phases(m: int, a: np.ndarray, b: np.ndarray, sign: int) -> np.ndarray:
@@ -345,7 +345,7 @@ def convolve(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
     full = np.fft.ifft2(np.fft.fft2(mu.weights, shape) * np.fft.fft2(nu.weights, shape))
     if not (np.iscomplexobj(mu.weights) or np.iscomplexobj(nu.weights)):
         full = full.real  # real tables keep float64 weights
-    # index k <-> coordinate -(L1+L2) + k*h, k = 0..m1+m2-2; pad to even M.
+    # index k <-> coordinate h*(k - (m1+m2)/2), k = 0..m1+m2-2; pad to even M.
     big = GridSpec(half_width=mu.grid.half_width + nu.grid.half_width,
                    points_per_axis=m1 + m2)
     return GridMeasure(big, np.pad(full, (0, 1)))

@@ -218,9 +218,8 @@ def certified_bound(
     # vanishes exactly on lattice points, so the overlap dies identically
     lat = conjugate_lattice(lemma_grid)
     stride = max(1, int(math.floor((delta / 4.0) / lat.h)))
-    spacing = stride * lat.h
-    reach = int(math.ceil(2.0 * delta / spacing))
-    axis = spacing * np.arange(-reach, reach + 1)
+    reach = int(math.ceil(2.0 * delta / (stride * lat.h)))
+    axis = lat.h * (stride * np.arange(-reach, reach + 1))  # the lattice's own node rule
     px, py = np.meshgrid(axis, axis, indexing="ij")
     pairing = np.column_stack([px.ravel(), py.ravel()])
     pairing = pairing[np.hypot(pairing[:, 0], pairing[:, 1]) <= 2.0 * delta]

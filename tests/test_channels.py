@@ -1,6 +1,7 @@
 """Measure-channel tests: multiplier action, paths, Choi blocks, guards."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,17 +385,36 @@ def test_exact_heat_writes_the_bands_of_gapped_offsets(n_out):
     assert float(np.abs(gap).max()) <= 1e-13
 
 
-def test_exact_heat_works_on_the_levels_it_occupies():
-    # a pair on levels 0 and 1 of a 40-level space evolves through the
-    # two-level table that the pair on its own two levels then reuses, and
-    # the zero operator evolves to zero
+def test_exact_heat_works_on_the_levels_it_occupies(monkeypatch):
+    # a pair on levels 0 and 1 of a 40-level space evolves through a
+    # two-level table, as the pair on its own two levels does, and the zero
+    # operator evolves to zero
     big = np.zeros((40, 40), dtype=complex)
     big[0, 0], big[1, 1] = 1.0, -1.0
-    _transfer_table.cache_clear()
+    calls = []
+
+    def spy(levels, n_out, t):
+        calls.append((levels, n_out, t))
+        return _transfer_table(levels, n_out, t)
+
+    monkeypatch.setattr(channels, "_transfer_table", spy)
     np.testing.assert_array_equal(exact_heat(big, 2.0, 60), exact_heat(big[:2, :2], 2.0, 60))
-    assert _transfer_table(2, 60, 2.0).shape == (2, 60, 2)
-    assert _transfer_table.cache_info()[:2] == (2, 1)  # hits, misses
+    assert calls == [(2, 60, 2.0), (2, 60, 2.0)]
     assert not exact_heat(np.zeros((5, 5)), 1.0, 7).any()
+
+
+def test_exact_heat_leaves_no_table_allocated():
+    # the table a call builds dies with it; cached, the two 8 MB tables of
+    # this state's 100 levels in 100 stayed alive
+    a = coherent_state(0.8, 100).matrix
+    tracemalloc.start()
+    try:
+        for t in (1.0, 2.0):
+            exact_heat(a, t, 100)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 1e6
 
 
 @pytest.mark.parametrize("a,n_out,match", [

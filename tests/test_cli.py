@@ -736,6 +736,22 @@ def test_band_limit_counts_the_columns_the_dual_band_transforms(monkeypatch):
     np.testing.assert_array_equal(np.abs(np.hstack(blocks)), nu.weights)
 
 
+@pytest.mark.parametrize("delta", ["0.3", "1.005"])
+def test_band_limit_receipts_count_a_mirror_closed_disk(monkeypatch, delta):
+    # with nodes at exact multiples of h the q_hat support is the delta-1
+    # disk at delta 0.3 and 1.005 too; nodes at -L + k h read 611 and 613
+    # nodes there, over 28 and 29 columns, as the box radii lost their mirror
+    row = {"t": 1.0, "offband_sup": 0.0, "tv": 0.0, "points": 464}
+    monkeypatch.setattr(cli, "_lemma_rows", lambda delta, times, seed: (row,))
+    rep = cli.check_lemma_band_limit(resolve_config("lemma37", make_args(times="1", delta=delta)))
+    grid = phase_space.default_lemma_grid(float(delta))
+    inside = phase_space._lattice_box(grid, float(delta))[1] < float(delta)
+    closed = inside & inside[::-1, ::-1]  # in band with its mirror
+    assert rep.details["qhat_support_nodes"] == 609
+    assert rep.details["dual_band_columns"] == 27
+    assert rep.details["offband_lattice_nodes"] == grid.points_per_axis ** 2 - int(closed.sum())
+
+
 # What each subcommand's checks read of the run configuration.
 READS = {
     "weyl-check": {"truncation", "seed"},

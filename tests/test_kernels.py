@@ -442,6 +442,28 @@ def test_class_sums_match_the_node_sums(half, n, seed):
     assert_close(fock._class_sums(weights, cls, flip, quarter, phase), want)
 
 
+def sorted_classes(m: int, step: float, n: int, top: int) -> tuple:
+    """_lattice_classes' tables and node classes with the classes numbered
+    by np.unique over A * M + B, the sort the closed form replaced."""
+    ia, ib = np.indices((m, m)).reshape(2, -1) - m // 2
+    abs_a, abs_b = np.abs(ia), np.abs(ib)
+    reps, cls = np.unique(np.maximum(abs_a, abs_b) * m + np.minimum(abs_a, abs_b),
+                          return_inverse=True)
+    rep_a, rep_b = np.divmod(reps, m)
+    return (*fock._class_tables(step * np.hypot(rep_a, rep_b), np.arctan2(rep_b, rep_a), n, top),
+            cls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half=st.integers(1, 200), n=st.integers(2, 12))
+def test_classes_by_formula_are_the_sorted_classes_bitwise(half, n):
+    got = fock._lattice_classes(2 * half, 0.37, n, 2 * n - 2)[:3]
+    want = sorted_classes(2 * half, 0.37, n, 2 * n - 2)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("t", [0.25, 0.5])
 def test_real_class_sums_equal_their_complex_cast_bitwise(t):
     # real weights gather in a real table; the sums must not move by a bit,

@@ -188,6 +188,34 @@ def test_channel_kernel_has_one_reader():
     assert _src_callers("_content_kernel") == {("channels", "_channel_kernel")}
 
 
+# Every functools.lru_cache in src, with its reuse under `ccrflow all`
+# (hits/misses).  A cache earns its place by its traffic: one the run never
+# reuses only pins memory, so a new cache joins this list on purpose.
+CACHED = {
+    "fock._position_eigensystem": "149/4: every kernel, transform and displacement",
+    "fock._offset_layout": "261/2: every kernel apply and transform",
+    "weyl_transform._grid_classes": "42/2: the spectral grid's transforms",
+    "weyl_transform._probe_round_trip_error": "25/2: the vacuum probe per grid",
+    "channels._content_kernel": "46/6: equal channels share one kernel build",
+    "phase_space._approximant_band": "4/1: the plateau profile, once per lemma run",
+    "cli._lemma_rows": "one set of rows shared by the two lemma checks of a run",
+}
+
+
+def _is_lru_cache(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "lru_cache"
+
+
+def test_the_caches_are_the_ones_the_traffic_reuses():
+    found = set()
+    for path in Path(ccrflow.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(map(_is_lru_cache, node.decorator_list)):
+                found.add(f"{path.stem}.{node.name}")
+    assert found == set(CACHED)
+
+
 def _is_public_function_of(module, name: str) -> bool:
     fn = getattr(module, name, None)
     return (not name.startswith("_") and inspect.isfunction(fn)

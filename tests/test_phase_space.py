@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccrflow import cli, phase_space
+from ccrflow import channels, cli, phase_space
 from ccrflow.cli import _offband_sample
 from ccrflow.phase_space import (
     GridMeasure,
@@ -28,6 +30,7 @@ from ccrflow.phase_space import (
     sqrt_density_ft,
     symplectic_ft_at,
 )
+from ccrflow.purity import constraint_grid
 
 RNG = np.random.default_rng(1123)
 
@@ -62,6 +65,39 @@ def test_grid_spec_geometry():
         grid.index_of((0.3, 0.0))
     with pytest.raises(ValueError):
         GridSpec(half_width=1.0, points_per_axis=7)
+
+
+def assert_exactly_antisymmetric(grid):
+    ax = grid.axis()
+    assert ax[grid.points_per_axis // 2] == 0.0
+    np.testing.assert_array_equal(ax[1:], -ax[:0:-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_width=st.floats(1e-3, 1e4), half_m=st.integers(1, 2000))
+def test_grid_nodes_are_exact_multiples_of_h(half_width, half_m):
+    grid = GridSpec(half_width, 2 * half_m)
+    assert_exactly_antisymmetric(grid)
+    np.testing.assert_array_equal(grid.axis(), grid.h * np.arange(-half_m, half_m))
+    assert grid.index_of((0.0, grid.axis()[-1])) == (half_m, 2 * half_m - 1)
+
+
+@pytest.mark.parametrize("n", [24, 30, 32, 40, 90, 128])
+@pytest.mark.parametrize("t", [0.0125, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0])
+def test_the_gaussian_grids_at_the_substep_times_are_exactly_antisymmetric(n, t):
+    ch, _ = channels._substep_channel(t, n)
+    assert_exactly_antisymmetric(ch.mu.grid)
+
+
+def test_the_grids_the_cli_builds_are_exactly_antisymmetric():
+    for n in range(2, 257):
+        assert_exactly_antisymmetric(channels._spectral_grid(n))
+    for delta in (0.3, 1.0, 1.005, 8.0, 20.0):
+        grid = default_lemma_grid(delta)
+        assert_exactly_antisymmetric(grid)
+        assert_exactly_antisymmetric(conjugate_lattice(grid))
+        assert_exactly_antisymmetric(constraint_grid(delta))
+    assert_exactly_antisymmetric(default_gaussian_grid(1.0))
 
 
 def test_measure_algebra_and_total_variation():
@@ -586,30 +622,16 @@ def full_table_offband_max(w, grid, delta):
 @pytest.mark.parametrize("delta", [0.3, 1.0, 1.005])
 def test_lemma_row_reads_the_full_table_offband_max_from_half_rows_bitwise(monkeypatch, delta):
     grid = default_lemma_grid(delta)
-    m = grid.points_per_axis
     disk, radius = phase_space._lattice_box(grid, delta)
     inside = radius < delta
-    # the box radii are not mirror-symmetric: these nodes are in the disk,
-    # their mirrors are not
-    odd = np.argwhere(inside & ~inside[::-1, ::-1]).tolist()
-    assert odd == ([] if delta == 1.0 else [[1, 33], [33, 1]])
-    tables = [band_limited_approximant(1.0, delta, grid).weights]
-    if odd:
-        # its transform peaks at box node (1, 33), on a half row, and at the
-        # mirror, off them: a half-row value in the disk must stay if its
-        # mirror is out
-        b = np.arange(m) - m // 2
-        cosine = np.cos(2.0 * math.pi * (disk.start + 1 - m // 2) * b / m)
-        tables.append(np.repeat(cosine[:, None], m, axis=1))
+    # the box is centered on an exact node rule: a half-row value and its
+    # mirror are in band together, so the plain disk mask serves both
+    np.testing.assert_array_equal(inside, inside[::-1, ::-1])
+    w = band_limited_approximant(1.0, delta, grid).weights
     monkeypatch.setattr(cli, "symplectic_ft_at", lambda nu, pts: np.zeros(len(pts)))
-    for w in tables:
-        monkeypatch.setattr(cli, "band_limited_approximant", lambda t, d, g: GridMeasure(g, w))
-        want = full_table_offband_max(w, grid, delta)
-        assert cli._lemma_row(1.0, delta, grid, np.zeros((1, 2)))["offband_sup"] == want
-    if odd:
-        half = np.abs(phase_space._dft_half(tables[-1]))
-        half[disk.start:, disk][inside[: len(half) - disk.start]] = 0.0  # the plain mask
-        assert half.max() < 1e-6 * want
+    monkeypatch.setattr(cli, "band_limited_approximant", lambda t, d, g: GridMeasure(g, w))
+    want = full_table_offband_max(w, grid, delta)
+    assert cli._lemma_row(1.0, delta, grid, np.zeros((1, 2)))["offband_sup"] == want
 
 
 def test_plateau_profile_in_radius_chunks_is_the_one_shot_quadrature(monkeypatch):
