@@ -23,8 +23,8 @@ The two paths' agreement is one of the package's core checks.
 No quadrature builds a displacement matrix.  Through the eigensystem
 (lam, V) of Q (see weyl_transform), the cell sum factors, class by class of
 symmetric nodes, into one per-channel kernel K[k, l, s] over the matrix
-offsets s, read through fock's offset layout (strided views of the operand
-and of V, not copies) as in both transform directions.
+offsets s, read through the operand's offset gather and the eigensystem's
+layout of V (strided views, not copies) as in both transform directions.
 Applying K is a correlation along the offsets, so the channel caches its
 spectrum on one circle, the origin node apart: N positions for a heat
 channel, 4N for a measure without quarter-turn symmetry (see _build_kernel).
@@ -62,7 +62,6 @@ from .fock import (
     _lattice_classes,
     _node_slices,
     _offset_gather,
-    _offset_layout,
     _offset_scatter,
     _polar,
     _position_eigensystem,
@@ -275,19 +274,19 @@ def _apply_kernel(kernel: _Kernel, a: np.ndarray) -> np.ndarray:
     (mod G) form G residue groups that never meet: one of 2N - 1 on the
     circle of 4N for a general measure, four of at most ceil((2N - 1) / 4)
     on the circle of N for a heat channel (a prime-length FFT at N = 31).
-    No offset wraps.  Each group reads its own layout columns in place (a
-    strided view, no copy) and runs one product, one FFT pair times the
-    spectrum, in place, and one product: one array of L N^2 complex entries
-    is alive at a time.
+    No offset wraps.  Each group reads its columns of the eigensystem's
+    layout of V[i + d] (fetched once per apply) in place, a strided view,
+    and runs one product, one FFT pair times the spectrum, in place, and one
+    product: one array of L N^2 complex entries is alive at a time.
     """
     n = a.shape[0]
-    _, vec = _position_eigensystem(n)
+    _, vec, layout = _position_eigensystem(n)
     size = kernel.spectrum.shape[-1]
     groups = 4 * n // size
     entries = _offset_gather(a)
     out = np.empty_like(entries)
     for r in range(groups):
-        cols = _offset_layout(n)[:, :, r::groups]
+        cols = layout[:, :, r::groups]
         y = np.fft.fft(_real_product(vec.T, cols * entries[:, None, r::groups]), n=size, axis=-1)
         y *= kernel.spectrum
         np.fft.ifft(y, axis=-1, out=y)
@@ -544,7 +543,7 @@ def choi_matrix(ch: MeasureChannel, n: int) -> np.ndarray:
     nodes = np.flatnonzero(weights)
     xs, ys = ch.mu.grid.mesh()
     rho, theta = _polar(CONJUGATION_SCALE * np.column_stack([xs.ravel(), ys.ravel()])[nodes])
-    lam, vec = _position_eigensystem(ch.truncation)
+    lam, vec, _ = _position_eigensystem(ch.truncation)
     j, i = np.divmod(np.arange(n * n), n)  # column-major: r = j n + i
     u = vec[i] * vec[j]
     c = np.zeros((n * n, n * n), dtype=complex)

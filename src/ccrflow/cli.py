@@ -546,13 +546,15 @@ def _offband_sample(delta: float, rng: np.random.Generator) -> np.ndarray:
 
 def _lemma_row(t: float, delta: float, grid: GridSpec, sample: np.ndarray) -> dict:
     """One time's approximant, checked and dropped: its off-band sup on the
-    lattice and at ``sample``, and its TV gap to the Gaussian."""
+    lattice (moduli written over its complex half rows, no float copy) and
+    at ``sample``, and its TV gap to the Gaussian."""
     nu = band_limited_approximant(t, delta, grid)
     # |nu_hat| on the conjugate lattice: its half rows, which the other rows mirror
-    half = np.abs(_dft_half(nu.weights))
+    half = _dft_half(nu.weights)
+    np.abs(half, out=half)
     disk, radius = _lattice_box(grid, delta)  # every node with |zeta| < delta
     half[disk.start:, disk][(radius < delta)[: len(half) - disk.start]] = 0.0
-    on_lattice = float(half.max())
+    on_lattice = float(half.real.max())
     del half
     sup = max(float(np.abs(symplectic_ft_at(nu, sample)).max()), on_lattice)
     gap = gaussian_measure(t, grid).weights

@@ -145,26 +145,22 @@ def position(n_levels: int) -> FockOperator:
 
 
 @lru_cache(maxsize=16)
-def _position_eigensystem(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (lam, V), lam ascending, of Q: the real symmetric
-    tridiagonal matrix with zero diagonal and off-diagonal sqrt(m)/sqrt(2)."""
-    lam, vec = np.linalg.eigh(position(n_levels).matrix.real)
+def _position_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (lam, V, layout), lam ascending, of Q: the real symmetric
+    tridiagonal matrix with zero diagonal and off-diagonal sqrt(m)/sqrt(2).
+
+    V is the middle N rows of one table padded with N - 1 zero rows on each
+    side, and layout is that table's (N, N, 2N - 1) window view: V[i + d, l]
+    at [i, l, d + N - 1], laid out as _offset_gather, zero where row i + d
+    leaves V.  The table holds (3N - 2) N reals, 0.4 MB at N = 128 and
+    1.6 MB at N = 256, where a gathered copy holds N N (2N - 1)."""
+    lam, vec = np.linalg.eigh(position(n).matrix.real)
+    padded = np.zeros((3 * n - 2, n))
+    padded[n - 1: 2 * n - 1] = vec
     lam.setflags(write=False)
-    vec.setflags(write=False)
-    return lam, vec
-
-
-@lru_cache(maxsize=16)
-def _offset_layout(n: int) -> np.ndarray:
-    """V[i + d, l] of Q's eigenvectors at [i, l, d + N - 1], laid out as
-    _offset_gather; zero where row i + d leaves V.
-
-    A read-only (N, N, 2N - 1) window view of V padded with N - 1 zero rows
-    on each side, built once per N: it holds (3N - 2) N reals, 0.4 MB at
-    N = 128 and 1.6 MB at N = 256, where a gathered copy holds N N (2N - 1)."""
-    _, vec = _position_eigensystem(n)
-    padded = np.pad(vec, ((n - 1, n - 1), (0, 0)))
-    return np.lib.stride_tricks.sliding_window_view(padded, 2 * n - 1, axis=0)
+    padded.setflags(write=False)
+    layout = np.lib.stride_tricks.sliding_window_view(padded, 2 * n - 1, axis=0)
+    return lam, padded[n - 1: 2 * n - 1], layout
 
 
 def _skewed(x: np.ndarray, cols: int, shift: int) -> np.ndarray:
@@ -285,7 +281,7 @@ def _class_sums(weights, cls, flip, quarter, phase: np.ndarray) -> np.ndarray:
 
 
 def _displacement_exponential(zs: np.ndarray, n_levels: int) -> np.ndarray:
-    lam, vec = _position_eigensystem(n_levels)
+    lam, vec, _ = _position_eigensystem(n_levels)
     rho, theta = _polar(zs)
     expo = np.exp(1j * rho[:, None] * lam[None, :])        # (B, N)
     core = (vec[None, :, :] * expo[:, None, :]) @ vec.T    # (B, N, N)

@@ -16,8 +16,8 @@ and (lam, V) the eigensystem of Q (see fock.displacement_batch),
 
 so both sums separate into an offset d and an eigen-index k, through the
 one offset layout that the channel kernel shares: fock._offset_gather's
-read-only view of A[i, i + d] and fock._offset_layout's of V[i + d], each
-read in place, with fock._offset_scatter back to a matrix.  The
+read-only view of A[i, i + d] and fock._position_eigensystem's of V[i + d],
+each read in place, with fock._offset_scatter back to a matrix.  The
 nodes of a square-symmetry class (about an eighth of a grid) share a radius
 and sit at angles q pi/2 +- th_f, where e^{i th d} = i^{q d} e^{+-i th_f d}
 exactly, so both directions sum over classes, against class tables cached
@@ -39,7 +39,6 @@ from .fock import (
     _class_tables,
     _lattice_classes,
     _offset_gather,
-    _offset_layout,
     _offset_scatter,
     _polar,
     _position_eigensystem,
@@ -107,8 +106,8 @@ def _offset_sums(a: np.ndarray, expo) -> np.ndarray:
     fock._class_tables' e^{i rho_f lam_k}: sum_k e^{i rho_f lam_k} c[d, k],
     c[d, k] = sum_i A[i, i+d] V_ik V_{i+d,k}, shape (rows, 2N - 1)."""
     n = a.shape[0]
-    _, vec = _position_eigensystem(n)
-    return expo @ np.einsum("id,ik,ikd->kd", _offset_gather(a), vec, _offset_layout(n))
+    _, vec, layout = _position_eigensystem(n)
+    return expo @ np.einsum("id,ik,ikd->kd", _offset_gather(a), vec, layout)
 
 
 def char_values(a: FockOperator, points: np.ndarray) -> np.ndarray:
@@ -179,11 +178,11 @@ def _raw_inverse(values: np.ndarray, grid: GridSpec, n: int, levels: int) -> np.
     masked = np.where(keep, np.asarray(values, dtype=complex).ravel(), 0.0)
     # G[s, k] = sum_p F_p e^{-i th_p s} e^{-i rho_p lam_k} by node classes;
     # then out[i, j] = sum_k V_ik V_jk G[j - i, k]
-    _, vec = _position_eigensystem(n)
+    _, vec, layout = _position_eigensystem(n)
     phase, expo, cls, flip, quarter = _grid_classes(grid, n)
     kept = slice(n - levels, n + levels - 1)  # s = -(levels - 1)..levels - 1
     g = _class_sums(masked, cls, flip, quarter, phase[:, kept])[:, ::-1].T @ expo.conj()
-    entries = np.einsum("ik,iks,sk->is", vec[:levels], _offset_layout(n)[:levels, :, kept], g)
+    entries = np.einsum("ik,iks,sk->is", vec[:levels], layout[:levels, :, kept], g)
     return _offset_scatter(entries) * grid.cell_area()
 
 

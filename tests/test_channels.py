@@ -339,7 +339,7 @@ def _unit_hermitian(n: int, seed: int) -> np.ndarray:
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 40))
 def test_position_eigensystem_rebuilds_q(n):
-    lam, vec = _position_eigensystem(n)
+    lam, vec, _ = _position_eigensystem(n)
     assert not (lam.flags.writeable or vec.flags.writeable)
     want = position(n).matrix.real
     assert np.abs((vec * lam) @ vec.T - want).max() <= 1e-12 * np.abs(want).max()

@@ -665,6 +665,28 @@ def test_lemma_band_limit_holds_one_approximant_table_at_a_time():
     assert peak <= 20e6
 
 
+def test_lemma_row_takes_the_lattice_moduli_in_place(monkeypatch):
+    # with the approximant built beforehand and one off-band point (a full
+    # sample's point chunks would peak above the lattice step), a row's peak
+    # at delta 1 is the complex half of its transform (405 x 808, 5.2 MB) and
+    # _dft_half's column blocks, 6.4 MB traced; moduli taken into a float
+    # copy of the half added 1.6 MB (8.0 MB).  The bound leaves 1.5 MB over
+    # the complex half
+    delta = 1.0
+    grid = phase_space.default_lemma_grid(delta)
+    nu = phase_space.band_limited_approximant(1.0, delta, grid)
+    monkeypatch.setattr(cli, "band_limited_approximant", lambda t, d, g: nu)
+    tracemalloc.start()
+    try:
+        row = cli._lemma_row(1.0, delta, grid, np.array([[1.5 * delta, 0.0]]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = grid.points_per_axis
+    assert m == 808 and row["offband_sup"] <= 1e-6
+    assert peak <= (m // 2 + 1) * m * 16 + 1.5e6
+
+
 def test_purity_certificate_holds_at_most_three_lemma_tables():
     # purity-long's certificate (N = 32, t = 8, delta 1) on the 808 x 808
     # lemma grid, one real table 5.2 MB: 13.9 MB traced.  A gap built beside

@@ -151,26 +151,45 @@ def test_offset_scatter_undoes_the_gather(n, seed):
     back = fock._offset_scatter(entries)
     assert back.dtype == complex and back.flags.writeable
     assert np.array_equal(back, a)
-    assert not fock._offset_layout(n).flags.writeable
+    assert not fock._position_eigensystem(n)[2].flags.writeable
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 40))
 def test_offset_layout_is_a_view_of_the_eigenvectors(n):
     # V[i + d, l] at [i, l, d + N - 1], zero where row i + d leaves V, read
-    # through one zero-padded copy of V: (3N - 2) N reals, not N N (2N - 1)
-    _, vec = fock._position_eigensystem(n)
+    # through the one zero-padded table that holds V: (3N - 2) N reals, not
+    # N N (2N - 1)
+    lam, vec, got = fock._position_eigensystem(n)
     want = np.zeros((n, n, 2 * n - 1))
     for i in range(n):
         for d in range(1 - n, n):
             if 0 <= i + d < n:
                 want[i, :, d + n - 1] = vec[i + d]
-    got = fock._offset_layout(n)
     assert got.shape == want.shape and np.array_equal(got, want)
-    assert not got.flags.writeable
-    assert fock._offset_layout(n) is got  # built once per truncation
+    assert not (lam.flags.writeable or vec.flags.writeable or got.flags.writeable)
+    assert np.shares_memory(vec, got) and np.array_equal(got[:, :, n - 1], vec)
+    assert vec.flags.c_contiguous
+    assert fock._position_eigensystem(n)[2] is got  # built once per truncation
     low, high = np.lib.array_utils.byte_bounds(got)
     assert high - low <= (3 * n - 2) * n * got.itemsize
+
+
+def test_eigensystem_entry_holds_one_padded_table():
+    # what a transform at N = 200 leaves cached: lam and the (3N - 2, N)
+    # table that holds V and its offset layout, 960 kB; a separate layout
+    # cache beside its own copy of V left 1.28 MB
+    n = 200
+    a = FockOperator(np.eye(n, dtype=complex))
+    char_values(FockOperator(np.eye(5, dtype=complex)), np.zeros((1, 2)))
+    fock._position_eigensystem.cache_clear()
+    tracemalloc.start()
+    try:
+        char_values(a, np.zeros((1, 2)))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= (3 * n - 2) * n * 8 + n * 8 + 4096
 
 
 def test_zero_measure_gives_exactly_zero():
@@ -317,7 +336,7 @@ def loop_apply_kernel(kernel: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Y_e = sum_d M_d * K[d - e] with one Python step per offset, from K
     as node_kernel lays it out."""
     n = a.shape[0]
-    _, vec = fock._position_eigensystem(n)
+    _, vec, _ = fock._position_eigensystem(n)
     m = np.empty((2 * n - 1, n, n), dtype=complex)
     for d in range(1 - n, n):
         i = np.arange(max(0, -d), min(n, n - d))  # rows whose column i + d exists

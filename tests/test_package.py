@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ccrflow
+from ccrflow import channels, cli, fock, phase_space, weyl_transform
 
 MODULES = [
     "ccrflow",
@@ -192,8 +194,8 @@ def test_channel_kernel_has_one_reader():
 # (hits/misses).  A cache earns its place by its traffic: one the run never
 # reuses only pins memory, so a new cache joins this list on purpose.
 CACHED = {
-    "fock._position_eigensystem": "149/4: every kernel, transform and displacement",
-    "fock._offset_layout": "261/2: every kernel apply and transform",
+    "fock._position_eigensystem": ("147/4: every kernel, transform and displacement; "
+                                   "its third table is the offset layout of V they read"),
     "weyl_transform._grid_classes": "42/2: the spectral grid's transforms",
     "weyl_transform._probe_round_trip_error": "25/2: the vacuum probe per grid",
     "channels._content_kernel": "46/6: equal channels share one kernel build",
@@ -214,6 +216,48 @@ def test_the_caches_are_the_ones_the_traffic_reuses():
             if isinstance(node, ast.FunctionDef) and any(map(_is_lru_cache, node.decorator_list)):
                 found.add(f"{path.stem}.{node.name}")
     assert found == set(CACHED)
+
+
+def _cached_values():
+    """Each cache in CACHED, built at a small configuration (N = 12, delta 1)."""
+    n, delta = 12, 1.0
+    spectral, lemma = channels._spectral_grid(n), phase_space.default_lemma_grid(delta)
+    ch = channels.heat_channel(0.25, n)
+    weights = channels._masked_quadrature(ch, 1e-6)
+    built = {
+        "fock._position_eigensystem": fock._position_eigensystem(n),
+        "weyl_transform._grid_classes": weyl_transform._grid_classes(spectral, n),
+        "weyl_transform._probe_round_trip_error":
+            weyl_transform._probe_round_trip_error(spectral, n),
+        "channels._content_kernel": channels._content_kernel(
+            n, ch.mu.grid, weights.dtype, weights.tobytes()),
+        "phase_space._approximant_band": phase_space._approximant_band(lemma, delta),
+        "cli._lemma_rows": cli._lemma_rows(delta, (1.0,), 0),
+    }
+    cli._lemma_rows.cache_clear()
+    return built
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):  # NamedTuples too
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+
+
+def test_cached_tables_are_read_only():
+    # every caller of a cache shares its tables: one write into one would
+    # corrupt every later reader
+    built = _cached_values()
+    assert set(built) == set(CACHED)
+    writeable = [name for name, value in built.items()
+                 if any(a.flags.writeable for a in _arrays(value))]
+    assert writeable == []
+    assert len(list(_arrays(built["fock._position_eigensystem"]))) == 3
 
 
 def _is_public_function_of(module, name: str) -> bool:
